@@ -4,43 +4,17 @@ Layers: `model` (state, admissibility, pressure law, free energy),
 `riemann` (relaxation solver and interface fluxes), `timeloop` (splitting
 scheme with per-step energy audit), `scenarios` (configured runs and
 artifacts), `oracles` (independent verification), `cli` (entry point).
+
+The package root re-exports the names of a library session and the error
+types behind the command line's exit codes 2 to 4; everything else lives in
+its layer's module.
 """
 
-from .model import (
-    AdmissibilityError,
-    Conserved,
-    NonHyperbolicError,
-    PhysParams,
-    Primitive,
-    dP_dh_frozen,
-    dissipation_rate,
-    equilibrium_sigma,
-    free_energy,
-    internal_energy,
-    is_admissible,
-    normal_stress,
-    require_admissible,
-    total_pressure,
-)
-from .riemann import (
-    FluxPair,
-    RelaxedState,
-    SpeedPair,
-    StarStateError,
-    WaveFan,
-    energy_flux,
-    interface_fluxes,
-    relaxation_speeds,
-    sample_fan,
-    star_states,
-    subcharacteristic_monitor,
-)
+from .model import AdmissibilityError, Conserved, NonHyperbolicError, PhysParams, Primitive
+from .riemann import StarStateError
 from .scenarios import (
     ConfigError,
-    ConvergenceResult,
     RunConfig,
-    RunResult,
-    convergence_study,
     initial_condition,
     preset_dam_break,
     preset_smooth_wave,
@@ -54,67 +28,8 @@ from .timeloop import (
     SimState,
     SourceSolveFailure,
     StepControl,
-    StepDiagnostics,
     TimeStepCollapse,
-    cfl_dt,
-    dissipation_residuals,
     full_step,
-    homogeneous_step,
-    relax_conformations,
-    source_step,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityError",
-    "AdmissibilityLoss",
-    "ConfigError",
-    "Conserved",
-    "ConvergenceResult",
-    "DissipationViolation",
-    "FluxPair",
-    "Grid",
-    "NonHyperbolicError",
-    "PhysParams",
-    "Primitive",
-    "RelaxedState",
-    "RunConfig",
-    "RunResult",
-    "SimState",
-    "SourceSolveFailure",
-    "SpeedPair",
-    "StarStateError",
-    "StepControl",
-    "StepDiagnostics",
-    "TimeStepCollapse",
-    "WaveFan",
-    "cfl_dt",
-    "convergence_study",
-    "dP_dh_frozen",
-    "dissipation_rate",
-    "dissipation_residuals",
-    "energy_flux",
-    "equilibrium_sigma",
-    "free_energy",
-    "full_step",
-    "homogeneous_step",
-    "initial_condition",
-    "interface_fluxes",
-    "internal_energy",
-    "is_admissible",
-    "normal_stress",
-    "preset_dam_break",
-    "preset_smooth_wave",
-    "preset_uniform",
-    "relax_conformations",
-    "relaxation_speeds",
-    "require_admissible",
-    "run",
-    "sample_fan",
-    "source_step",
-    "star_states",
-    "subcharacteristic_monitor",
-    "total_pressure",
-    "__version__",
-]

@@ -22,7 +22,7 @@ from pathlib import Path
 from .model import AdmissibilityError, NonHyperbolicError, PhysParams
 from .oracles import DEFAULT_SEED, run_all_checks
 from .riemann import StarStateError
-from .scenarios import ConfigError, RunConfig, convergence_study, run
+from .scenarios import ConfigError, RunConfig, convergence_study, preset_dam_break, run
 from .timeloop import (
     AdmissibilityLoss,
     DissipationViolation,
@@ -38,21 +38,30 @@ _FLOAT_KEYS = {
     "left_h", "left_u", "left_sxx", "left_szz",
     "right_h", "right_u", "right_sxx", "right_szz",
 }
-_INT_KEYS = {"cells", "snapshots", "seed"}
+_INT_KEYS = {"cells", "snapshots"}
 _BOOL_KEYS = {"strict_dissipation", "strict_subchar"}
 _STR_KEYS = {"scenario", "bc", "outdir"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
 
-_DEFAULTS = {
-    "scenario": "dam-break",
-    "g": 10.0, "G": 0.1, "lambda": 0.1, "zeta": 0.0, "ell": 10.0,
-    "x_min": 0.0, "x_max": 1.0, "cells": 256, "t_end": 0.1,
-    "cfl": 0.5, "bc": "transmissive", "snapshots": 10, "jump_x": 0.5,
-    "left_h": 1.0, "left_u": 0.0, "left_sxx": 1.0, "left_szz": 1.0,
-    "right_h": 0.1, "right_u": 0.0, "right_sxx": 1.0, "right_szz": 1.0,
-    "outdir": None, "strict_dissipation": False, "strict_subchar": False,
-    "dt_min_factor": 1e-12, "seed": 0,
-}
+# RunConfig fields named alike in config files, and the per-side state keys.
+_RUN_KEYS = tuple(
+    f.name for f in dataclasses.fields(RunConfig) if f.name not in ("params", "left", "right")
+)
+_STATE_KEYS = ("h", "u", "sxx", "szz")
+
+
+def _flat_keys(cfg: RunConfig) -> dict:
+    """The configuration-file keys and values that describe cfg."""
+    p = cfg.params
+    flat = {"g": p.g, "G": p.G, "lambda": p.lam, "zeta": p.zeta, "ell": p.ell}
+    flat.update((k, getattr(cfg, k)) for k in _RUN_KEYS)
+    for side in ("left", "right"):
+        flat.update((f"{side}_{k}", v) for k, v in zip(_STATE_KEYS, getattr(cfg, side)))
+    return flat
+
+
+# An empty configuration file describes the paper's dam break at ell = 10.
+_DEFAULTS = _flat_keys(preset_dam_break(10.0))
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -113,22 +122,9 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
         raise ConfigError(str(e)) from e
     cfg = RunConfig(
         params=params,
-        x_min=merged["x_min"],
-        x_max=merged["x_max"],
-        cells=merged["cells"],
-        t_end=merged["t_end"],
-        cfl=merged["cfl"],
-        bc=merged["bc"],
-        snapshots=merged["snapshots"],
-        scenario=merged["scenario"],
-        jump_x=merged["jump_x"],
-        left=(merged["left_h"], merged["left_u"], merged["left_sxx"], merged["left_szz"]),
-        right=(merged["right_h"], merged["right_u"], merged["right_sxx"], merged["right_szz"]),
-        outdir=merged["outdir"],
-        strict_dissipation=merged["strict_dissipation"],
-        strict_subchar=merged["strict_subchar"],
-        dt_min_factor=merged["dt_min_factor"],
-        seed=merged["seed"],
+        left=tuple(merged[f"left_{k}"] for k in _STATE_KEYS),
+        right=tuple(merged[f"right_{k}"] for k in _STATE_KEYS),
+        **{k: merged[k] for k in _RUN_KEYS},
     )
     return cfg.validated()
 
@@ -155,7 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="abort with exit code 4 on any free-energy dissipation violation",
     )
-    solve.add_argument("--seed", type=int)
 
     conv = sub.add_parser("converge", help="grid-refinement study")
     conv.add_argument("--config", required=True)
@@ -209,21 +204,15 @@ def _cmd_solve(args) -> int:
         "bc": args.bc,
         "outdir": args.outdir,
         "strict_dissipation": args.strict_dissipation,
-        "seed": args.seed,
     }
     cfg = build_config(parse_config_file(args.config), overrides)
     if cfg.outdir is None:
         cfg = dataclasses.replace(cfg, outdir="out")
     try:
         result = run(cfg)
-    except DissipationViolation as e:
+    except (DissipationViolation, *_SOLVER_ERRORS) as e:
         _write_error_record(cfg.outdir, cfg, e)
-        print(f"dissipation violation: {e}", file=sys.stderr)
-        return 4
-    except _SOLVER_ERRORS as e:
-        _write_error_record(cfg.outdir, cfg, e)
-        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        raise
     s = result.summary()
     print(
         f"completed {s['steps']} steps to t={s['final_time']:g} "
@@ -245,11 +234,7 @@ def _cmd_converge(args) -> int:
     except ValueError as e:
         raise ConfigError(f"bad --levels: {e}") from e
     cfg = build_config(parse_config_file(args.config), {})
-    try:
-        result = convergence_study(cfg, levels, reference=args.reference)
-    except _SOLVER_ERRORS as e:
-        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+    result = convergence_study(cfg, levels, reference=args.reference)
     print(f"reference: {result.reference}")
     print(result.table())
     return 0
@@ -281,6 +266,12 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except DissipationViolation as e:
+        print(f"dissipation violation: {e}", file=sys.stderr)
+        return 4
+    except _SOLVER_ERRORS as e:
+        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -104,28 +104,42 @@ class Primitive:
         return Conserved(self.h, self.h * self.u, self.h * self.sxx, self.h * self.szz)
 
 
-@dataclass
 class Conserved:
-    """Conserved state (h, hu, h sxx, h szz); bijective with Primitive for h > 0."""
+    """Conserved state (h, hu, h sxx, h szz); bijective with Primitive for h > 0.
 
-    h: np.ndarray | float
-    hu: np.ndarray | float
-    hsxx: np.ndarray | float
-    hszz: np.ndarray | float
+    Held as one float array of shape (4, ...); the components are views of
+    its rows, and `as_array`/`from_array` share it without copying.
+    """
+
+    __slots__ = ("_a",)
+
+    def __init__(self, h, hu, hsxx, hszz):
+        self._a = np.array(np.broadcast_arrays(h, hu, hsxx, hszz), dtype=float)
+
+    h = property(lambda self: self._a[0])
+    hu = property(lambda self: self._a[1])
+    hsxx = property(lambda self: self._a[2])
+    hszz = property(lambda self: self._a[3])
 
     def primitive(self) -> Primitive:
         return Primitive(self.h, self.hu / self.h, self.hsxx / self.h, self.hszz / self.h)
 
     def as_array(self) -> np.ndarray:
-        """Stack components into shape (4, ...) for vectorized updates."""
-        return np.stack(np.broadcast_arrays(self.h, self.hu, self.hsxx, self.hszz))
+        """The (4, ...) component array itself (not a copy)."""
+        return self._a
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "Conserved":
-        return cls(a[0], a[1], a[2], a[3])
+        """Wrap a (4, ...) array without copying it."""
+        q = cls.__new__(cls)
+        q._a = a
+        return q
 
     def copy(self) -> "Conserved":
-        return Conserved.from_array(self.as_array().copy())
+        return Conserved.from_array(self._a.copy())
+
+    def __repr__(self) -> str:
+        return f"Conserved(h={self.h!r}, hu={self.hu!r}, hsxx={self.hsxx!r}, hszz={self.hszz!r})"
 
 
 def is_admissible(p: Primitive, params: PhysParams):

@@ -395,6 +395,13 @@ def _random_pairs(params: PhysParams, n: int, rng: np.random.Generator):
     return q_l, q_r
 
 
+def _fan_under_test(q_l: Conserved, q_r: Conserved, params: PhysParams):
+    """Speeds and fan of the production solver for the pairs (q_l, q_r)."""
+    l, r = riemann.cell_state(q_l, params), riemann.cell_state(q_r, params)
+    sp = riemann.relaxation_speeds(l, r)
+    return sp, riemann.star_states(l, r, sp, params)  # raises on any violation
+
+
 def _check_rh(seed: int, samples: int) -> OracleReport:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -402,7 +409,7 @@ def _check_rh(seed: int, samples: int) -> OracleReport:
     total = 0
     for params in _PARAM_GRID:
         q_l, q_r = _random_pairs(params, samples, rng)
-        fan = riemann.star_states(q_l, q_r, riemann.relaxation_speeds(q_l, q_r, params), params)
+        _, fan = _fan_under_test(q_l, q_r, params)
         rep = rh_residuals(fan)
         worst = max(worst, rep.max_residual())
         gap = max(gap, rep.transport_gap)
@@ -464,8 +471,7 @@ def _check_fan_battery(seed: int, samples: int) -> OracleReport:
     ok = True
     for params in _PARAM_GRID:
         q_l, q_r = _random_pairs(params, samples, rng)
-        sp = riemann.relaxation_speeds(q_l, q_r, params)
-        fan = riemann.star_states(q_l, q_r, sp, params)  # raises on any violation
+        sp, fan = _fan_under_test(q_l, q_r, params)
         pl, pr = q_l.primitive(), q_r.primitive()
         pi_l = total_pressure(pl, params)
         pi_r = total_pressure(pr, params)
@@ -476,7 +482,7 @@ def _check_fan_battery(seed: int, samples: int) -> OracleReport:
         )
         worst_pi = max(worst_pi, float(np.max(np.abs(lhs - rhs) / (scale + 1e-300))))
         ok &= bool(np.all((fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)))
-        pair, _ = riemann.interface_fluxes(q_l, q_r, params, fan=fan)
+        pair = riemann.interface_fluxes(fan)
         ok &= bool(np.array_equal(pair.f_left[:2], pair.f_right[:2]))
         total += samples
     return OracleReport(

@@ -22,7 +22,7 @@ components telescope exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,18 +37,17 @@ from .model import (
 )
 
 __all__ = [
+    "CellState",
     "RelaxedState",
     "SpeedPair",
     "WaveFan",
     "FluxPair",
     "StarStateError",
     "w_bounds",
-    "alpha_coefficient",
-    "beta_coefficient",
+    "cell_state",
     "relaxation_speeds",
     "star_states",
     "project_state",
-    "sample_fan",
     "interface_fluxes",
     "energy_flux",
     "subcharacteristic_monitor",
@@ -60,6 +59,46 @@ SPEED_FLOOR = 1e-14
 
 class StarStateError(RuntimeError):
     """The relaxed Riemann fan violated positivity, admissibility or ordering."""
+
+
+@dataclass
+class CellState:
+    """Every per-cell input of the fan, evaluated once per cell.
+
+    q is the conserved state as a (4, ...) array, u the velocity, P the total
+    pressure, dPdh its frozen derivative and a = sqrt(dPdh), ehat the
+    internal energy per unit depth, w1 and w2 the transported invariants,
+    alpha and beta the compression- and expansion-side speed amplifiers.
+    Indexing slices every field along the cell axis, so the two sides of all
+    interfaces are `cells[:-1]` and `cells[1:]`.
+    """
+
+    q: np.ndarray
+    u: np.ndarray | float
+    P: np.ndarray | float
+    dPdh: np.ndarray | float
+    a: np.ndarray | float
+    ehat: np.ndarray | float
+    w1: np.ndarray | float
+    w2: np.ndarray | float
+    alpha: np.ndarray | float
+    beta: np.ndarray | float
+
+    @property
+    def h(self):
+        return self.q[0]
+
+    @property
+    def hu(self):
+        return self.q[1]
+
+    def __getitem__(self, idx) -> "CellState":
+        return CellState(*(getattr(self, f.name)[..., idx] for f in fields(self)))
+
+    def flux(self) -> np.ndarray:
+        """Exact flux of the shallow viscoelastic system, shape (4, ...)."""
+        q, u = self.q, self.u
+        return np.stack([q[1], q[1] * u + self.P, q[2] * u, q[3] * u])
 
 
 @dataclass
@@ -89,7 +128,11 @@ class SpeedPair:
 
 @dataclass
 class WaveFan:
-    """Explicit Riemann fan: speeds s1 <= s2 <= s3 and the four states."""
+    """Explicit Riemann fan: speeds s1 <= s2 <= s3 and the four states.
+
+    `left` and `right` are the input sides; `proj` holds the four states
+    projected back to conserved variables, in fan order.
+    """
 
     s1: np.ndarray | float
     s2: np.ndarray | float
@@ -98,7 +141,9 @@ class WaveFan:
     q_l_star: RelaxedState
     q_r_star: RelaxedState
     q_r: RelaxedState
-    zeta: float
+    left: CellState
+    right: CellState
+    proj: tuple
 
     def states(self):
         return (self.q_l, self.q_l_star, self.q_r_star, self.q_r)
@@ -140,29 +185,38 @@ def w_bounds(p: Primitive, params: PhysParams):
     return w_minus, w_plus
 
 
-def alpha_coefficient(p: Primitive, params: PhysParams):
-    """Compression-side speed amplification: max(2, W/(W-1)), W = w+^(1/(2(1-zeta))).
+def cell_state(q: Conserved, params: PhysParams) -> CellState:
+    """Evaluate the fan inputs of every cell of q once (see CellState).
 
-    Guards the lower bound on star depths; if w+ overflows (szz ~ 0) the
-    bound is vacuous and the floor value 2 is returned.
+    The amplifiers come from the admissible compression range (w-, w+):
+    alpha = max(2, W/(W-1)) with W = w+^(1/(2(1-zeta))) guards the lower
+    bound on star depths (if w+ overflows, szz ~ 0, the bound is vacuous and
+    the floor 2 applies); beta = V/(1-V) with V = w-^(1/(2(1-zeta))) in (0,1)
+    guards expansions.
     """
-    _, w_plus = w_bounds(p, params)
+    p = q.primitive()
+    w_minus, w_plus = w_bounds(p, params)
     expo = 1.0 / (2.0 * (1.0 - params.zeta))
     with np.errstate(over="ignore"):
         W = np.power(w_plus, expo)
-    raw = np.where(np.isinf(W), 2.0, W / np.where(np.isinf(W), 2.0, W - 1.0))
-    return np.maximum(2.0, raw)
-
-
-def beta_coefficient(p: Primitive, params: PhysParams):
-    """Expansion-side speed amplification: V/(1-V), V = w-^(1/(2(1-zeta))) in (0,1)."""
-    w_minus, _ = w_bounds(p, params)
-    expo = 1.0 / (2.0 * (1.0 - params.zeta))
+    alpha = np.maximum(2.0, np.where(np.isinf(W), 2.0, W / np.where(np.isinf(W), 2.0, W - 1.0)))
     V = np.power(w_minus, expo)
-    return V / (1.0 - V)
+    dPdh = dP_dh_frozen(p, params)
+    return CellState(
+        q=q.as_array(),
+        u=p.u,
+        P=total_pressure(p, params),
+        dPdh=dPdh,
+        a=np.sqrt(dPdh),
+        ehat=internal_energy(p, params),
+        w1=p.sxx * np.power(p.h, 2.0 * (1.0 - params.zeta)),
+        w2=p.szz * np.power(p.h, 2.0 * (params.zeta - 1.0)),
+        alpha=alpha,
+        beta=V / (1.0 - V),
+    )
 
 
-def relaxation_speeds(q_l: Conserved, q_r: Conserved, params: PhysParams) -> SpeedPair:
+def relaxation_speeds(l: CellState, r: CellState) -> SpeedPair:
     """Lagrangian speeds (c_l, c_r) guaranteeing an admissible fan.
 
     Starting from the sound-speed baseline h a, a = sqrt(dP/dh frozen), each
@@ -170,33 +224,22 @@ def relaxation_speeds(q_l: Conserved, q_r: Conserved, params: PhysParams) -> Spe
     or adverse pressure jump) and by the beta term under expansion, scaled by
     the pressure-jump estimate |pi_r - pi_l| / (h_l a_l + h_r a_r).
     """
-    pl = q_l.primitive()
-    pr = q_r.primitive()
-    a_l = np.sqrt(dP_dh_frozen(pl, params))
-    a_r = np.sqrt(dP_dh_frozen(pr, params))
-    pi_l = total_pressure(pl, params)
-    pi_r = total_pressure(pr, params)
-    alpha_l = alpha_coefficient(pl, params)
-    alpha_r = alpha_coefficient(pr, params)
-    beta_l = beta_coefficient(pl, params)
-    beta_r = beta_coefficient(pr, params)
+    den = l.h * l.a + r.h * r.a
+    du_comp = np.maximum(l.u - r.u, 0.0)   # approach velocity
+    du_expn = np.maximum(r.u - l.u, 0.0)   # separation velocity
+    dpi_lr = np.maximum(l.P - r.P, 0.0)
+    dpi_rl = np.maximum(r.P - l.P, 0.0)
 
-    den = pl.h * a_l + pr.h * a_r
-    du_comp = np.maximum(pl.u - pr.u, 0.0)   # approach velocity
-    du_expn = np.maximum(pr.u - pl.u, 0.0)   # separation velocity
-    dpi_lr = np.maximum(pi_l - pi_r, 0.0)
-    dpi_rl = np.maximum(pi_r - pi_l, 0.0)
-
-    c_l = pl.h * np.maximum(
-        a_l + alpha_l * (du_comp + dpi_rl / den),
-        beta_l * (du_expn + dpi_lr / den),
+    c_l = l.h * np.maximum(
+        l.a + l.alpha * (du_comp + dpi_rl / den),
+        l.beta * (du_expn + dpi_lr / den),
     )
-    c_r = pr.h * np.maximum(
-        a_r + alpha_r * (du_comp + dpi_lr / den),
-        beta_r * (du_expn + dpi_rl / den),
+    c_r = r.h * np.maximum(
+        r.a + r.alpha * (du_comp + dpi_lr / den),
+        r.beta * (du_expn + dpi_rl / den),
     )
-    floor_l = SPEED_FLOOR * pl.h * np.maximum(1.0, a_l)
-    floor_r = SPEED_FLOOR * pr.h * np.maximum(1.0, a_r)
+    floor_l = SPEED_FLOOR * l.h * np.maximum(1.0, l.a)
+    floor_r = SPEED_FLOOR * r.h * np.maximum(1.0, r.a)
     return SpeedPair(np.maximum(c_l, floor_l), np.maximum(c_r, floor_r))
 
 
@@ -209,7 +252,7 @@ def _fail_star(mask, what, sp: SpeedPair):
     )
 
 
-def star_states(q_l: Conserved, q_r: Conserved, sp: SpeedPair, params: PhysParams) -> WaveFan:
+def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -> WaveFan:
     """Solve the relaxed Riemann problem exactly.
 
     All expressions are grouped so that swapping sides and negating
@@ -219,12 +262,9 @@ def star_states(q_l: Conserved, q_r: Conserved, sp: SpeedPair, params: PhysParam
     speeds from `relaxation_speeds` (or any enlargement) none of that can
     happen in exact arithmetic.
     """
-    pl = q_l.primitive()
-    pr = q_r.primitive()
-    pi_l = total_pressure(pl, params)
-    pi_r = total_pressure(pr, params)
-    hl, hr = pl.h, pr.h
-    ul, ur = pl.u, pr.u
+    pi_l, pi_r = l.P, r.P
+    hl, hr = l.h, r.h
+    ul, ur = l.u, r.u
     cl, cr = sp.c_l, sp.c_r
 
     csum = cl + cr
@@ -240,49 +280,43 @@ def star_states(q_l: Conserved, q_r: Conserved, sp: SpeedPair, params: PhysParam
     h_l_star = hl / den_l
     h_r_star = hr / den_r
 
-    ehat_l = internal_energy(pl, params)
-    ehat_r = internal_energy(pr, params)
-    ehat_l_star = ehat_l + (pi_star**2 - pi_l**2) / (2.0 * cl**2)
-    ehat_r_star = ehat_r + (pi_star**2 - pi_r**2) / (2.0 * cr**2)
+    ehat_l_star = l.ehat + (pi_star**2 - pi_l**2) / (2.0 * cl**2)
+    ehat_r_star = r.ehat + (pi_star**2 - pi_r**2) / (2.0 * cr**2)
 
-    w1_l = pl.sxx * np.power(hl, 2.0 * (1.0 - params.zeta))
-    w2_l = pl.szz * np.power(hl, 2.0 * (params.zeta - 1.0))
-    w1_r = pr.sxx * np.power(hr, 2.0 * (1.0 - params.zeta))
-    w2_r = pr.szz * np.power(hr, 2.0 * (params.zeta - 1.0))
-
-    hE_l = hl * (ul**2 / 2.0 + ehat_l)
-    hE_r = hr * (ur**2 / 2.0 + ehat_r)
-
-    fan = WaveFan(
-        s1=ul - cl / hl,
-        s2=u_star,
-        s3=ur + cr / hr,
-        q_l=RelaxedState(hl, q_l.hu, w1_l, w2_l, hl * pi_l, hE_l, cl),
-        q_l_star=RelaxedState(
+    states = (
+        RelaxedState(hl, l.hu, l.w1, l.w2, hl * pi_l, hl * (ul**2 / 2.0 + l.ehat), cl),
+        RelaxedState(
             h_l_star,
             h_l_star * u_star,
-            w1_l,
-            w2_l,
+            l.w1,
+            l.w2,
             h_l_star * pi_star,
             h_l_star * (u_star**2 / 2.0 + ehat_l_star),
             cl,
         ),
-        q_r_star=RelaxedState(
+        RelaxedState(
             h_r_star,
             h_r_star * u_star,
-            w1_r,
-            w2_r,
+            r.w1,
+            r.w2,
             h_r_star * pi_star,
             h_r_star * (u_star**2 / 2.0 + ehat_r_star),
             cr,
         ),
-        q_r=RelaxedState(hr, q_r.hu, w1_r, w2_r, hr * pi_r, hE_r, cr),
-        zeta=params.zeta,
+        RelaxedState(hr, r.hu, r.w1, r.w2, hr * pi_r, hr * (ur**2 / 2.0 + r.ehat), cr),
+    )
+    fan = WaveFan(
+        ul - cl / hl,
+        u_star,
+        ur + cr / hr,
+        *states,
+        left=l,
+        right=r,
+        proj=tuple(project_state(st, params.zeta) for st in states),
     )
 
     # Projected star conformations must stay strictly inside the admissible region.
-    for st in (fan.q_l_star, fan.q_r_star):
-        proj = project_state(st, params.zeta)
+    for proj in fan.proj[1:3]:
         trace = (proj.hsxx + proj.hszz) / proj.h
         ok = (proj.hsxx > 0) & (proj.hszz > 0) & (trace < params.ell)
         if not np.all(ok):
@@ -310,36 +344,7 @@ def project_state(rs: RelaxedState, zeta: float) -> Conserved:
     return Conserved(rs.h, rs.hu, rs.h * sxx, rs.h * szz)
 
 
-def sample_fan(xi, fan: WaveFan) -> RelaxedState:
-    """State of the fan along the ray x/t = xi; ties return the state left of the wave."""
-    idx = (
-        np.asarray(xi > fan.s1, dtype=int)
-        + np.asarray(xi > fan.s2, dtype=int)
-        + np.asarray(xi > fan.s3, dtype=int)
-    )
-    states = fan.states()
-    fields = []
-    for name in ("h", "hu", "w1", "w2", "hpi", "hE", "c"):
-        stacked = np.stack(np.broadcast_arrays(*(getattr(s, name) for s in states)))
-        fields.append(np.take_along_axis(stacked, np.expand_dims(idx, 0), axis=0)[0])
-    return RelaxedState(*fields)
-
-
-def _gsv_flux(q: Conserved, params: PhysParams) -> np.ndarray:
-    """Exact flux of the shallow viscoelastic system, shape (4, ...)."""
-    p = q.primitive()
-    P = total_pressure(p, params)
-    return np.stack(np.broadcast_arrays(q.hu, q.hu * p.u + P, q.hsxx * p.u, q.hszz * p.u))
-
-
-def interface_fluxes(
-    q_l: Conserved,
-    q_r: Conserved,
-    params: PhysParams,
-    *,
-    f0: str = "exact",
-    fan: WaveFan | None = None,
-) -> tuple[FluxPair, WaveFan]:
+def interface_fluxes(fan: WaveFan, *, f0: str = "exact") -> FluxPair:
     """Numerical fluxes of the simple solver built on the relaxed fan.
 
     f_left  = F0(q_l) + sum_k min(s_k, 0) * jump_k,
@@ -354,18 +359,15 @@ def interface_fluxes(
     """
     if f0 not in ("exact", "zero"):
         raise ValueError(f"unknown f0 mode {f0!r}")
-    if fan is None:
-        fan = star_states(q_l, q_r, relaxation_speeds(q_l, q_r, params), params)
-
-    proj = [project_state(s, fan.zeta).as_array() for s in fan.states()]
+    proj = [st.as_array() for st in fan.proj]
     d1 = proj[1] - proj[0]
     d2 = proj[2] - proj[1]
     d3 = proj[3] - proj[2]
     s1, s2, s3 = fan.s1, fan.s2, fan.s3
 
     if f0 == "exact":
-        f0_l = _gsv_flux(q_l, params)
-        f0_r = _gsv_flux(q_r, params)
+        f0_l = fan.left.flux()
+        f0_r = fan.right.flux()
     else:
         f0_l = np.zeros_like(proj[0])
         f0_r = np.zeros_like(proj[3])
@@ -378,17 +380,24 @@ def interface_fluxes(
     )
     f_left = np.concatenate([central, f_left[2:]])
     f_right = np.concatenate([central.copy(), f_right[2:]])
-    return FluxPair(f_left, f_right), fan
+    return FluxPair(f_left, f_right)
 
 
-def energy_flux(q_l: Conserved, q_r: Conserved, fan: WaveFan):
+def energy_flux(fan: WaveFan):
     """Free-energy flux across the interface: u (hE + pi) at the xi=0 fan state.
 
+    The xi=0 state is the one between the waves of negative and non-negative
+    speed; a wave of speed exactly 0 counts as lying right of the ray.
     Consistent with the exact entropy flux u (F + P) when both sides agree.
     """
-    st = sample_fan(np.zeros(np.shape(fan.s2)), fan)
-    u = st.hu / st.h
-    return u * (st.hE + st.hpi / st.h)
+    region = np.asarray(fan.s1 < 0, dtype=int) + (fan.s2 < 0) + (fan.s3 < 0)
+    states = fan.states()
+
+    def pick(name):
+        return np.choose(region, [getattr(st, name) for st in states])
+
+    h = pick("h")
+    return pick("hu") / h * (pick("hE") + pick("hpi") / h)
 
 
 def subcharacteristic_monitor(fan: WaveFan, params: PhysParams):
@@ -396,12 +405,13 @@ def subcharacteristic_monitor(fan: WaveFan, params: PhysParams):
 
     Values <= 1 certify the relaxed energy dominates the true one along the
     fan (the stability requirement); values > 1 are reported, not fatal.
+    The outer states reuse the input sides' dP/dh.
     """
-    worst = None
-    for st, use_left in ((fan.q_l, True), (fan.q_l_star, True), (fan.q_r_star, False), (fan.q_r, False)):
-        q = project_state(st, params.zeta)
-        p = q.primitive()
-        c = fan.q_l.c if use_left else fan.q_r.c
-        ratio = p.h**2 * dP_dh_frozen(p, params) / c**2
-        worst = ratio if worst is None else np.maximum(worst, ratio)
+    cl, cr = fan.q_l.c, fan.q_r.c
+    worst = np.maximum(
+        fan.left.h**2 * fan.left.dPdh / cl**2, fan.right.h**2 * fan.right.dPdh / cr**2
+    )
+    for proj, c in ((fan.proj[1], cl), (fan.proj[2], cr)):
+        p = proj.primitive()
+        worst = np.maximum(worst, p.h**2 * dP_dh_frozen(p, params) / c**2)
     return worst

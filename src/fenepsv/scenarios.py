@@ -85,7 +85,6 @@ class RunConfig:
     strict_dissipation: bool = False
     strict_subchar: bool = False
     dt_min_factor: float = 1e-12
-    seed: int = 0
 
     def validated(self) -> "RunConfig":
         if self.scenario not in SCENARIOS:

@@ -28,6 +28,7 @@ from .model import (
 )
 from .riemann import (
     SpeedPair,
+    cell_state,
     energy_flux,
     interface_fluxes,
     relaxation_speeds,
@@ -105,11 +106,10 @@ class Grid:
 
 @dataclass
 class SimState:
-    """Solution snapshot: time, conserved fields over the grid, step counter."""
+    """Solution snapshot: time and conserved fields over the grid."""
 
     t: float
     q: Conserved
-    step_index: int = 0
 
 
 @dataclass
@@ -119,7 +119,6 @@ class StepControl:
     cfl: float = 0.5
     bc: str = "transmissive"
     dt_min_factor: float = 1e-12   # collapse threshold = factor * min dx
-    f0: str = "exact"
     strict_dissipation: bool = False
     strict_subchar: bool = False
     max_dt: float | None = None    # cap used to land exactly on output times
@@ -176,44 +175,58 @@ def cfl_dt(grid: Grid, fan, cfl: float, dt_min_factor: float = 1e-12) -> float:
     return dt
 
 
-def _interface_data(qpad: Conserved, params: PhysParams, control: StepControl):
-    """Fan and flux pair for every interface of the padded array."""
-    a = qpad.as_array()
-    q_l = Conserved.from_array(a[:, :-1])
-    q_r = Conserved.from_array(a[:, 1:])
-    sp = relaxation_speeds(q_l, q_r, params)
-    fan = star_states(q_l, q_r, sp, params)
+def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, dt=None):
+    """Finite-volume transport of the cells of q over one step.
+
+    Evaluates every padded cell once, solves the fan at every interface
+    (doubling the speeds where strict_subchar finds the monitor above 1) and
+    applies the three-point update: cell i sees f_left of its right interface
+    and f_right of its left interface.  dt=None takes the CFL step, shortened
+    by control.max_dt to land on an output time (never below half the CFL
+    step unless the cap itself is smaller).
+
+    Returns (transported cells, dt, fan, subcharacteristic ratios, flux pair).
+    """
+    cells = cell_state(apply_boundary(q, control.bc), params)
+    l, r = cells[:-1], cells[1:]
+    sp = relaxation_speeds(l, r)
+    fan = star_states(l, r, sp, params)
+    ratio = subcharacteristic_monitor(fan, params)
     if control.strict_subchar:
         for _ in range(3):
-            bad = subcharacteristic_monitor(fan, params) > 1.0
+            bad = ratio > 1.0
             if not np.any(bad):
                 break
             sp = SpeedPair(
                 np.where(bad, 2.0 * sp.c_l, sp.c_l), np.where(bad, 2.0 * sp.c_r, sp.c_r)
             )
-            fan = star_states(q_l, q_r, sp, params)
-    pair, fan = interface_fluxes(q_l, q_r, params, f0=control.f0, fan=fan)
-    return pair, fan
+            fan = star_states(l, r, sp, params)
+            ratio = subcharacteristic_monitor(fan, params)
 
+    if dt is None:
+        dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)
+        if control.max_dt is not None and np.isfinite(control.max_dt):
+            if dt >= control.max_dt:
+                dt = control.max_dt
+            elif dt >= 0.5 * control.max_dt:
+                dt = 0.5 * control.max_dt
+        elif not np.isfinite(dt):
+            raise TimeStepCollapse("CFL produced a non-finite dt and no cap was given")
 
-def _fv_update(q: Conserved, grid: Grid, pair, dt: float) -> Conserved:
-    """Three-point update: cell i sees f_left of its right interface and
-    f_right of its left interface."""
-    a = q.as_array()
-    out = a - (dt / grid.dx) * (pair.f_left[:, 1:] - pair.f_right[:, :-1])
-    return Conserved.from_array(out)
+    pair = interface_fluxes(fan)
+    q_half = Conserved.from_array(
+        q.as_array() - (dt / grid.dx) * (pair.f_left[:, 1:] - pair.f_right[:, :-1])
+    )
+    _check_cells(q_half, params)
+    return q_half, dt, fan, ratio, pair
 
 
 def homogeneous_step(
     state: SimState, grid: Grid, params: PhysParams, dt: float, control: StepControl | None = None
 ) -> SimState:
     """Transport-only update over dt (no relaxation source)."""
-    control = control or StepControl()
-    qpad = apply_boundary(state.q, control.bc)
-    pair, _ = _interface_data(qpad, params, control)
-    q_half = _fv_update(state.q, grid, pair, dt)
-    _check_cells(q_half, params)
-    return SimState(state.t + dt, q_half, state.step_index + 1)
+    q_half, *_ = _transport(state.q, grid, params, control or StepControl(), dt)
+    return SimState(state.t + dt, q_half)
 
 
 def _check_cells(q: Conserved, params: PhysParams):
@@ -333,30 +346,16 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     below half the CFL step unless the cap itself is smaller).
     """
     control = control or StepControl()
-    require_admissible(state.q.primitive(), params, "cell state")
-
-    qpad = apply_boundary(state.q, control.bc)
-    pair, fan = _interface_data(qpad, params, control)
-
-    dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)
-    if control.max_dt is not None and np.isfinite(control.max_dt):
-        if dt >= control.max_dt:
-            dt = control.max_dt
-        elif dt >= 0.5 * control.max_dt:
-            dt = 0.5 * control.max_dt
-    elif not np.isfinite(dt):
-        raise TimeStepCollapse("CFL produced a non-finite dt and no cap was given")
-
-    q_half = _fv_update(state.q, grid, pair, dt)
-    _check_cells(q_half, params)
+    p_old = state.q.primitive()
+    require_admissible(p_old, params, "cell state")
+    q_half, dt, fan, ratio, pair = _transport(state.q, grid, params, control)
     q_new = source_step(q_half, dt, params)
 
-    p_old = state.q.primitive()
     p_new = q_new.primitive()
     f_old = free_energy(p_old, params)
     f_new = free_energy(p_new, params)
     d_new = dissipation_rate(p_new, params)
-    g_flux = energy_flux(None, None, fan)
+    g_flux = energy_flux(fan)
     res, tol = dissipation_residuals(f_old, f_new, g_flux, d_new, dt, grid.dx)
     violations = int(np.sum(res > tol))
     if violations and control.strict_dissipation:
@@ -374,9 +373,8 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
         free_energy=float(np.sum(f_new * dx)),
         max_dissipation_residual=float(np.max(res)),
         dissipation_violations=violations,
-        worst_subchar_ratio=float(np.max(subcharacteristic_monitor(fan, params))),
+        worst_subchar_ratio=float(np.max(ratio)),
         boundary_mass_flux=(float(pair.f_left[0, 0]), float(pair.f_left[0, -1])),
         boundary_momentum_flux=(float(pair.f_left[1, 0]), float(pair.f_left[1, -1])),
     )
-    new_state = SimState(state.t + dt, q_new, state.step_index + 1)
-    return new_state, diag
+    return SimState(state.t + dt, q_new), diag

@@ -24,7 +24,7 @@ from fenepsv.oracles import (
     rh_residuals,
     sample_states,
 )
-from fenepsv.riemann import interface_fluxes, relaxation_speeds, star_states
+from fenepsv.riemann import cell_state, interface_fluxes, relaxation_speeds, star_states
 from fenepsv.scenarios import preset_dam_break, preset_smooth_wave, initial_condition, run
 from fenepsv.timeloop import Grid, SimState, StepControl, full_step, relax_conformations
 
@@ -35,6 +35,12 @@ GRID_ELLS = (3.0, 10.0, 100.0, 1e4)
 
 def params_for(ell, zeta=0.0):
     return PhysParams(g=10.0, G=0.1, lam=0.1, zeta=zeta, ell=ell)
+
+
+def fluxes(q_l, q_r, params):
+    l, r = cell_state(q_l, params), cell_state(q_r, params)
+    fan = star_states(l, r, relaxation_speeds(l, r), params)
+    return interface_fluxes(fan), fan
 
 
 def test_eos_battery(acceptance_record):
@@ -93,12 +99,13 @@ def test_riemann_battery(acceptance_record):
             params = params_for(ell, zeta)
             q_l = sample_states(params, per, rng).conserved()
             q_r = sample_states(params, per, rng).conserved()
-            sp = relaxation_speeds(q_l, q_r, params)
+            l, r = cell_state(q_l, params), cell_state(q_r, params)
+            sp = relaxation_speeds(l, r)
             # subcharacteristic baseline on both input states, strictly
             for q, c in ((q_l, sp.c_l), (q_r, sp.c_r)):
                 a = np.sqrt(dP_dh_frozen(q.primitive(), params))
                 cond1_ok &= bool(np.all(c >= q.h * a * (1.0 - 1e-14)))
-            fan = star_states(q_l, q_r, sp, params)  # raises on any positivity loss
+            fan = star_states(l, r, sp, params)  # raises on any positivity loss
             ordering_ok &= bool(np.all((fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)))
 
             from fenepsv.model import total_pressure
@@ -116,13 +123,11 @@ def test_riemann_battery(acceptance_record):
             worst_rh = max(worst_rh, rep.max_residual())
             worst_gap = max(worst_gap, rep.transport_gap)
 
-            pair, _ = interface_fluxes(q_l, q_r, params, fan=fan)
+            pair = interface_fluxes(fan)
             flux_shared &= bool(np.array_equal(pair.f_left[:2], pair.f_right[:2]))
 
-            pz, _ = interface_fluxes(q_l, q_r, params, f0="zero", fan=fan)
-            from fenepsv.riemann import _gsv_flux
-
-            f0l, f0r = _gsv_flux(q_l, params), _gsv_flux(q_r, params)
+            pz = interface_fluxes(fan, f0="zero")
+            f0l, f0r = l.flux(), r.flux()
             recon = np.concatenate([0.5 * (f0l[:2] + f0r[:2]) + pz.f_left[:2], f0l[2:] + pz.f_left[2:]])
             scale_f = np.abs(pair.f_left) + np.abs(f0l) + np.abs(f0r) + 1.0
             worst_f0 = max(worst_f0, float(np.max(np.abs(pair.f_left - recon) / scale_f)))
@@ -254,10 +259,10 @@ def test_mirror_bit_exactness(acceptance_record):
         params = params_for(ell)
         q_l = sample_states(params, 10_000 // 4, rng).conserved()
         q_r = sample_states(params, 10_000 // 4, rng).conserved()
-        pair, fan = interface_fluxes(q_l, q_r, params)
+        pair, fan = fluxes(q_l, q_r, params)
         ml = Conserved(q_r.h, -q_r.hu, q_r.hsxx, q_r.hszz)
         mr = Conserved(q_l.h, -q_l.hu, q_l.hsxx, q_l.hszz)
-        mpair, mfan = interface_fluxes(ml, mr, params)
+        mpair, mfan = fluxes(ml, mr, params)
         sign = np.array([-1.0, 1.0, -1.0, -1.0])[:, None]
         flux_ok &= bool(
             np.array_equal(mpair.f_left, sign * pair.f_right)

@@ -16,7 +16,7 @@ from fenepsv.oracles import (
     sample_states,
     sw_dam_break_structure,
 )
-from fenepsv.riemann import relaxation_speeds, star_states
+from fenepsv.riemann import cell_state, relaxation_speeds, star_states
 
 P10 = PhysParams(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=10.0)
 
@@ -74,7 +74,8 @@ class TestRHOracle:
     def make_fan(self, rng, params=P10, n=200):
         q_l = sample_states(params, n, rng).conserved()
         q_r = sample_states(params, n, rng).conserved()
-        return star_states(q_l, q_r, relaxation_speeds(q_l, q_r, params), params)
+        l, r = cell_state(q_l, params), cell_state(q_r, params)
+        return star_states(l, r, relaxation_speeds(l, r), params)
 
     def test_valid_fans_pass(self, rng):
         rep = rh_residuals(self.make_fan(rng))

@@ -1,5 +1,7 @@
 """Relaxation Riemann solver: speeds, star states, fluxes, symmetries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,17 +11,14 @@ from fenepsv.model import Conserved, PhysParams, Primitive, dP_dh_frozen, free_e
 from fenepsv.oracles import rh_residuals, sample_states
 from fenepsv.riemann import (
     StarStateError,
-    alpha_coefficient,
-    beta_coefficient,
+    cell_state,
     energy_flux,
     interface_fluxes,
     project_state,
     relaxation_speeds,
-    sample_fan,
     star_states,
     subcharacteristic_monitor,
     w_bounds,
-    _gsv_flux,
 )
 
 P10 = PhysParams(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=10.0)
@@ -29,6 +28,24 @@ PARAM_GRID = [
     for l in (3.0, 10.0, 100.0, 1e4)
     for z in (0.0, 0.25, 0.5)
 ]
+
+
+def speeds(q_l, q_r, params=P10):
+    return relaxation_speeds(cell_state(q_l, params), cell_state(q_r, params))
+
+
+def fan_of(q_l, q_r, params=P10, sp=None):
+    l, r = cell_state(q_l, params), cell_state(q_r, params)
+    return star_states(l, r, relaxation_speeds(l, r) if sp is None else sp, params)
+
+
+def fluxes(q_l, q_r, params=P10):
+    fan = fan_of(q_l, q_r, params)
+    return interface_fluxes(fan), fan
+
+
+def exact_flux(q, params=P10):
+    return cell_state(q, params).flux()
 
 
 def mirror_conserved(q: Conserved) -> Conserved:
@@ -59,29 +76,36 @@ class TestSpeedIngredients:
         assert np.all(wm < 1.0) and np.all(wp > 1.0)
 
     def test_alpha_beta_pinned(self):
-        p = Primitive(1.0, 0.0, 1.0, 1.0)
-        assert float(alpha_coefficient(p, P10)) == 2.0
-        assert float(beta_coefficient(p, P10)) == pytest.approx(0.4659258262890683, rel=1e-14)
+        cells = cell_state(Primitive(1.0, 0.0, 1.0, 1.0).conserved(), P10)
+        assert float(cells.alpha) == 2.0
+        assert float(cells.beta) == pytest.approx(0.4659258262890683, rel=1e-14)
 
     def test_alpha_floor_two(self, rng):
         p = sample_states(P10, 500, rng)
-        assert np.all(alpha_coefficient(p, P10) >= 2.0)
+        assert np.all(cell_state(p.conserved(), P10).alpha >= 2.0)
 
     def test_alpha_inf_guard(self):
         # szz -> 0 sends w+ -> inf; the amplifier must fall back to its floor
         p = Primitive(1.0, 0.0, 1.0, 1e-300)
-        assert float(alpha_coefficient(p, P10)) == 2.0
+        assert float(cell_state(p.conserved(), P10).alpha) == 2.0
 
     def test_beta_positive(self, rng):
         p = sample_states(P10, 500, rng)
-        b = beta_coefficient(p, P10)
+        b = cell_state(p.conserved(), P10).beta
         assert np.all(b > 0.0) and np.all(np.isfinite(b))
+
+    def test_cell_state_slices_field_by_field(self, rng):
+        q = sample_states(P10, 50, rng).conserved()
+        cells = cell_state(q, P10)
+        part = cells[3:9]
+        assert part.q.shape == (4, 6)
+        assert np.array_equal(part.h, q.h[3:9]) and np.array_equal(part.beta, cells.beta[3:9])
 
 
 class TestSpeeds:
     def test_at_rest_equal_states_yield_sound_speed(self):
         q = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
-        sp = relaxation_speeds(q, q, P10)
+        sp = speeds(q, q)
         a = np.sqrt(dP_dh_frozen(q.primitive(), P10))
         assert float(sp.c_l) == float(q.h * a)
         assert float(sp.c_r) == float(q.h * a)
@@ -89,7 +113,7 @@ class TestSpeeds:
     def test_dam_break_pinned(self):
         ql = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
         qr = Primitive(0.1, 0.0, 1.0, 1.0).conserved()
-        sp = relaxation_speeds(ql, qr, P10)
+        sp = speeds(ql, qr)
         assert float(sp.c_l) == pytest.approx(3.24037034920393, rel=1e-14)
         assert float(sp.c_r) == pytest.approx(0.4168680878491373, rel=1e-14)
 
@@ -97,7 +121,7 @@ class TestSpeeds:
         for params in PARAM_GRID[:4]:
             q_l = sample_states(params, 300, rng).conserved()
             q_r = sample_states(params, 300, rng).conserved()
-            sp = relaxation_speeds(q_l, q_r, params)
+            sp = speeds(q_l, q_r, params)
             pl, pr = q_l.primitive(), q_r.primitive()
             assert np.all(sp.c_l >= q_l.h * np.sqrt(dP_dh_frozen(pl, params)) * (1 - 1e-14))
             assert np.all(sp.c_r >= q_r.h * np.sqrt(dP_dh_frozen(pr, params)) * (1 - 1e-14))
@@ -106,7 +130,7 @@ class TestSpeeds:
 class TestStarStates:
     def test_equal_states_reproduce_input_bitwise(self):
         q = Primitive(1.7, -0.3, 0.8, 1.1).conserved()
-        fan = star_states(q, q, relaxation_speeds(q, q, P10), P10)
+        fan = fan_of(q, q)
         for st_ in (fan.q_l_star, fan.q_r_star):
             assert float(st_.h) == float(q.h)
             assert float(st_.hu) == float(q.h * fan.s2)
@@ -116,7 +140,7 @@ class TestStarStates:
     def test_dam_break_star_pins(self):
         ql = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
         qr = Primitive(0.1, 0.0, 1.0, 1.0).conserved()
-        fan = star_states(ql, qr, relaxation_speeds(ql, qr, P10), P10)
+        fan = fan_of(ql, qr)
         assert float(fan.s2) == pytest.approx(1.3534802516153732, rel=1e-14)
         assert float(fan.q_l_star.h) == pytest.approx(0.7053712954065195, rel=1e-14)
         assert float(fan.q_r_star.h) == pytest.approx(0.1480775770896768, rel=1e-14)
@@ -127,7 +151,7 @@ class TestStarStates:
         for params in PARAM_GRID:
             q_l = sample_states(params, 2000, rng).conserved()
             q_r = sample_states(params, 2000, rng).conserved()
-            fan = star_states(q_l, q_r, relaxation_speeds(q_l, q_r, params), params)
+            fan = fan_of(q_l, q_r, params)
             assert np.all(fan.q_l_star.h > 0) and np.all(fan.q_r_star.h > 0)
             assert np.all(fan.s1 <= fan.s2) and np.all(fan.s2 <= fan.s3)
             # contact spacing equals the Lagrangian gap, strictly positive
@@ -139,7 +163,7 @@ class TestStarStates:
         for params in PARAM_GRID:
             q_l = sample_states(params, 1500, rng).conserved()
             q_r = sample_states(params, 1500, rng).conserved()
-            fan = star_states(q_l, q_r, relaxation_speeds(q_l, q_r, params), params)
+            fan = fan_of(q_l, q_r, params)
             for st_ in (fan.q_l_star, fan.q_r_star):
                 proj = project_state(st_, params.zeta).primitive()
                 assert bool(np.all(is_admissible(proj, params)))
@@ -148,7 +172,7 @@ class TestStarStates:
         for params in PARAM_GRID:
             q_l = sample_states(params, 1500, rng).conserved()
             q_r = sample_states(params, 1500, rng).conserved()
-            fan = star_states(q_l, q_r, relaxation_speeds(q_l, q_r, params), params)
+            fan = fan_of(q_l, q_r, params)
             rep = rh_residuals(fan)
             assert rep.max_residual() <= 1e-10
             assert rep.transport_gap == 0.0
@@ -159,7 +183,7 @@ class TestStarStates:
         ql = Primitive(1.0, 8.0, 1.0, 1.0).conserved()
         qr = Primitive(0.01, -8.0, 1.0, 1.0).conserved()
         with pytest.raises(StarStateError):
-            star_states(ql, qr, SpeedPair(1e-6, 1e-6), P10)
+            fan_of(ql, qr, sp=SpeedPair(1e-6, 1e-6))
 
     @given(
         st.floats(-1.5, 1.5), st.floats(-5.0, 5.0), st.floats(0.1, 4.0), st.floats(0.1, 4.0),
@@ -168,38 +192,50 @@ class TestStarStates:
     def test_never_fails_on_admissible_pairs(self, lh, lu, ls1, ls2, rh_, ru, rs1, rs2):
         q_l = Primitive(10.0**lh, lu, ls1, ls2).conserved()
         q_r = Primitive(10.0**rh_, ru, rs1, rs2).conserved()
-        fan = star_states(q_l, q_r, relaxation_speeds(q_l, q_r, P10), P10)
+        fan = fan_of(q_l, q_r)
         assert np.isfinite(float(fan.s2))
 
 
-class TestSampleFan:
+class TestEnergyFluxRegion:
     def test_region_selection(self):
-        ql = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
-        qr = Primitive(0.1, 0.0, 1.0, 1.0).conserved()
-        fan = star_states(ql, qr, relaxation_speeds(ql, qr, P10), P10)
+        # energy_flux samples the ray xi = 0; shifting every wave speed by -xi
+        # moves the sampled ray to xi.  Moving sides make the four fluxes distinct.
+        ql = Primitive(1.0, 0.5, 1.0, 1.0).conserved()
+        qr = Primitive(0.1, -0.3, 1.0, 1.0).conserved()
+        fan = fan_of(ql, qr)
         s1, s2, s3 = float(fan.s1), float(fan.s2), float(fan.s3)
-        assert float(sample_fan(s1 - 1.0, fan).h) == float(fan.q_l.h)
-        assert float(sample_fan(0.5 * (s1 + s2), fan).h) == float(fan.q_l_star.h)
-        assert float(sample_fan(0.5 * (s2 + s3), fan).h) == float(fan.q_r_star.h)
-        assert float(sample_fan(s3 + 1.0, fan).h) == float(fan.q_r.h)
+
+        def at(xi):
+            return float(energy_flux(dataclasses.replace(fan, s1=s1 - xi, s2=s2 - xi, s3=s3 - xi)))
+
+        def g(st_):
+            return float(st_.hu / st_.h * (st_.hE + st_.hpi / st_.h))
+
+        g_l, g_ls, g_rs, g_r = (g(st_) for st_ in fan.states())
+        assert len({g_l, g_ls, g_rs, g_r}) == 4
+        assert at(s1 - 1.0) == g_l
+        assert at(0.5 * (s1 + s2)) == g_ls
+        assert at(0.5 * (s2 + s3)) == g_rs
+        assert at(s3 + 1.0) == g_r
         # ties resolve to the state left of the wave
-        assert float(sample_fan(s1, fan).h) == float(fan.q_l.h)
-        assert float(sample_fan(s2, fan).h) == float(fan.q_l_star.h)
+        assert at(s1) == g_l
+        assert at(s2) == g_ls
+        assert at(s3) == g_rs
 
 
 class TestFluxes:
     def test_equal_state_consistency_bitwise(self):
         for p in (Primitive(1.0, 0.0, 1.0, 1.0), Primitive(0.3, -2.0, 2.0, 0.5)):
             q = p.conserved()
-            pair, _ = interface_fluxes(q, q, P10)
-            exact = _gsv_flux(q, P10)
+            pair, _ = fluxes(q, q)
+            exact = exact_flux(q)
             assert np.array_equal(pair.f_left, exact)
             assert np.array_equal(pair.f_right, exact)
 
     def test_dam_break_flux_pins(self):
         ql = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
         qr = Primitive(0.1, 0.0, 1.0, 1.0).conserved()
-        pair, _ = interface_fluxes(ql, qr, P10)
+        pair, _ = fluxes(ql, qr)
         want_left = (0.9547061183890778, 1.9063986017684553, -1.353480251615373, 2.103141163932926)
         want_right = (0.9547061183890778, 1.9063986017684553, 1.6920680957191732, 0.972210023364402)
         got_l = [float(v) for v in np.ravel(pair.f_left)]
@@ -210,16 +246,16 @@ class TestFluxes:
     def test_conservative_components_shared(self, rng):
         q_l = sample_states(P10, 1000, rng).conserved()
         q_r = sample_states(P10, 1000, rng).conserved()
-        pair, _ = interface_fluxes(q_l, q_r, P10)
+        pair, _ = fluxes(q_l, q_r)
         assert np.array_equal(pair.f_left[:2], pair.f_right[:2])
 
     def test_left_supersonic_upwinds(self):
         # both states moving right much faster than every wave
         q_l = Primitive(1.0, 20.0, 1.0, 1.0).conserved()
         q_r = Primitive(1.1, 21.0, 1.2, 0.9).conserved()
-        pair, fan = interface_fluxes(q_l, q_r, P10)
+        pair, fan = fluxes(q_l, q_r)
         assert float(fan.s1) > 0
-        exact_l = _gsv_flux(q_l, P10)
+        exact_l = exact_flux(q_l)
         # nonconservative components upwind exactly; conservative to roundoff
         assert np.array_equal(pair.f_left[2:], exact_l[2:])
         assert np.allclose(pair.f_left, exact_l, rtol=1e-12)
@@ -227,10 +263,11 @@ class TestFluxes:
     def test_f0_independence(self, rng):
         q_l = sample_states(P10, 1000, rng).conserved()
         q_r = sample_states(P10, 1000, rng).conserved()
-        pe, fan = interface_fluxes(q_l, q_r, P10, f0="exact")
-        pz, _ = interface_fluxes(q_l, q_r, P10, f0="zero", fan=fan)
-        f0l = _gsv_flux(q_l, P10)
-        f0r = _gsv_flux(q_r, P10)
+        fan = fan_of(q_l, q_r)
+        pe = interface_fluxes(fan, f0="exact")
+        pz = interface_fluxes(fan, f0="zero")
+        f0l = exact_flux(q_l)
+        f0r = exact_flux(q_r)
         scale = np.abs(pe.f_left) + np.abs(f0l) + np.abs(f0r) + 1.0
         assert np.all(np.abs(pe.f_left[2:] - (f0l[2:] + pz.f_left[2:])) <= 1e-13 * scale[2:])
         assert np.all(np.abs(pe.f_right[2:] - (f0r[2:] + pz.f_right[2:])) <= 1e-13 * scale[2:])
@@ -241,11 +278,11 @@ class TestFluxes:
         for params in (P10, PARAM_GRID[7]):
             q_l = sample_states(params, 3000, rng).conserved()
             q_r = sample_states(params, 3000, rng).conserved()
-            pair, fan = interface_fluxes(q_l, q_r, params)
+            pair, fan = fluxes(q_l, q_r, params)
             # mirrored problem: swap sides, negate velocities
             ml = Conserved(q_r.h, -q_r.hu, q_r.hsxx, q_r.hszz)
             mr = Conserved(q_l.h, -q_l.hu, q_l.hsxx, q_l.hszz)
-            mpair, mfan = interface_fluxes(ml, mr, params)
+            mpair, mfan = fluxes(ml, mr, params)
             assert np.array_equal(np.asarray(mfan.s1), -np.asarray(fan.s3))
             assert np.array_equal(np.asarray(mfan.s2), -np.asarray(fan.s2))
             assert np.array_equal(np.asarray(mfan.s3), -np.asarray(fan.s1))
@@ -257,8 +294,8 @@ class TestFluxes:
         for params in PARAM_GRID[::3]:
             q_l = sample_states(params, 1500, rng).conserved()
             q_r = sample_states(params, 1500, rng).conserved()
-            sp = relaxation_speeds(q_l, q_r, params)
-            fan = star_states(q_l, q_r, sp, params)
+            sp = speeds(q_l, q_r, params)
+            fan = fan_of(q_l, q_r, params, sp)
             pl, pr = q_l.primitive(), q_r.primitive()
             pi_l = total_pressure(pl, params)
             pi_r = total_pressure(pr, params)
@@ -274,8 +311,7 @@ class TestEnergyAndMonitor:
     def test_energy_flux_consistent(self):
         p = Primitive(1.3, 0.8, 1.2, 0.9)
         q = p.conserved()
-        _, fan = interface_fluxes(q, q, P10)
-        got = float(energy_flux(q, q, fan))
+        got = float(energy_flux(fan_of(q, q)))
         want = float(p.u * (free_energy(p, P10) + total_pressure(p, P10)))
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -285,7 +321,7 @@ class TestEnergyAndMonitor:
         for params in PARAM_GRID[:6]:
             q_l = sample_states(params, 1000, rng).conserved()
             q_r = sample_states(params, 1000, rng).conserved()
-            sp = relaxation_speeds(q_l, q_r, params)
+            sp = speeds(q_l, q_r, params)
             for q, c in ((q_l, sp.c_l), (q_r, sp.c_r)):
                 ratio = q.h**2 * dP_dh_frozen(q.primitive(), params) / c**2
                 assert np.all(ratio <= 1.0 + 1e-12)
@@ -293,7 +329,7 @@ class TestEnergyAndMonitor:
     def test_monitor_finite_on_random_pairs(self, rng):
         q_l = sample_states(P10, 2000, rng).conserved()
         q_r = sample_states(P10, 2000, rng).conserved()
-        fan = star_states(q_l, q_r, relaxation_speeds(q_l, q_r, P10), P10)
+        fan = fan_of(q_l, q_r)
         ratio = subcharacteristic_monitor(fan, P10)
         assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
 
@@ -302,15 +338,15 @@ class TestEnergyAndMonitor:
 
         ql = Primitive(1.0, 5.0, 1.0, 1.0).conserved()
         qr = Primitive(0.01, -5.0, 1.0, 1.0).conserved()
-        sp = relaxation_speeds(ql, qr, P10)
-        fan = star_states(ql, qr, sp, P10)
+        sp = speeds(ql, qr)
+        fan = fan_of(ql, qr, sp=sp)
         r0 = float(np.max(subcharacteristic_monitor(fan, P10)))
         sp2 = SpeedPair(2.0 * np.asarray(sp.c_l), 2.0 * np.asarray(sp.c_r))
-        fan2 = star_states(ql, qr, sp2, P10)
+        fan2 = fan_of(ql, qr, sp=sp2)
         r2 = float(np.max(subcharacteristic_monitor(fan2, P10)))
         assert r2 < r0
 
     def test_monitor_exactly_one_at_rest(self):
         q = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
-        fan = star_states(q, q, relaxation_speeds(q, q, P10), P10)
+        fan = fan_of(q, q)
         assert float(np.max(subcharacteristic_monitor(fan, P10))) == pytest.approx(1.0, rel=1e-14)

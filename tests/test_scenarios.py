@@ -264,6 +264,14 @@ class TestConfigFile:
         cfg = build_config(parse_config_file(p), {})
         assert cfg.params.lam == 0.25
 
+    def test_empty_config_is_paper_preset(self):
+        assert build_config({}, {}) == preset_dam_break(10.0)
+
+    def test_seed_key_unknown(self, tmp_path):
+        p = write_cfg(tmp_path / "c.cfg", "seed = 0\n")
+        with pytest.raises(ConfigError, match="unknown key 'seed'"):
+            parse_config_file(p)
+
 
 class TestCli:
     def test_solve_end_to_end(self, tmp_path, capsys):
@@ -319,6 +327,19 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "run", boom)
         p = write_cfg(tmp_path / "c.cfg", "strict_dissipation = true\n")
         assert main(["solve", "--config", p, "--out", str(tmp_path / "v")]) == 4
+
+    def test_forced_violation_exits_4_in_solve_and_converge(self, tmp_path, monkeypatch, capsys):
+        import fenepsv.timeloop as timeloop_mod
+
+        monkeypatch.setattr(timeloop_mod, "DISSIPATION_RTOL", -1.0)
+        p = write_cfg(tmp_path / "c.cfg", "cells = 16\nt_end = 0.005\nstrict_dissipation = true\n")
+        assert main(["solve", "--config", p, "--out", str(tmp_path / "v")]) == 4
+        solve_err = capsys.readouterr().err
+        assert main(["converge", "--config", p, "--levels", "16,32"]) == 4
+        converge_err = capsys.readouterr().err
+        for err in (solve_err, converge_err):
+            assert err.startswith("dissipation violation: free-energy balance violated at cell")
+            assert "Traceback" not in err
 
     def test_strict_dissipation_clean_run_ok(self, tmp_path):
         p = write_cfg(tmp_path / "c.cfg", "cells = 16\nt_end = 0.005\n")

@@ -152,7 +152,7 @@ class TestHomogeneous:
 
     def test_against_plain_suliciu_reference(self, rng):
         # same Lagrangian speeds, naive textbook assembly of the star states
-        from fenepsv.riemann import relaxation_speeds
+        from fenepsv.riemann import cell_state, relaxation_speeds
 
         params = PhysParams(g=10.0, G=0.0, lam=0.1, zeta=0.0, ell=10.0)
         n = 40
@@ -166,7 +166,7 @@ class TestHomogeneous:
         qp = apply_boundary(q, "periodic")
         ql = Conserved(qp.h[:-1], qp.hu[:-1], qp.hsxx[:-1], qp.hszz[:-1])
         qr = Conserved(qp.h[1:], qp.hu[1:], qp.hsxx[1:], qp.hszz[1:])
-        sp = relaxation_speeds(ql, qr, params)
+        sp = relaxation_speeds(cell_state(ql, params), cell_state(qr, params))
         cl, cr = np.asarray(sp.c_l), np.asarray(sp.c_r)
         pl, pr = ql.primitive(), qr.primitive()
         pil = total_pressure(pl, params)
