@@ -1,4 +1,4 @@
-"""Output pins: the dam-break sweep script must reproduce these snapshot files byte for byte.
+"""Output pins: the dam-break sweep script must reproduce these files byte for byte.
 
 Any change to the numerics shows up here as a digest mismatch; a refactor
 that claims to keep the numbers must leave this file untouched.
@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,18 +59,50 @@ SNAPSHOT_SHA256 = {
 }
 
 
-def test_dam_break_sweep_snapshots_pinned(tmp_path):
+# SHA-256 of the (final.svg, diagnostics.csv) pair of the same runs.
+SUMMARY_SHA256 = {
+    "dam_break_ell10": (
+        "9ec5ad7c01113e95bd9c4642a90476ef580abae174a6fef5782902bc7e285ccc",
+        "317d170d166c0831d0e036b75a293f94e3a2f7a172f0dae46aa36ff102b08d5f",
+    ),
+    "dam_break_ell100": (
+        "d7eaf50a74e5ac8311d7c502e444c9b7d732fde5f73bc9c3d73b84e93bf76da3",
+        "e3205fd828e90ba264343caec3460aeb1af12010bddc215d196582af46371345",
+    ),
+    "dam_break_ell1000": (
+        "6b0e9b6527d1e7ff81782fbbf60bba7d9783f1d530218e9094ecb2291d2b15f6",
+        "e480d55c88c25d71ee1d6a4d7e83cb67e0a256fea0ce12435250f704d207d5e4",
+    ),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sweep_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_dam_break.py"), "--out", str(tmp_path)],
+        [sys.executable, str(ROOT / "scripts" / "run_dam_break.py"), "--out", str(out)],
         check=True, env=env, capture_output=True,
     )
+    return out
+
+
+def test_dam_break_sweep_snapshots_pinned(sweep_out):
     got = {
-        run_dir: tuple(
-            hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted((tmp_path / run_dir).glob("snapshot_*.csv"))
-        )
+        run_dir: tuple(_sha256(f) for f in sorted((sweep_out / run_dir).glob("snapshot_*.csv")))
         for run_dir in SNAPSHOT_SHA256
     }
     assert got == SNAPSHOT_SHA256
+
+
+def test_dam_break_sweep_summaries_pinned(sweep_out):
+    got = {
+        run_dir: tuple(_sha256(sweep_out / run_dir / f) for f in ("final.svg", "diagnostics.csv"))
+        for run_dir in SUMMARY_SHA256
+    }
+    assert got == SUMMARY_SHA256
