@@ -28,6 +28,7 @@ from .timeloop import (
     SimState,
     SourceSolveFailure,
     StepControl,
+    SubcharacteristicViolation,
     TimeStepCollapse,
     full_step,
 )

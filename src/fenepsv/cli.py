@@ -27,6 +27,7 @@ from .timeloop import (
     AdmissibilityLoss,
     DissipationViolation,
     SourceSolveFailure,
+    SubcharacteristicViolation,
     TimeStepCollapse,
 )
 
@@ -173,6 +174,7 @@ _SOLVER_ERRORS = (
     TimeStepCollapse,
     AdmissibilityLoss,
     SourceSolveFailure,
+    SubcharacteristicViolation,
 )
 
 

@@ -9,6 +9,7 @@ All file content is deterministic for a given configuration.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import time
@@ -246,19 +247,41 @@ def _snapshot_rows(grid: Grid, q: Conserved, params: PhysParams):
     return np.broadcast_arrays(*cols)
 
 
+def _repr_column(c) -> list:
+    """`repr` of every float of a 1-D column, computed once per run of equal values.
+
+    Runs are runs of equal float64 bit patterns, so -0.0 and 0.0 stay apart.
+    """
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    bits = c.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = np.array([repr(v) for v in c[starts].tolist()], dtype=object)
+    return np.repeat(texts, np.diff(starts, append=c.size)).tolist()
+
+
 def write_snapshot_csv(path: Path, grid: Grid, q: Conserved, params: PhysParams) -> None:
-    cols = _snapshot_rows(grid, q, params)
+    texts = [_repr_column(c) for c in _snapshot_rows(grid, q, params)]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        for i in range(grid.n):
-            f.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
-def _write_diagnostics_csv(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("n,t,dt,mass,momentum,free_energy,max_dissipation_residual,worst_subchar_ratio\n")
-        for r in rows:
-            f.write(",".join([str(r[0])] + [repr(float(v)) for v in r[1:]]) + "\n")
+_DIAGNOSTICS_HEADER = (
+    "n,t,dt,mass,momentum,free_energy,max_dissipation_residual,worst_subchar_ratio\n"
+)
+
+
+def _diagnostics_row(n: int, t: float, diag) -> str:
+    vals = (
+        t,
+        diag.dt,
+        diag.mass,
+        diag.momentum,
+        diag.free_energy,
+        diag.max_dissipation_residual,
+        diag.worst_subchar_ratio,
+    )
+    return ",".join([str(n)] + [repr(float(v)) for v in vals]) + "\n"
 
 
 def _snapshot_name(t: float, used: set) -> str:
@@ -309,37 +332,35 @@ def run(config: RunConfig) -> RunResult:
         targets = [0.0]
     emit(0.0)
 
-    diag_rows = []
     diagnostics = []
     min_dt = np.inf
     violations = 0
     worst_subchar = 0.0
     steps = 0
-    for t_next in targets[1:]:
-        while state.t < t_next:
-            remaining = t_next - state.t
-            ctrl = dataclasses.replace(control, max_dt=remaining)
-            state, diag = full_step(state, grid, config.params, ctrl)
-            if diag.dt == remaining:
-                state = dataclasses.replace(state, t=t_next)
-            steps += 1
-            min_dt = min(min_dt, diag.dt)
-            violations += diag.dissipation_violations
-            worst_subchar = max(worst_subchar, diag.worst_subchar_ratio)
-            diagnostics.append(diag)
-            diag_rows.append(
-                (
-                    steps,
-                    state.t,
-                    diag.dt,
-                    diag.mass,
-                    diag.momentum,
-                    diag.free_energy,
-                    diag.max_dissipation_residual,
-                    diag.worst_subchar_ratio,
-                )
-            )
-        emit(t_next)
+    # diagnostics.csv grows as steps complete, so a failed run keeps its trail.
+    diag_csv = (
+        open(outdir / "diagnostics.csv", "w", encoding="utf-8", newline="\n")
+        if outdir is not None
+        else contextlib.nullcontext()
+    )
+    with diag_csv as diag_file:
+        if diag_file is not None:
+            diag_file.write(_DIAGNOSTICS_HEADER)
+        for t_next in targets[1:]:
+            while state.t < t_next:
+                remaining = t_next - state.t
+                ctrl = dataclasses.replace(control, max_dt=remaining)
+                state, diag = full_step(state, grid, config.params, ctrl)
+                if diag.dt == remaining:
+                    state = dataclasses.replace(state, t=t_next)
+                steps += 1
+                min_dt = min(min_dt, diag.dt)
+                violations += diag.dissipation_violations
+                worst_subchar = max(worst_subchar, diag.worst_subchar_ratio)
+                diagnostics.append(diag)
+                if diag_file is not None:
+                    diag_file.write(_diagnostics_row(steps, state.t, diag))
+            emit(t_next)
 
     wall = time.perf_counter() - t0
     result = RunResult(
@@ -358,7 +379,6 @@ def run(config: RunConfig) -> RunResult:
     )
 
     if outdir is not None:
-        _write_diagnostics_csv(outdir / "diagnostics.csv", diag_rows)
         write_svg_summary(outdir / "final.svg", grid, q0, state.q, config.params)
         payload = {
             "config": config.as_dict(),
@@ -377,6 +397,11 @@ def run(config: RunConfig) -> RunResult:
 _PANELS = ("h", "u", "sigma_xx", "sigma_zz")
 
 
+def _polyline_points(px, py) -> str:
+    """SVG `points` text of screen coordinates, two decimals each."""
+    return " ".join("%.2f,%.2f" % xy for xy in zip(px.tolist(), py.tolist()))
+
+
 def _panel_svg(ox: float, oy: float, w: float, h: float, title: str, x, y0, y1) -> list:
     lo = min(float(np.min(y0)), float(np.min(y1)))
     hi = max(float(np.max(y0)), float(np.max(y1)))
@@ -385,7 +410,10 @@ def _panel_svg(ox: float, oy: float, w: float, h: float, title: str, x, y0, y1) 
         pad = max(0.05 * abs(hi), 1e-3)
     lo, hi = lo - pad, hi + pad
     xl, xr = float(x[0]), float(x[-1])
+    if xr == xl:  # a single cell: centre it in a frame one unit wide
+        xl, xr = xl - 0.5, xr + 0.5
 
+    # Screen maps; applied to whole arrays for the polylines.
     def sx(v):
         return ox + (v - xl) / (xr - xl) * w
 
@@ -412,8 +440,7 @@ def _panel_svg(ox: float, oy: float, w: float, h: float, title: str, x, y0, y1) 
         (y0, 'fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="4 3"'),
         (y1, 'fill="none" stroke="#1f6feb" stroke-width="1.5"'),
     ):
-        pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, ydata))
-        out.append(f'<polyline points="{pts}" {style}/>')
+        out.append(f'<polyline points="{_polyline_points(sx(x), sy(ydata))}" {style}/>')
     return out
 
 

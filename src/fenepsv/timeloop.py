@@ -44,6 +44,7 @@ __all__ = [
     "TimeStepCollapse",
     "AdmissibilityLoss",
     "SourceSolveFailure",
+    "SubcharacteristicViolation",
     "DissipationViolation",
     "apply_boundary",
     "cfl_dt",
@@ -70,6 +71,10 @@ class AdmissibilityLoss(RuntimeError):
 
 class SourceSolveFailure(RuntimeError):
     """The implicit relaxation solve failed to converge or broke a postcondition."""
+
+
+class SubcharacteristicViolation(RuntimeError):
+    """strict_subchar: the monitor stayed above 1 after the last speed doubling."""
 
 
 class DissipationViolation(RuntimeError):
@@ -179,7 +184,8 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
     """Finite-volume transport of the cells of q over one step.
 
     Evaluates every padded cell once, solves the fan at every interface
-    (doubling the speeds where strict_subchar finds the monitor above 1) and
+    (doubling the speeds where strict_subchar finds the monitor above 1, up
+    to 3 times, then raising SubcharacteristicViolation) and
     applies the three-point update: cell i sees f_left of its right interface
     and f_right of its left interface.  dt=None takes the CFL step, shortened
     by control.max_dt to land on an output time (never below half the CFL
@@ -202,6 +208,12 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
             )
             fan = star_states(l, r, sp, params)
             ratio = subcharacteristic_monitor(fan, params)
+        if np.any(ratio > 1.0):
+            i = int(np.argmax(ratio))
+            raise SubcharacteristicViolation(
+                f"subcharacteristic ratio {float(ratio[i])!r} > 1 at interface {i} "
+                f"(x={float(grid.edges[i])!r}) after 3 speed doublings"
+            )
 
     if dt is None:
         dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)

@@ -20,7 +20,8 @@ from fenepsv.scenarios import (
     preset_uniform,
     run,
 )
-from fenepsv.timeloop import Grid
+from fenepsv.scenarios import _polyline_points, _repr_column, _snapshot_rows
+from fenepsv.timeloop import Grid, SourceSolveFailure
 
 
 class TestConfig:
@@ -182,6 +183,68 @@ class TestRunDriver:
         assert {"h", "u", "sigma_xx", "sigma_zz"} <= titles
 
 
+def _loop_rows(cols):
+    """Snapshot rows formatted one element at a time (the reference formatter)."""
+    cols = np.broadcast_arrays(*cols)
+    return [",".join(repr(float(c[i])) for c in cols) for i in range(cols[0].size)]
+
+
+class TestColumnFormat:
+    TINY = 5e-324
+    COLUMNS = {
+        "signed_zeros": [0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+        "runs_at_both_ends": [1.5, 1.5, 1.5, 2.0, 0.1, 0.1, 0.1, 0.1],
+        "all_equal": [0.1] * 17,
+        "alternating": [1.0, 2.0] * 9,
+        "subnormal_and_huge": [TINY, TINY, 2 * TINY, 2.2250738585072014e-308, 1e308, 1e308,
+                               -1e308, -TINY, 1.7976931348623157e308],
+        "one_cell": [0.30000000000000004],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COLUMNS))
+    def test_matches_loop(self, name):
+        c = np.array(self.COLUMNS[name])
+        x = np.linspace(0.0, 1.0, c.size)
+        assert [",".join(r) for r in zip(_repr_column(x), _repr_column(c))] == _loop_rows((x, c))
+
+    def test_stride_zero_broadcast_column(self):
+        x = np.linspace(0.0, 1.0, 12)
+        x_b, c = np.broadcast_arrays(x, np.array(-0.0))
+        assert c.strides == (0,)
+        assert [",".join(r) for r in zip(_repr_column(x_b), _repr_column(c))] == _loop_rows((x, -0.0))
+
+    def test_random_runs_match_loop(self):
+        rng = np.random.default_rng(7)
+        values = np.array([0.0, -0.0, 1.0, 1 / 3, -2.5e-310, 1e308, np.nextafter(1.0, 2.0)])
+        c = values[rng.integers(0, values.size, 400)].repeat(rng.integers(1, 4, 400))
+        assert _repr_column(c) == [repr(float(v)) for v in c]
+
+    def test_polyline_points_match_per_point_format(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 257):
+            x = np.sort(rng.uniform(-3.0, 5.0, n))
+            y = rng.normal(0.0, 10.0, n) ** 3
+            ox, oy, w, h = rng.uniform(0.0, 500.0, 4)
+            xl, xr = float(x[0]) - 0.5, float(x[-1]) + 0.5
+            lo, hi = float(np.min(y)) - 0.1, float(np.max(y)) + 0.1
+
+            def sx(v):
+                return ox + (v - xl) / (xr - xl) * w
+
+            def sy(v):
+                return oy + h - (v - lo) / (hi - lo) * h
+
+            ref = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
+            assert _polyline_points(sx(x), sy(y)) == ref
+
+    def test_one_cell_solve_writes_outputs(self, tmp_path):
+        res = run(preset_uniform(10.0, cells=1, t_end=0.01, outdir=str(tmp_path)))
+        root = ET.parse(tmp_path / "final.svg").getroot()
+        assert root.tag.endswith("svg")
+        rows = (tmp_path / res.snapshot_files[-1]).read_text().splitlines()
+        assert rows[1:] == _loop_rows(_snapshot_rows(res.grid, res.state.q, res.config.params))
+
+
 class TestConvergence:
     def test_validation(self):
         cfg = preset_dam_break(10.0)
@@ -316,6 +379,43 @@ class TestCli:
         payload = json.loads((out / "run.json").read_text())
         assert payload["status"] == "error"
         assert "TimeStepCollapse" in payload["error"]
+
+    def test_failed_solve_keeps_diagnostics_trail(self, tmp_path, monkeypatch):
+        import fenepsv.scenarios as scenarios_mod
+
+        calls = []
+        full_step = scenarios_mod.full_step
+
+        def failing_fifth(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise SourceSolveFailure("forced failure at the fifth step")
+            return full_step(*args, **kwargs)
+
+        p = write_cfg(tmp_path / "c.cfg", "cells = 16\nt_end = 0.01\n")
+        assert main(["solve", "--config", p, "--out", str(tmp_path / "ok")]) == 0
+        monkeypatch.setattr(scenarios_mod, "full_step", failing_fifth)
+        out = tmp_path / "err"
+        assert main(["solve", "--config", p, "--out", str(out)]) == 3
+        assert json.loads((out / "run.json").read_text())["status"] == "error"
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "4"]
+        assert lines == (tmp_path / "ok" / "diagnostics.csv").read_text().splitlines()[:5]
+
+    def test_strict_subchar_above_one_exits_3(self, tmp_path, monkeypatch, capsys):
+        import fenepsv.timeloop as timeloop_mod
+
+        def stuck(fan, params):
+            return np.full(np.shape(fan.s1), 2.0)
+
+        monkeypatch.setattr(timeloop_mod, "subcharacteristic_monitor", stuck)
+        p = write_cfg(tmp_path / "c.cfg", "cells = 16\nt_end = 0.01\nstrict_subchar = true\n")
+        out = tmp_path / "sub"
+        assert main(["solve", "--config", p, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "SubcharacteristicViolation" in err and "Traceback" not in err
+        assert "ratio 2.0 > 1 at interface 0" in err
+        assert "SubcharacteristicViolation" in json.loads((out / "run.json").read_text())["error"]
 
     def test_dissipation_violation_exits_4(self, tmp_path, monkeypatch):
         from fenepsv.timeloop import DissipationViolation

@@ -23,6 +23,7 @@ from fenepsv.timeloop import (
     SimState,
     SourceSolveFailure,
     StepControl,
+    SubcharacteristicViolation,
     TimeStepCollapse,
     apply_boundary,
     cfl_dt,
@@ -312,6 +313,23 @@ class TestFullStep:
         for _ in range(10):
             state, diag = full_step(state, grid, P10, control)
         assert diag.worst_subchar_ratio <= 1.0 + 1e-10
+
+    def test_strict_subchar_raises_when_ratio_stays_above_one(self, monkeypatch):
+        import fenepsv.timeloop as timeloop_mod
+
+        calls = []
+
+        def stuck(fan, params):
+            calls.append(1)
+            return np.full(np.shape(fan.s1), 2.0)
+
+        monkeypatch.setattr(timeloop_mod, "subcharacteristic_monitor", stuck)
+        grid = Grid.uniform(0.0, 1.0, 8)
+        with pytest.raises(SubcharacteristicViolation, match=r"ratio 2\.0 > 1 at interface 0 \(x=0\.0\)"):
+            full_step(dam_break_state(8), grid, P10, StepControl(strict_subchar=True))
+        assert len(calls) == 4  # the fan, then once after each of the 3 doublings
+        state, diag = full_step(dam_break_state(8), grid, P10, StepControl())
+        assert diag.worst_subchar_ratio == 2.0  # reported, not fatal, outside strict mode
 
     def test_reflective_conserves_mass(self):
         grid = Grid.uniform(0.0, 1.0, 64)
