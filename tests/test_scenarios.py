@@ -211,7 +211,8 @@ class TestColumnFormat:
         x = np.linspace(0.0, 1.0, 12)
         x_b, c = np.broadcast_arrays(x, np.array(-0.0))
         assert c.strides == (0,)
-        assert [",".join(r) for r in zip(_repr_column(x_b), _repr_column(c))] == _loop_rows((x, -0.0))
+        rows = [",".join(r) for r in zip(_repr_column(x_b), _repr_column(c))]
+        assert rows == _loop_rows((x, -0.0))
 
     def test_random_runs_match_loop(self):
         rng = np.random.default_rng(7)

@@ -325,7 +325,8 @@ class TestFullStep:
 
         monkeypatch.setattr(timeloop_mod, "subcharacteristic_monitor", stuck)
         grid = Grid.uniform(0.0, 1.0, 8)
-        with pytest.raises(SubcharacteristicViolation, match=r"ratio 2\.0 > 1 at interface 0 \(x=0\.0\)"):
+        msg = r"ratio 2\.0 > 1 at interface 0 \(x=0\.0\)"
+        with pytest.raises(SubcharacteristicViolation, match=msg):
             full_step(dam_break_state(8), grid, P10, StepControl(strict_subchar=True))
         assert len(calls) == 4  # the fan, then once after each of the 3 doublings
         state, diag = full_step(dam_break_state(8), grid, P10, StepControl())
