@@ -22,8 +22,9 @@ from pathlib import Path
 from .model import AdmissibilityError, NonHyperbolicError, PhysParams
 from .oracles import DEFAULT_SEED, run_all_checks
 from .riemann import StarStateError
-from .scenarios import ConfigError, RunConfig, convergence_study, preset_dam_break, run
+from .scenarios import SCENARIOS, ConfigError, RunConfig, convergence_study, preset_dam_break, run
 from .timeloop import (
+    BOUNDARY_KINDS,
     AdmissibilityLoss,
     DissipationViolation,
     SourceSolveFailure,
@@ -32,17 +33,6 @@ from .timeloop import (
 )
 
 __all__ = ["main", "parse_config_file", "build_config"]
-
-_FLOAT_KEYS = {
-    "g", "G", "lambda", "zeta", "ell",
-    "x_min", "x_max", "t_end", "cfl", "jump_x", "dt_min_factor",
-    "left_h", "left_u", "left_sxx", "left_szz",
-    "right_h", "right_u", "right_sxx", "right_szz",
-}
-_INT_KEYS = {"cells", "snapshots"}
-_BOOL_KEYS = {"strict_dissipation", "strict_subchar"}
-_STR_KEYS = {"scenario", "bc", "outdir"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
 
 # RunConfig fields named alike in config files, and the per-side state keys.
 _RUN_KEYS = tuple(
@@ -61,24 +51,26 @@ def _flat_keys(cfg: RunConfig) -> dict:
     return flat
 
 
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
 # An empty configuration file describes the paper's dam break at ell = 10.
 _DEFAULTS = _flat_keys(preset_dam_break(10.0))
+# Each key is parsed as the type of its default; outdir (None) reads as text.
+_PARSERS = {
+    k: {bool: _parse_bool, int: int, float: float}.get(type(v), str) for k, v in _DEFAULTS.items()
+}
 
 
 def _parse_value(key: str, raw: str, where: str):
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return raw
+        return _PARSERS[key](raw)
     except ValueError as e:
         raise ConfigError(f"{where}: bad value for {key!r}: {e}") from e
 
@@ -99,7 +91,7 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{where}: expected 'key = value', got {line.rstrip()!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
@@ -139,12 +131,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one scenario and write its artifacts")
     solve.add_argument("--config", required=True, help="flat key = value configuration file")
-    solve.add_argument("--scenario", choices=("dam-break", "uniform", "smooth-wave"))
+    solve.add_argument("--scenario", choices=SCENARIOS)
     solve.add_argument("--ell", type=float, help="extensibility parameter")
     solve.add_argument("--cells", type=int)
     solve.add_argument("--t-end", type=float, dest="t_end")
     solve.add_argument("--cfl", type=float)
-    solve.add_argument("--bc", choices=("transmissive", "reflective", "periodic"))
+    solve.add_argument("--bc", choices=BOUNDARY_KINDS)
     solve.add_argument("--out", dest="outdir", help="output directory (default: out)")
     solve.add_argument(
         "--strict-dissipation",

@@ -68,9 +68,10 @@ class CellState:
     q is the conserved state as a (4, ...) array, u the velocity, P the total
     pressure, dPdh its frozen derivative and a = sqrt(dPdh), ehat the
     internal energy per unit depth, w1 and w2 the transported invariants,
-    alpha and beta the compression- and expansion-side speed amplifiers.
-    Indexing slices every field along the cell axis, so the two sides of all
-    interfaces are `cells[:-1]` and `cells[1:]`.
+    alpha and beta the compression- and expansion-side speed amplifiers,
+    proj the (4, ...) conserved state projected back through w1 and w2 (the
+    outer fan states).  Indexing slices every field along the cell axis, so
+    the two sides of all interfaces are `cells[:-1]` and `cells[1:]`.
     """
 
     q: np.ndarray
@@ -83,6 +84,7 @@ class CellState:
     w2: np.ndarray | float
     alpha: np.ndarray | float
     beta: np.ndarray | float
+    proj: np.ndarray
 
     @property
     def h(self):
@@ -202,6 +204,8 @@ def cell_state(q: Conserved, params: PhysParams) -> CellState:
     alpha = np.maximum(2.0, np.where(np.isinf(W), 2.0, W / np.where(np.isinf(W), 2.0, W - 1.0)))
     V = np.power(w_minus, expo)
     dPdh = dP_dh_frozen(p, params)
+    w1 = p.sxx * np.power(p.h, 2.0 * (1.0 - params.zeta))
+    w2 = p.szz * np.power(p.h, 2.0 * (params.zeta - 1.0))
     return CellState(
         q=q.as_array(),
         u=p.u,
@@ -209,10 +213,11 @@ def cell_state(q: Conserved, params: PhysParams) -> CellState:
         dPdh=dPdh,
         a=np.sqrt(dPdh),
         ehat=internal_energy(p, params),
-        w1=p.sxx * np.power(p.h, 2.0 * (1.0 - params.zeta)),
-        w2=p.szz * np.power(p.h, 2.0 * (params.zeta - 1.0)),
+        w1=w1,
+        w2=w2,
         alpha=alpha,
         beta=V / (1.0 - V),
+        proj=_project(q.h, q.hu, w1, w2, params.zeta).as_array(),
     )
 
 
@@ -305,6 +310,7 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
         ),
         RelaxedState(hr, r.hu, r.w1, r.w2, hr * pi_r, hr * (ur**2 / 2.0 + r.ehat), cr),
     )
+    stars = [project_state(st, params.zeta) for st in states[1:3]]
     fan = WaveFan(
         ul - cl / hl,
         u_star,
@@ -312,7 +318,7 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
         *states,
         left=l,
         right=r,
-        proj=tuple(project_state(st, params.zeta) for st in states),
+        proj=(Conserved.from_array(l.proj), *stars, Conserved.from_array(r.proj)),
     )
 
     # Projected star conformations must stay strictly inside the admissible region.
@@ -337,11 +343,15 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
     return fan
 
 
+def _project(h, hu, w1, w2, zeta: float) -> Conserved:
+    sxx = w1 * np.power(h, 2.0 * (zeta - 1.0))
+    szz = w2 * np.power(h, 2.0 * (1.0 - zeta))
+    return Conserved(h, hu, h * sxx, h * szz)
+
+
 def project_state(rs: RelaxedState, zeta: float) -> Conserved:
     """Project a relaxed state back to conserved variables via the invariants."""
-    sxx = rs.w1 * np.power(rs.h, 2.0 * (zeta - 1.0))
-    szz = rs.w2 * np.power(rs.h, 2.0 * (1.0 - zeta))
-    return Conserved(rs.h, rs.hu, rs.h * sxx, rs.h * szz)
+    return _project(rs.h, rs.hu, rs.w1, rs.w2, zeta)
 
 
 def interface_fluxes(fan: WaveFan, *, f0: str = "exact") -> FluxPair:
@@ -352,10 +362,11 @@ def interface_fluxes(fan: WaveFan, *, f0: str = "exact") -> FluxPair:
 
     jumps taken between fan states projected to conserved variables.  The
     cell update only ever sees flux differences, so any consistent F0 gives
-    the same scheme; f0="zero" exposes that for testing.  The conservative
-    components (h, hu) are replaced by the algebraically identical central
-    form 0.5*(F0_l + F0_r - sum_k |s_k| jump_k) shared verbatim by both
-    outputs, which makes the scheme telescope exactly.
+    the same scheme; f0="zero" exposes that for testing.  Only the
+    conformation components are one-sided: the conservative components
+    (h, hu) take the algebraically identical central form 0.5*(F0_l + F0_r
+    - sum_k |s_k| jump_k), shared verbatim by both outputs, which makes the
+    scheme telescope exactly.
     """
     if f0 not in ("exact", "zero"):
         raise ValueError(f"unknown f0 mode {f0!r}")
@@ -369,18 +380,17 @@ def interface_fluxes(fan: WaveFan, *, f0: str = "exact") -> FluxPair:
         f0_l = fan.left.flux()
         f0_r = fan.right.flux()
     else:
-        f0_l = np.zeros_like(proj[0])
-        f0_r = np.zeros_like(proj[3])
-
-    f_left = f0_l + ((np.minimum(s1, 0.0) * d1 + np.minimum(s3, 0.0) * d3) + np.minimum(s2, 0.0) * d2)
-    f_right = f0_r - ((np.maximum(s1, 0.0) * d1 + np.maximum(s3, 0.0) * d3) + np.maximum(s2, 0.0) * d2)
+        f0_l = f0_r = np.zeros_like(proj[0])
 
     central = 0.5 * (
         (f0_l[:2] + f0_r[:2]) - ((np.abs(s1) * d1[:2] + np.abs(s3) * d3[:2]) + np.abs(s2) * d2[:2])
     )
-    f_left = np.concatenate([central, f_left[2:]])
-    f_right = np.concatenate([central.copy(), f_right[2:]])
-    return FluxPair(f_left, f_right)
+    d1, d2, d3 = d1[2:], d2[2:], d3[2:]
+    left = (np.minimum(s1, 0.0) * d1 + np.minimum(s3, 0.0) * d3) + np.minimum(s2, 0.0) * d2
+    right = (np.maximum(s1, 0.0) * d1 + np.maximum(s3, 0.0) * d3) + np.maximum(s2, 0.0) * d2
+    return FluxPair(
+        np.concatenate([central, f0_l[2:] + left]), np.concatenate([central, f0_r[2:] - right])
+    )
 
 
 def energy_flux(fan: WaveFan):

@@ -207,7 +207,6 @@ class RunResult:
     min_dt: float
     dissipation_violations: int
     worst_subchar_ratio: float
-    diagnostics: list
     snapshot_files: list
     outdir: Path | None
     wall_time: float
@@ -332,7 +331,6 @@ def run(config: RunConfig) -> RunResult:
         targets = [0.0]
     emit(0.0)
 
-    diagnostics = []
     min_dt = np.inf
     violations = 0
     worst_subchar = 0.0
@@ -357,7 +355,6 @@ def run(config: RunConfig) -> RunResult:
                 min_dt = min(min_dt, diag.dt)
                 violations += diag.dissipation_violations
                 worst_subchar = max(worst_subchar, diag.worst_subchar_ratio)
-                diagnostics.append(diag)
                 if diag_file is not None:
                     diag_file.write(_diagnostics_row(steps, state.t, diag))
             emit(t_next)
@@ -372,7 +369,6 @@ def run(config: RunConfig) -> RunResult:
         min_dt=float(min_dt) if steps else np.inf,
         dissipation_violations=violations,
         worst_subchar_ratio=worst_subchar,
-        diagnostics=diagnostics,
         snapshot_files=snapshot_files,
         outdir=outdir,
         wall_time=wall,

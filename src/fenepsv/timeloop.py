@@ -14,7 +14,7 @@ recorded in the step diagnostics; in strict mode they abort the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,6 +91,10 @@ class Grid:
         self.edges = np.asarray(self.edges, dtype=float)
         if self.edges.ndim != 1 or self.edges.size < 2 or np.any(np.diff(self.edges) <= 0):
             raise ValueError("grid edges must be a strictly increasing 1D array")
+        # Cell widths and centers, computed once; read-only because they are shared.
+        self.dx = np.diff(self.edges)
+        self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self.dx.flags.writeable = self.centers.flags.writeable = False
 
     @classmethod
     def uniform(cls, x_min: float, x_max: float, cells: int) -> "Grid":
@@ -99,14 +103,6 @@ class Grid:
     @property
     def n(self) -> int:
         return self.edges.size - 1
-
-    @property
-    def dx(self) -> np.ndarray:
-        return np.diff(self.edges)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 @dataclass
@@ -144,8 +140,6 @@ class StepDiagnostics:
     max_dissipation_residual: float
     dissipation_violations: int
     worst_subchar_ratio: float
-    boundary_mass_flux: tuple = field(default=(0.0, 0.0))
-    boundary_momentum_flux: tuple = field(default=(0.0, 0.0))
 
 
 def apply_boundary(q: Conserved, bc: str) -> Conserved:
@@ -191,7 +185,7 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
     by control.max_dt to land on an output time (never below half the CFL
     step unless the cap itself is smaller).
 
-    Returns (transported cells, dt, fan, subcharacteristic ratios, flux pair).
+    Returns (transported cells, dt, fan, subcharacteristic ratios).
     """
     cells = cell_state(apply_boundary(q, control.bc), params)
     l, r = cells[:-1], cells[1:]
@@ -230,7 +224,7 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
         q.as_array() - (dt / grid.dx) * (pair.f_left[:, 1:] - pair.f_right[:, :-1])
     )
     _check_cells(q_half, params)
-    return q_half, dt, fan, ratio, pair
+    return q_half, dt, fan, ratio
 
 
 def homogeneous_step(
@@ -316,11 +310,12 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
     return sxx, szz
 
 
-def source_step(q: Conserved, dt: float, params: PhysParams) -> Conserved:
+def source_step(q: Conserved, dt: float, params: PhysParams):
     """Apply the implicit relaxation source; depth and momentum untouched.
 
     Postconditions (checked): the result is admissible and the free energy
-    does not increase beyond a roundoff allowance.
+    does not increase beyond a roundoff allowance.  Returns the relaxed
+    state with its primitive variables and free energy, (q, p, F).
     """
     p = q.primitive()
     sxx, szz = relax_conformations(p.sxx, p.szz, dt, params)
@@ -336,7 +331,7 @@ def source_step(q: Conserved, dt: float, params: PhysParams) -> Conserved:
     if not np.all(f_after <= f_before + allowance):
         worst = float(np.max(f_after - f_before))
         raise SourceSolveFailure(f"free energy increased by {worst!r} during relaxation")
-    return out
+    return out, p_new, f_after
 
 
 def dissipation_residuals(f_old, f_new, g_flux, d_new, dt: float, dx):
@@ -360,12 +355,10 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     control = control or StepControl()
     p_old = state.q.primitive()
     require_admissible(p_old, params, "cell state")
-    q_half, dt, fan, ratio, pair = _transport(state.q, grid, params, control)
-    q_new = source_step(q_half, dt, params)
+    q_half, dt, fan, ratio = _transport(state.q, grid, params, control)
+    q_new, p_new, f_new = source_step(q_half, dt, params)
 
-    p_new = q_new.primitive()
     f_old = free_energy(p_old, params)
-    f_new = free_energy(p_new, params)
     d_new = dissipation_rate(p_new, params)
     g_flux = energy_flux(fan)
     res, tol = dissipation_residuals(f_old, f_new, g_flux, d_new, dt, grid.dx)
@@ -386,7 +379,5 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
         max_dissipation_residual=float(np.max(res)),
         dissipation_violations=violations,
         worst_subchar_ratio=float(np.max(ratio)),
-        boundary_mass_flux=(float(pair.f_left[0, 0]), float(pair.f_left[0, -1])),
-        boundary_momentum_flux=(float(pair.f_left[1, 0]), float(pair.f_left[1, -1])),
     )
     return SimState(state.t + dt, q_new), diag

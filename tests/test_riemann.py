@@ -101,6 +101,16 @@ class TestSpeedIngredients:
         assert part.q.shape == (4, 6)
         assert np.array_equal(part.h, q.h[3:9]) and np.array_equal(part.beta, cells.beta[3:9])
 
+    @pytest.mark.parametrize("zeta", [0.0, 0.25, 0.5])
+    def test_cell_projection_matches_per_side_projection(self, rng, zeta):
+        # Reference: each side's outer fan state projected on its own.
+        params = dataclasses.replace(P10, zeta=zeta)
+        cells = cell_state(sample_states(params, 1000, rng).conserved(), params)
+        l, r = cells[:-1], cells[1:]
+        fan = star_states(l, r, relaxation_speeds(l, r), params)
+        for got, outer in ((cells.proj[:, :-1], fan.q_l), (cells.proj[:, 1:], fan.q_r)):
+            assert got.tobytes() == project_state(outer, zeta).as_array().tobytes()
+
 
 class TestSpeeds:
     def test_at_rest_equal_states_yield_sound_speed(self):

@@ -16,6 +16,7 @@ from fenepsv.model import (
     total_pressure,
 )
 from fenepsv.oracles import newton_source_2x2, sample_states
+from fenepsv.riemann import cell_state, interface_fluxes, relaxation_speeds, star_states
 from fenepsv.timeloop import (
     AdmissibilityLoss,
     DissipationViolation,
@@ -49,6 +50,14 @@ class TestGrid:
         assert np.allclose(g.edges, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert np.allclose(g.centers, [0.125, 0.375, 0.625, 0.875])
         assert np.allclose(g.dx, 0.25)
+
+    def test_widths_and_centers_computed_once_and_read_only(self):
+        g = Grid.uniform(0.0, 1.0, 4)
+        assert g.dx is g.dx and g.centers is g.centers
+        with pytest.raises(ValueError):
+            g.dx[0] = 1.0
+        with pytest.raises(ValueError):
+            g.centers[0] = 1.0
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(ValueError):
@@ -153,8 +162,6 @@ class TestHomogeneous:
 
     def test_against_plain_suliciu_reference(self, rng):
         # same Lagrangian speeds, naive textbook assembly of the star states
-        from fenepsv.riemann import cell_state, relaxation_speeds
-
         params = PhysParams(g=10.0, G=0.0, lam=0.1, zeta=0.0, ell=10.0)
         n = 40
         p = sample_states(params, n, rng)
@@ -245,7 +252,7 @@ class TestSource:
     def test_source_step_preserves_mass_momentum_bitwise(self, rng):
         p = sample_states(P10, 200, rng)
         q = p.conserved()
-        out = source_step(q, 0.02, P10)
+        out, _, _ = source_step(q, 0.02, P10)
         assert np.array_equal(np.asarray(out.h), np.asarray(q.h))
         assert np.array_equal(np.asarray(out.hu), np.asarray(q.hu))
 
@@ -253,9 +260,11 @@ class TestSource:
         p = sample_states(P10, 500, rng)
         q = p.conserved()
         f0 = free_energy(p, P10)
-        out = source_step(q, 0.1, P10)
+        out, p_out, f_out = source_step(q, 0.1, P10)
         f1 = free_energy(out.primitive(), P10)
         assert np.all(f1 <= f0 + 1e-12 * (1.0 + np.abs(f0)))
+        # The returned primitive state and free energy are those of the result.
+        assert np.array_equal(p_out.sxx, out.primitive().sxx) and np.array_equal(f_out, f1)
 
     def test_equilibrium_is_fixed_point(self):
         se = float(equilibrium_sigma(P10))
@@ -338,8 +347,11 @@ class TestFullStep:
         control = StepControl(bc="reflective")
         mass0 = float(np.sum(state.q.h * grid.dx))
         for _ in range(100):
-            state, diag = full_step(state, grid, P10, control)
-            assert diag.boundary_mass_flux == (0.0, 0.0)
+            cells = cell_state(apply_boundary(state.q, "reflective"), P10)
+            l, r = cells[:-1], cells[1:]
+            mass_flux = interface_fluxes(star_states(l, r, relaxation_speeds(l, r), P10)).f_left[0]
+            assert (mass_flux[0], mass_flux[-1]) == (0.0, 0.0)
+            state, _ = full_step(state, grid, P10, control)
         mass1 = float(np.sum(state.q.h * grid.dx))
         assert abs(mass1 - mass0) / mass0 <= 1e-13
 
