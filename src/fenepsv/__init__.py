@@ -22,7 +22,6 @@ from .scenarios import (
     run,
 )
 from .timeloop import (
-    AdmissibilityLoss,
     DissipationViolation,
     Grid,
     SimState,

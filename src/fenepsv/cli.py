@@ -25,7 +25,6 @@ from .riemann import StarStateError
 from .scenarios import SCENARIOS, ConfigError, RunConfig, convergence_study, preset_dam_break, run
 from .timeloop import (
     BOUNDARY_KINDS,
-    AdmissibilityLoss,
     DissipationViolation,
     SourceSolveFailure,
     SubcharacteristicViolation,
@@ -164,7 +163,6 @@ _SOLVER_ERRORS = (
     NonHyperbolicError,
     StarStateError,
     TimeStepCollapse,
-    AdmissibilityLoss,
     SourceSolveFailure,
     SubcharacteristicViolation,
 )

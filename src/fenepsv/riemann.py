@@ -70,8 +70,9 @@ class CellState:
     internal energy per unit depth, w1 and w2 the transported invariants,
     alpha and beta the compression- and expansion-side speed amplifiers,
     proj the (4, ...) conserved state projected back through w1 and w2 (the
-    outer fan states).  Indexing slices every field along the cell axis, so
-    the two sides of all interfaces are `cells[:-1]` and `cells[1:]`.
+    outer fan states), f the (4, ...) exact flux of the shallow viscoelastic
+    system.  Indexing slices every field along the cell axis, so the two
+    sides of all interfaces are `cells[:-1]` and `cells[1:]`.
     """
 
     q: np.ndarray
@@ -85,6 +86,7 @@ class CellState:
     alpha: np.ndarray | float
     beta: np.ndarray | float
     proj: np.ndarray
+    f: np.ndarray
 
     @property
     def h(self):
@@ -96,11 +98,6 @@ class CellState:
 
     def __getitem__(self, idx) -> "CellState":
         return CellState(*(getattr(self, f.name)[..., idx] for f in fields(self)))
-
-    def flux(self) -> np.ndarray:
-        """Exact flux of the shallow viscoelastic system, shape (4, ...)."""
-        q, u = self.q, self.u
-        return np.stack([q[1], q[1] * u + self.P, q[2] * u, q[3] * u])
 
 
 @dataclass
@@ -206,10 +203,11 @@ def cell_state(q: Conserved, params: PhysParams) -> CellState:
     dPdh = dP_dh_frozen(p, params)
     w1 = p.sxx * np.power(p.h, 2.0 * (1.0 - params.zeta))
     w2 = p.szz * np.power(p.h, 2.0 * (params.zeta - 1.0))
+    P = total_pressure(p, params)
     return CellState(
         q=q.as_array(),
         u=p.u,
-        P=total_pressure(p, params),
+        P=P,
         dPdh=dPdh,
         a=np.sqrt(dPdh),
         ehat=internal_energy(p, params),
@@ -218,6 +216,7 @@ def cell_state(q: Conserved, params: PhysParams) -> CellState:
         alpha=alpha,
         beta=V / (1.0 - V),
         proj=_project(q.h, q.hu, w1, w2, params.zeta).as_array(),
+        f=np.stack([q.hu, q.hu * p.u + P, q.hsxx * p.u, q.hszz * p.u]),
     )
 
 
@@ -354,33 +353,27 @@ def project_state(rs: RelaxedState, zeta: float) -> Conserved:
     return _project(rs.h, rs.hu, rs.w1, rs.w2, zeta)
 
 
-def interface_fluxes(fan: WaveFan, *, f0: str = "exact") -> FluxPair:
+def interface_fluxes(fan: WaveFan) -> FluxPair:
     """Numerical fluxes of the simple solver built on the relaxed fan.
 
     f_left  = F0(q_l) + sum_k min(s_k, 0) * jump_k,
     f_right = F0(q_r) - sum_k max(s_k, 0) * jump_k,
 
-    jumps taken between fan states projected to conserved variables.  The
-    cell update only ever sees flux differences, so any consistent F0 gives
-    the same scheme; f0="zero" exposes that for testing.  Only the
+    with F0 the sides' exact fluxes `fan.left.f`, `fan.right.f` and jumps
+    taken between fan states projected to conserved variables.  The cell
+    update only ever sees flux differences, so any consistent F0 gives the
+    same scheme (a fan whose sides carry f = 0 exposes that).  Only the
     conformation components are one-sided: the conservative components
     (h, hu) take the algebraically identical central form 0.5*(F0_l + F0_r
     - sum_k |s_k| jump_k), shared verbatim by both outputs, which makes the
     scheme telescope exactly.
     """
-    if f0 not in ("exact", "zero"):
-        raise ValueError(f"unknown f0 mode {f0!r}")
     proj = [st.as_array() for st in fan.proj]
     d1 = proj[1] - proj[0]
     d2 = proj[2] - proj[1]
     d3 = proj[3] - proj[2]
     s1, s2, s3 = fan.s1, fan.s2, fan.s3
-
-    if f0 == "exact":
-        f0_l = fan.left.flux()
-        f0_r = fan.right.flux()
-    else:
-        f0_l = f0_r = np.zeros_like(proj[0])
+    f0_l, f0_r = fan.left.f, fan.right.f
 
     central = 0.5 * (
         (f0_l[:2] + f0_r[:2]) - ((np.abs(s1) * d1[:2] + np.abs(s3) * d3[:2]) + np.abs(s2) * d2[:2])

@@ -21,6 +21,7 @@ import numpy as np
 from .model import (
     Conserved,
     PhysParams,
+    Primitive,
     dissipation_rate,
     free_energy,
     is_admissible,
@@ -42,7 +43,6 @@ __all__ = [
     "StepControl",
     "StepDiagnostics",
     "TimeStepCollapse",
-    "AdmissibilityLoss",
     "SourceSolveFailure",
     "SubcharacteristicViolation",
     "DissipationViolation",
@@ -63,10 +63,6 @@ DISSIPATION_RTOL = 1e-10
 
 class TimeStepCollapse(RuntimeError):
     """CFL time step fell below the collapse threshold."""
-
-
-class AdmissibilityLoss(RuntimeError):
-    """A cell left the admissible region during the transport update."""
 
 
 class SourceSolveFailure(RuntimeError):
@@ -183,9 +179,11 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
     applies the three-point update: cell i sees f_left of its right interface
     and f_right of its left interface.  dt=None takes the CFL step, shortened
     by control.max_dt to land on an output time (never below half the CFL
-    step unless the cap itself is smaller).
+    step unless the cap itself is smaller).  A transported cell outside the
+    admissible region raises AdmissibilityError.
 
-    Returns (transported cells, dt, fan, subcharacteristic ratios).
+    Returns (transported cells, their primitive variables, dt, fan,
+    subcharacteristic ratios).
     """
     cells = cell_state(apply_boundary(q, control.bc), params)
     l, r = cells[:-1], cells[1:]
@@ -223,8 +221,9 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
     q_half = Conserved.from_array(
         q.as_array() - (dt / grid.dx) * (pair.f_left[:, 1:] - pair.f_right[:, :-1])
     )
-    _check_cells(q_half, params)
-    return q_half, dt, fan, ratio
+    p_half = q_half.primitive()
+    require_admissible(p_half, params, "cell after transport")
+    return q_half, p_half, dt, fan, ratio
 
 
 def homogeneous_step(
@@ -233,18 +232,6 @@ def homogeneous_step(
     """Transport-only update over dt (no relaxation source)."""
     q_half, *_ = _transport(state.q, grid, params, control or StepControl(), dt)
     return SimState(state.t + dt, q_half)
-
-
-def _check_cells(q: Conserved, params: PhysParams):
-    ok = is_admissible(q.primitive(), params)
-    if not np.all(ok):
-        bad = np.flatnonzero(~np.atleast_1d(ok))
-        i = int(bad[0])
-        h = np.atleast_1d(q.h)[i]
-        raise AdmissibilityLoss(
-            f"cell {i} left the admissible region after transport "
-            f"(h={h!r}, {bad.size} offending cells)"
-        )
 
 
 def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
@@ -310,14 +297,14 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
     return sxx, szz
 
 
-def source_step(q: Conserved, dt: float, params: PhysParams):
+def source_step(q: Conserved, p: Primitive, dt: float, params: PhysParams):
     """Apply the implicit relaxation source; depth and momentum untouched.
 
-    Postconditions (checked): the result is admissible and the free energy
-    does not increase beyond a roundoff allowance.  Returns the relaxed
-    state with its primitive variables and free energy, (q, p, F).
+    p holds the primitive variables of q.  Postconditions (checked): the
+    result is admissible and the free energy does not increase beyond a
+    roundoff allowance.  Returns the relaxed state with its primitive
+    variables and free energy, (q, p, F).
     """
-    p = q.primitive()
     sxx, szz = relax_conformations(p.sxx, p.szz, dt, params)
     out = Conserved(q.h, q.hu, q.h * sxx, q.h * szz)
     p_new = out.primitive()
@@ -355,8 +342,8 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     control = control or StepControl()
     p_old = state.q.primitive()
     require_admissible(p_old, params, "cell state")
-    q_half, dt, fan, ratio = _transport(state.q, grid, params, control)
-    q_new, p_new, f_new = source_step(q_half, dt, params)
+    q_half, p_half, dt, fan, ratio = _transport(state.q, grid, params, control)
+    q_new, p_new, f_new = source_step(q_half, p_half, dt, params)
 
     f_old = free_energy(p_old, params)
     d_new = dissipation_rate(p_new, params)

@@ -126,8 +126,10 @@ def test_riemann_battery(acceptance_record):
             pair = interface_fluxes(fan)
             flux_shared &= bool(np.array_equal(pair.f_left[:2], pair.f_right[:2]))
 
-            pz = interface_fluxes(fan, f0="zero")
-            f0l, f0r = l.flux(), r.flux()
+            zl = dataclasses.replace(l, f=np.zeros_like(l.f))
+            zr = dataclasses.replace(r, f=np.zeros_like(r.f))
+            pz = interface_fluxes(dataclasses.replace(fan, left=zl, right=zr))
+            f0l, f0r = l.f, r.f
             recon = np.concatenate([0.5 * (f0l[:2] + f0r[:2]) + pz.f_left[:2], f0l[2:] + pz.f_left[2:]])
             scale_f = np.abs(pair.f_left) + np.abs(f0l) + np.abs(f0r) + 1.0
             worst_f0 = max(worst_f0, float(np.max(np.abs(pair.f_left - recon) / scale_f)))

@@ -45,7 +45,14 @@ def fluxes(q_l, q_r, params=P10):
 
 
 def exact_flux(q, params=P10):
-    return cell_state(q, params).flux()
+    return cell_state(q, params).f
+
+
+def zero_f0(fan):
+    """The same fan with the sides' exact fluxes replaced by zero."""
+    left = dataclasses.replace(fan.left, f=np.zeros_like(fan.left.f))
+    right = dataclasses.replace(fan.right, f=np.zeros_like(fan.right.f))
+    return dataclasses.replace(fan, left=left, right=right)
 
 
 def mirror_conserved(q: Conserved) -> Conserved:
@@ -98,8 +105,18 @@ class TestSpeedIngredients:
         q = sample_states(P10, 50, rng).conserved()
         cells = cell_state(q, P10)
         part = cells[3:9]
-        assert part.q.shape == (4, 6)
+        assert part.q.shape == (4, 6) and part.f.shape == (4, 6)
         assert np.array_equal(part.h, q.h[3:9]) and np.array_equal(part.beta, cells.beta[3:9])
+        assert np.array_equal(part.f, cells.f[:, 3:9])
+
+    def test_cell_flux_is_exact_flux_bitwise(self, rng):
+        # Reference: the exact flux (hu, hu u + P, h sxx u, h szz u) written out.
+        for params in (P10, PARAM_GRID[7]):
+            q = sample_states(params, 500, rng).conserved()
+            p = q.primitive()
+            P = total_pressure(p, params)
+            want = np.stack([q.hu, q.hu * p.u + P, q.hsxx * p.u, q.hszz * p.u])
+            assert cell_state(q, params).f.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("zeta", [0.0, 0.25, 0.5])
     def test_cell_projection_matches_per_side_projection(self, rng, zeta):
@@ -274,8 +291,8 @@ class TestFluxes:
         q_l = sample_states(P10, 1000, rng).conserved()
         q_r = sample_states(P10, 1000, rng).conserved()
         fan = fan_of(q_l, q_r)
-        pe = interface_fluxes(fan, f0="exact")
-        pz = interface_fluxes(fan, f0="zero")
+        pe = interface_fluxes(fan)
+        pz = interface_fluxes(zero_f0(fan))
         f0l = exact_flux(q_l)
         f0r = exact_flux(q_r)
         scale = np.abs(pe.f_left) + np.abs(f0l) + np.abs(f0r) + 1.0
