@@ -151,11 +151,11 @@ def require_admissible(p: Primitive, params: PhysParams, context: str = "state")
     ok = is_admissible(p, params)
     if not np.all(ok):
         bad = np.argwhere(~np.atleast_1d(ok))
-        i = tuple(bad[0])
-        h, sxx, szz = np.atleast_1d(p.h), np.atleast_1d(p.sxx), np.atleast_1d(p.szz)
+        i = tuple(bad[0].tolist())
+        h, sxx, szz = (float(np.atleast_1d(v)[i]) for v in (p.h, p.sxx, p.szz))
         raise AdmissibilityError(
             f"{context} outside admissible region at index {i}: "
-            f"h={h[i]!r}, sxx={sxx[i]!r}, szz={szz[i]!r}, ell={params.ell!r} "
+            f"h={h!r}, sxx={sxx!r}, szz={szz!r}, ell={float(params.ell)!r} "
             f"({bad.shape[0]} offending entries)"
         )
 
@@ -202,7 +202,7 @@ def dP_dh_frozen(p: Primitive, params: PhysParams):
     )
     if not np.all(out > 0):
         raise NonHyperbolicError(
-            f"dP/dh non-positive (min {np.min(out)!r}); state left the hyperbolic region"
+            f"dP/dh non-positive (min {float(np.min(out))!r}); state left the hyperbolic region"
         )
     return out
 

@@ -249,9 +249,9 @@ def relaxation_speeds(l: CellState, r: CellState) -> SpeedPair:
 
 def _fail_star(mask, what, sp: SpeedPair):
     mask, cl, cr = np.broadcast_arrays(np.atleast_1d(mask), sp.c_l, sp.c_r)
-    idx = tuple(np.argwhere(mask)[0])
+    idx = tuple(np.argwhere(mask)[0].tolist())
     raise StarStateError(
-        f"{what} at interface index {idx} (c_l={cl[idx]!r}, c_r={cr[idx]!r}, "
+        f"{what} at interface index {idx} (c_l={float(cl[idx])!r}, c_r={float(cr[idx])!r}, "
         f"{int(mask.sum())} offending interfaces)"
     )
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,23 +248,38 @@ def _snapshot_rows(grid: Grid, q: Conserved, params: PhysParams):
     return np.broadcast_arrays(*cols)
 
 
-def _repr_column(c) -> list:
-    """`repr` of every float of a 1-D column, computed once per run of equal values.
+def _format_runs(cols, fmt: str) -> list:
+    """`fmt % row` for every row of the equal-length columns `cols`, once per row-run.
 
-    Runs are runs of equal float64 bit patterns, so -0.0 and 0.0 stay apart.
+    A row-run is a maximal stretch of rows in which no column's float64 bit
+    pattern changes, so -0.0 and 0.0 stay apart.
     """
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    bits = c.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    texts = np.array([repr(v) for v in c[starts].tolist()], dtype=object)
-    return np.repeat(texts, np.diff(starts, append=c.size)).tolist()
+    a = np.array(np.broadcast_arrays(*cols), dtype=np.float64)
+    bits = a.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], np.any(bits[:, 1:] != bits[:, :-1], axis=0))))
+    texts = np.array([fmt % row for row in zip(*a[:, starts].tolist())], dtype=object)
+    return np.repeat(texts, np.diff(starts, append=a.shape[1])).tolist()
+
+
+_ROW_TAIL = ",".join(["%r"] * (len(SNAPSHOT_COLUMNS) - 1)) + "\n"
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_text(centers: bytes) -> tuple:
+    """`repr(x) + ","` of every grid centre, the first field of each snapshot row.
+
+    Keyed on the centres' bytes, it holds one grid's text.  `run` clears it
+    when it starts, so each run formats its grid exactly once.
+    """
+    return tuple(repr(x) + "," for x in np.frombuffer(centers).tolist())
 
 
 def write_snapshot_csv(path: Path, grid: Grid, q: Conserved, params: PhysParams) -> None:
-    texts = [_repr_column(c) for c in _snapshot_rows(grid, q, params)]
+    x, *cols = _snapshot_rows(grid, q, params)
+    x_text = _grid_text(np.ascontiguousarray(x, dtype=np.float64).tobytes())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        f.writelines(",".join(row) + "\n" for row in zip(*texts))
+        f.writelines(map(operator.add, x_text, _format_runs(cols, _ROW_TAIL)))
 
 
 _DIAGNOSTICS_HEADER = (
@@ -300,6 +317,7 @@ def run(config: RunConfig) -> RunResult:
     """
     config = config.validated()
     t0 = time.perf_counter()
+    _grid_text.cache_clear()
     grid = Grid.uniform(config.x_min, config.x_max, config.cells)
     q0 = initial_condition(config, grid)
     state = SimState(t=0.0, q=q0.copy())
@@ -393,12 +411,16 @@ def run(config: RunConfig) -> RunResult:
 _PANELS = ("h", "u", "sigma_xx", "sigma_zz")
 
 
-def _polyline_points(px, py) -> str:
-    """SVG `points` text of screen coordinates, two decimals each."""
-    return " ".join("%.2f,%.2f" % xy for xy in zip(px.tolist(), py.tolist()))
+def _polyline_points(x_text, py) -> str:
+    """SVG `points` text: the screen-x texts ("%.2f,") joined to two-decimal screen y."""
+    return " ".join(map(operator.add, x_text, _format_runs((py,), "%.2f")))
 
 
-def _panel_svg(ox: float, oy: float, w: float, h: float, title: str, x, y0, y1) -> list:
+def _panel_svg(
+    ox: float, oy: float, w: float, h: float, title: str, x, y0, y1, x_texts: dict
+) -> list:
+    """SVG elements of one panel.  `x_texts` maps a panel origin `ox` to its
+    polylines' screen-x text; panels of one column share it."""
     lo = min(float(np.min(y0)), float(np.min(y1)))
     hi = max(float(np.max(y0)), float(np.max(y1)))
     pad = 0.05 * (hi - lo)
@@ -432,11 +454,14 @@ def _panel_svg(ox: float, oy: float, w: float, h: float, title: str, x, y0, y1) 
             f'<text x="{ox - 4:.1f}" y="{sy(vy) + 3:.1f}" font-size="10" fill="#555555" '
             f'text-anchor="end">{vy:.4g}</text>'
         )
+    if ox not in x_texts:
+        x_texts[ox] = _format_runs((sx(x),), "%.2f,")
+    x_text = x_texts[ox]
     for ydata, style in (
         (y0, 'fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="4 3"'),
         (y1, 'fill="none" stroke="#1f6feb" stroke-width="1.5"'),
     ):
-        out.append(f'<polyline points="{_polyline_points(sx(x), sy(ydata))}" {style}/>')
+        out.append(f'<polyline points="{_polyline_points(x_text, sy(ydata))}" {style}/>')
     return out
 
 
@@ -463,12 +488,13 @@ def write_svg_summary(path: Path, grid: Grid, q_init: Conserved, q_final: Conser
         '<text x="50" y="26" font-size="14" fill="#111111">'
         "final state (solid) vs initial (dashed)</text>",
     ]
+    x_texts: dict = {}
     for k, name in enumerate(_PANELS):
         col, row = k % 2, k // 2
         ox = m + col * (pw + m)
         oy = m + row * (ph + m)
         y0, y1 = series[name]
-        body.extend(_panel_svg(ox, oy, pw, ph, name, grid.centers, y0, y1))
+        body.extend(_panel_svg(ox, oy, pw, ph, name, grid.centers, y0, y1, x_texts))
     body.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(body) + "\n")

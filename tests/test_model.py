@@ -113,8 +113,11 @@ class TestAdmissibility:
         h = np.ones(5)
         sxx = np.ones(5)
         sxx[3] = -1.0
-        with pytest.raises(AdmissibilityError, match="3"):
+        with pytest.raises(AdmissibilityError, match="3") as err:
             require_admissible(Primitive(h, np.zeros(5), sxx, np.ones(5)), P10)
+        msg = str(err.value)
+        assert "at index (3,): h=1.0, sxx=-1.0, szz=1.0, ell=10.0 (1 offending entries)" in msg
+        assert "np." not in msg
 
     def test_trace_at_bound_rejected(self):
         assert not bool(np.all(is_admissible(Primitive(1.0, 0.0, 5.0, 5.0), P10)))
@@ -150,8 +153,9 @@ class TestPressureLaw:
     def test_nonhyperbolic_guard(self):
         # opposite-sign conformation (inadmissible) drives dP/dh negative
         p = Primitive(1e-3, 0.0, 0.5, -0.4)
-        with pytest.raises(NonHyperbolicError):
+        with pytest.raises(NonHyperbolicError, match=r"min -") as err:
             dP_dh_frozen(p, P10)
+        assert "np." not in str(err.value)
 
 
 class TestFreeEnergy:

@@ -209,8 +209,10 @@ class TestStarStates:
 
         ql = Primitive(1.0, 8.0, 1.0, 1.0).conserved()
         qr = Primitive(0.01, -8.0, 1.0, 1.0).conserved()
-        with pytest.raises(StarStateError):
+        msg = r"interface index \(0,\) \(c_l=1e-06, c_r=1e-06,"
+        with pytest.raises(StarStateError, match=msg) as err:
             fan_of(ql, qr, sp=SpeedPair(1e-6, 1e-6))
+        assert "np." not in str(err.value)
 
     @given(
         st.floats(-1.5, 1.5), st.floats(-5.0, 5.0), st.floats(0.1, 4.0), st.floats(0.1, 4.0),

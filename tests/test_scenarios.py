@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -20,7 +21,14 @@ from fenepsv.scenarios import (
     preset_uniform,
     run,
 )
-from fenepsv.scenarios import _polyline_points, _repr_column, _snapshot_rows
+from fenepsv.scenarios import (
+    _ROW_TAIL,
+    _format_runs,
+    _grid_text,
+    _polyline_points,
+    _snapshot_rows,
+    write_snapshot_csv,
+)
 from fenepsv.timeloop import Grid, SourceSolveFailure
 
 
@@ -189,6 +197,17 @@ def _loop_rows(cols):
     return [",".join(repr(float(c[i])) for c in cols) for i in range(cols[0].size)]
 
 
+def _written_rows(x, cols):
+    """Snapshot rows as the writer composes them: the grid text, then the row-run tails."""
+    x_text = _grid_text(np.ascontiguousarray(x, dtype=np.float64).tobytes())
+    return [(a + b)[:-1] for a, b in zip(x_text, _format_runs(cols, _ROW_TAIL))]
+
+
+def _seven(c):
+    """Seven columns from one: the column rotated by 0..6 cells, so each changes at other cells."""
+    return [np.roll(c, k) for k in range(len(SNAPSHOT_COLUMNS) - 1)]
+
+
 class TestColumnFormat:
     TINY = 5e-324
     COLUMNS = {
@@ -205,26 +224,70 @@ class TestColumnFormat:
     def test_matches_loop(self, name):
         c = np.array(self.COLUMNS[name])
         x = np.linspace(0.0, 1.0, c.size)
-        assert [",".join(r) for r in zip(_repr_column(x), _repr_column(c))] == _loop_rows((x, c))
+        cols = _seven(c)
+        assert _written_rows(x, cols) == _loop_rows((x, *cols))
+
+    def test_columns_change_at_different_cells(self):
+        n = 12
+        i = np.arange(n)
+        cols = [np.where(i < 2 + k, 0.5, 1.0 + k) for k in range(len(SNAPSHOT_COLUMNS) - 1)]
+        x = np.linspace(0.0, 1.0, n)
+        assert _written_rows(x, cols) == _loop_rows((x, *cols))
+
+    def test_one_column_differs_only_in_zero_sign(self):
+        n = 9
+        cols = [np.zeros(n) for _ in range(len(SNAPSHOT_COLUMNS) - 1)]
+        cols[3][[2, 3, 7]] = -0.0
+        x = np.linspace(0.0, 1.0, n)
+        rows = _written_rows(x, cols)
+        assert rows == _loop_rows((x, *cols))
+        assert [r.split(",")[4] for r in rows] == ["-0.0" if k in (2, 3, 7) else "0.0"
+                                                   for k in range(n)]
 
     def test_stride_zero_broadcast_column(self):
         x = np.linspace(0.0, 1.0, 12)
         x_b, c = np.broadcast_arrays(x, np.array(-0.0))
         assert c.strides == (0,)
-        rows = [",".join(r) for r in zip(_repr_column(x_b), _repr_column(c))]
-        assert rows == _loop_rows((x, -0.0))
+        cols = [c] + _seven(np.arange(12.0))[1:]
+        assert _written_rows(x_b, cols) == _loop_rows((x, *cols))
 
     def test_random_runs_match_loop(self):
         rng = np.random.default_rng(7)
         values = np.array([0.0, -0.0, 1.0, 1 / 3, -2.5e-310, 1e308, np.nextafter(1.0, 2.0)])
         c = values[rng.integers(0, values.size, 400)].repeat(rng.integers(1, 4, 400))
-        assert _repr_column(c) == [repr(float(v)) for v in c]
+        assert _format_runs((c,), "%r") == [repr(float(v)) for v in c]
+        cols = _seven(c)
+        x = np.linspace(-1.0, 1.0, c.size)
+        assert _written_rows(x, cols) == _loop_rows((x, *cols))
+
+    def test_grid_text_keyed_on_centres_and_scoped_to_run(self, tmp_path):
+        """Same cell count, other edges: the text follows the centres' values, per run."""
+        cfg = preset_dam_break(10.0, cells=16, t_end=0.002, snapshots=3)
+        grid_a, grid_b = Grid.uniform(0.0, 1.0, 16), Grid.uniform(-2.0, 3.0, 16)
+        q = initial_condition(cfg, grid_a)
+        # One grid object whose centres are rewritten in place: a cache keyed on
+        # identity (of the grid or of its centres) would hand back stale text.
+        shared = types.SimpleNamespace(centers=np.empty(16))
+        for k, g in enumerate((grid_a, grid_b, grid_a)):
+            shared.centers[:] = g.centers
+            for tag, grid in (("grid", g), ("shared", shared)):
+                path = tmp_path / f"{tag}{k}.csv"
+                write_snapshot_csv(path, grid, q, cfg.params)
+                rows = path.read_text().splitlines()[1:]
+                assert rows == _loop_rows(_snapshot_rows(g, q, cfg.params))
+        cfg = dataclasses.replace(cfg, outdir=str(tmp_path / "run"))
+        for _ in range(2):
+            res = run(cfg)
+            info = _grid_text.cache_info()
+            assert (info.misses, info.hits) == (1, len(res.snapshot_files) - 1)
 
     def test_polyline_points_match_per_point_format(self):
         rng = np.random.default_rng(11)
-        for n in (1, 2, 257):
+        long_runs = np.repeat(rng.normal(0.0, 3.0, 6), rng.integers(20, 200, 6))
+        cases = [rng.normal(0.0, 10.0, n) ** 3 for n in (1, 2, 257)] + [long_runs]
+        for y in cases:
+            n = y.size
             x = np.sort(rng.uniform(-3.0, 5.0, n))
-            y = rng.normal(0.0, 10.0, n) ** 3
             ox, oy, w, h = rng.uniform(0.0, 500.0, 4)
             xl, xr = float(x[0]) - 0.5, float(x[-1]) + 0.5
             lo, hi = float(np.min(y)) - 0.1, float(np.max(y)) + 0.1
@@ -236,7 +299,9 @@ class TestColumnFormat:
                 return oy + h - (v - lo) / (hi - lo) * h
 
             ref = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
-            assert _polyline_points(sx(x), sy(y)) == ref
+            assert _polyline_points(_format_runs((sx(x),), "%.2f,"), sy(y)) == ref
+        assert _format_runs((np.array([0.0, -0.0, -0.0, 0.0]),), "%.2f") == [
+            "0.00", "-0.00", "-0.00", "0.00"]
 
     def test_one_cell_solve_writes_outputs(self, tmp_path):
         res = run(preset_uniform(10.0, cells=1, t_end=0.01, outdir=str(tmp_path)))
