@@ -1,0 +1,39 @@
+#!/bin/sh
+# End-to-end check of the command line's exit codes.
+#
+#   sh scripts/check_exit_codes.sh fenepsv                   # installed console script
+#   sh scripts/check_exit_codes.sh python3 -m fenepsv.cli    # from a source checkout
+#
+# The arguments are the command that starts the command line.  Each case must
+# exit with its documented code and print no Python traceback.  Scratch files
+# go to a fresh directory under $TMPDIR (default /tmp), removed on exit.
+set -u
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+status=0
+
+expect() {
+    want=$1
+    shift
+    "$@" >"$work/stdout" 2>"$work/stderr"
+    got=$?
+    if [ "$got" != "$want" ] || grep -q Traceback "$work/stderr"; then
+        echo "FAIL: exit $got, expected $want: $*" >&2
+        cat "$work/stderr" >&2
+        status=1
+    else
+        echo "ok: exit $got: $*"
+    fi
+}
+
+printf 'frobnicate = 1\n' >"$work/unknown.cfg"
+printf 'cells = 16\nt_end = 0.01\ndt_min_factor = 1.0\n' >"$work/collapse.cfg"
+
+expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
+expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
+if ! grep -q '"status": "error"' "$work/collapse/run.json"; then
+    echo "FAIL: the collapsed run wrote no error run.json" >&2
+    status=1
+fi
+expect 2 "$@" check --samples 0
+exit $status

@@ -6,11 +6,12 @@ scheme with per-step energy audit), `scenarios` (configured runs and
 artifacts), `oracles` (independent verification), `cli` (entry point).
 
 The package root re-exports the names of a library session and the error
-types behind the command line's exit codes 2 to 4; everything else lives in
-its layer's module.
+types behind the command line's exit codes 2 to 4; every solver error derives
+from `SolverError`.  Everything else lives in its layer's module.
 """
 
 from .model import AdmissibilityError, Conserved, NonHyperbolicError, PhysParams, Primitive
+from .model import SolverError
 from .riemann import StarStateError
 from .scenarios import (
     ConfigError,

@@ -19,17 +19,10 @@ import json
 import sys
 from pathlib import Path
 
-from .model import AdmissibilityError, NonHyperbolicError, PhysParams
+from .model import PhysParams, SolverError
 from .oracles import DEFAULT_SEED, run_all_checks
-from .riemann import StarStateError
 from .scenarios import SCENARIOS, ConfigError, RunConfig, convergence_study, preset_dam_break, run
-from .timeloop import (
-    BOUNDARY_KINDS,
-    DissipationViolation,
-    SourceSolveFailure,
-    SubcharacteristicViolation,
-    TimeStepCollapse,
-)
+from .timeloop import BOUNDARY_KINDS, DissipationViolation
 
 __all__ = ["main", "parse_config_file", "build_config"]
 
@@ -158,26 +151,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_SOLVER_ERRORS = (
-    AdmissibilityError,
-    NonHyperbolicError,
-    StarStateError,
-    TimeStepCollapse,
-    SourceSolveFailure,
-    SubcharacteristicViolation,
-)
-
-
-def _write_error_record(outdir: str | None, cfg: RunConfig | None, exc: Exception) -> None:
-    if outdir is None:
-        return
+def _write_error_record(cfg: RunConfig, exc: SolverError) -> None:
     try:
-        path = Path(outdir)
+        path = Path(cfg.outdir)
         path.mkdir(parents=True, exist_ok=True)
         payload = {
             "status": "error",
             "error": f"{type(exc).__name__}: {exc}",
-            "config": cfg.as_dict() if cfg is not None else None,
+            "config": cfg.as_dict(),
         }
         with open(path / "run.json", "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
@@ -202,8 +183,8 @@ def _cmd_solve(args) -> int:
         cfg = dataclasses.replace(cfg, outdir="out")
     try:
         result = run(cfg)
-    except (DissipationViolation, *_SOLVER_ERRORS) as e:
-        _write_error_record(cfg.outdir, cfg, e)
+    except SolverError as e:
+        _write_error_record(cfg, e)
         raise
     s = result.summary()
     print(
@@ -233,6 +214,9 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    for flag, value, low in (("--samples", args.samples, 1), ("--seed", args.seed, 0)):
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
     reports = run_all_checks(seed=args.seed, samples=args.samples)
     if args.json:
         print(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
@@ -261,7 +245,7 @@ def main(argv=None) -> int:
     except DissipationViolation as e:
         print(f"dissipation violation: {e}", file=sys.stderr)
         return 4
-    except _SOLVER_ERRORS as e:
+    except SolverError as e:
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

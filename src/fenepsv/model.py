@@ -36,6 +36,7 @@ __all__ = [
     "PhysParams",
     "Primitive",
     "Conserved",
+    "SolverError",
     "AdmissibilityError",
     "NonHyperbolicError",
     "is_admissible",
@@ -50,11 +51,35 @@ __all__ = [
 ]
 
 
-class AdmissibilityError(ValueError):
+class SolverError(RuntimeError):
+    """A failed solver step: the base of every error behind exit codes 3 and 4.
+
+    `index` is the failing entry as a tuple of int and `values` maps field
+    names to plain floats there; both are empty unless the error came from `at`.
+    """
+
+    def __init__(self, message: str, index: tuple = (), values: dict | None = None):
+        super().__init__(message)
+        self.index, self.values = index, values or {}
+
+    @classmethod
+    def at(cls, what: str, bad, worst=None, **fields):
+        """Name the first entry where mask `bad` holds, or the one of largest
+        `worst`, with each field's value there and the count of such entries."""
+        bad, *arrays = np.broadcast_arrays(np.atleast_1d(bad), *fields.values())
+        flat = np.argmax(bad if worst is None else np.where(bad, worst, -np.inf))
+        index = tuple(int(k) for k in np.unravel_index(flat, bad.shape))
+        values = {k: float(a[index]) for k, a in zip(fields, arrays)}
+        text = ", ".join(f"{k}={v!r}" for k, v in values.items())
+        n = int(np.count_nonzero(bad))
+        return cls(f"{what} at index {index}: {text} ({n} offending entries)", index, values)
+
+
+class AdmissibilityError(SolverError, ValueError):
     """A state left the admissible region {h>0, sxx>0, szz>0, sxx+szz<ell}."""
 
 
-class NonHyperbolicError(ValueError):
+class NonHyperbolicError(SolverError, ValueError):
     """The frozen pressure derivative dP/dh came out non-positive."""
 
 
@@ -150,13 +175,8 @@ def is_admissible(p: Primitive, params: PhysParams):
 def require_admissible(p: Primitive, params: PhysParams, context: str = "state"):
     ok = is_admissible(p, params)
     if not np.all(ok):
-        bad = np.argwhere(~np.atleast_1d(ok))
-        i = tuple(bad[0].tolist())
-        h, sxx, szz = (float(np.atleast_1d(v)[i]) for v in (p.h, p.sxx, p.szz))
-        raise AdmissibilityError(
-            f"{context} outside admissible region at index {i}: "
-            f"h={h!r}, sxx={sxx!r}, szz={szz!r}, ell={float(params.ell)!r} "
-            f"({bad.shape[0]} offending entries)"
+        raise AdmissibilityError.at(
+            f"{context} outside admissible region", ~ok, h=p.h, sxx=p.sxx, szz=p.szz, ell=params.ell
         )
 
 
@@ -164,8 +184,9 @@ def _trace_gap(p: Primitive, params: PhysParams):
     """1 - (sxx+szz)/ell, the FENE denominator; must be positive."""
     gap = 1.0 - (p.sxx + p.szz) / params.ell
     if not np.all(gap > 0):
-        raise AdmissibilityError(
-            f"conformation trace reached the extensibility bound ell={params.ell!r}"
+        raise AdmissibilityError.at(
+            "conformation trace reached the extensibility bound", ~(gap > 0),
+            sxx=p.sxx, szz=p.szz, ell=params.ell,
         )
     return gap
 
@@ -201,8 +222,9 @@ def dP_dh_frozen(p: Primitive, params: PhysParams):
         + 2.0 * (1.0 - params.zeta) * params.G * (s * Q + (p.szz - p.sxx) ** 2 / params.ell) / Q**2
     )
     if not np.all(out > 0):
-        raise NonHyperbolicError(
-            f"dP/dh non-positive (min {float(np.min(out))!r}); state left the hyperbolic region"
+        raise NonHyperbolicError.at(
+            "dP/dh non-positive (state left the hyperbolic region)", ~(out > 0), worst=-out,
+            dPdh=out, h=p.h, sxx=p.sxx, szz=p.szz,
         )
     return out
 

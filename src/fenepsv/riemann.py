@@ -30,6 +30,7 @@ from .model import (
     Conserved,
     PhysParams,
     Primitive,
+    SolverError,
     dP_dh_frozen,
     internal_energy,
     require_admissible,
@@ -57,7 +58,7 @@ __all__ = [
 SPEED_FLOOR = 1e-14
 
 
-class StarStateError(RuntimeError):
+class StarStateError(SolverError):
     """The relaxed Riemann fan violated positivity, admissibility or ordering."""
 
 
@@ -247,15 +248,6 @@ def relaxation_speeds(l: CellState, r: CellState) -> SpeedPair:
     return SpeedPair(np.maximum(c_l, floor_l), np.maximum(c_r, floor_r))
 
 
-def _fail_star(mask, what, sp: SpeedPair):
-    mask, cl, cr = np.broadcast_arrays(np.atleast_1d(mask), sp.c_l, sp.c_r)
-    idx = tuple(np.argwhere(mask)[0].tolist())
-    raise StarStateError(
-        f"{what} at interface index {idx} (c_l={float(cl[idx])!r}, c_r={float(cr[idx])!r}, "
-        f"{int(mask.sum())} offending interfaces)"
-    )
-
-
 def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -> WaveFan:
     """Solve the relaxed Riemann problem exactly.
 
@@ -279,8 +271,8 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
     # reciprocal so equal input states reproduce h exactly.
     den_l = 1.0 + hl * ((cr * (ur - ul) + (pi_l - pi_r)) / (cl * csum))
     den_r = 1.0 + hr * ((cl * (ur - ul) + (pi_r - pi_l)) / (cr * csum))
-    if not np.all((den_l > 0) & (den_r > 0)):
-        _fail_star((den_l <= 0) | (den_r <= 0), "non-positive star depth", sp)
+    if not np.all(ok := (den_l > 0) & (den_r > 0)):
+        raise StarStateError.at("non-positive star depth", ~ok, c_l=cl, c_r=cr)
     h_l_star = hl / den_l
     h_r_star = hr / den_r
 
@@ -325,10 +317,10 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
         trace = (proj.hsxx + proj.hszz) / proj.h
         ok = (proj.hsxx > 0) & (proj.hszz > 0) & (trace < params.ell)
         if not np.all(ok):
-            _fail_star(~ok, "inadmissible star conformation", sp)
+            raise StarStateError.at("inadmissible star conformation", ~ok, c_l=cl, c_r=cr)
 
-    if not np.all((fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)):
-        _fail_star(~((fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)), "unordered wave speeds", sp)
+    if not np.all(ok := (fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)):
+        raise StarStateError.at("unordered wave speeds", ~ok, c_l=cl, c_r=cr)
 
     # Single-valued star pressure: both one-sided expressions must agree.
     res = (pi_l + cl * (ul - u_star)) - (pi_r + cr * (u_star - ur))
@@ -336,8 +328,8 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
         np.maximum(np.abs(pi_l), np.abs(pi_r)),
         np.maximum(cl * np.abs(ul), cr * np.abs(ur)),
     )
-    if not np.all(np.abs(res) <= 1e-10 * scale + 1e-300):
-        _fail_star(np.abs(res) > 1e-10 * scale + 1e-300, "two-sided star pressure mismatch", sp)
+    if not np.all(ok := np.abs(res) <= 1e-10 * scale + 1e-300):
+        raise StarStateError.at("two-sided star pressure mismatch", ~ok, c_l=cl, c_r=cr)
 
     return fan
 

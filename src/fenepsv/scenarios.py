@@ -533,8 +533,8 @@ def convergence_study(config: RunConfig, levels, reference: str = "auto") -> Con
     'auto' picks 'exact-sw' when valid, else 'self'.
     """
     levels = sorted(int(n) for n in levels)
-    if len(levels) < 2:
-        raise ConfigError("need at least two grid levels")
+    if len(levels) < 2 or levels[0] < 1:
+        raise ConfigError(f"need at least two grid levels, each >= 1; got {levels}")
     for a, b in zip(levels, levels[1:]):
         if b % a != 0 or b <= a:
             raise ConfigError(f"each level must divide the next; got {a} then {b}")

@@ -22,6 +22,7 @@ from .model import (
     Conserved,
     PhysParams,
     Primitive,
+    SolverError,
     dissipation_rate,
     free_energy,
     is_admissible,
@@ -61,19 +62,19 @@ BOUNDARY_KINDS = ("transmissive", "reflective", "periodic")
 DISSIPATION_RTOL = 1e-10
 
 
-class TimeStepCollapse(RuntimeError):
+class TimeStepCollapse(SolverError):
     """CFL time step fell below the collapse threshold."""
 
 
-class SourceSolveFailure(RuntimeError):
+class SourceSolveFailure(SolverError):
     """The implicit relaxation solve failed to converge or broke a postcondition."""
 
 
-class SubcharacteristicViolation(RuntimeError):
+class SubcharacteristicViolation(SolverError):
     """strict_subchar: the monitor stayed above 1 after the last speed doubling."""
 
 
-class DissipationViolation(RuntimeError):
+class DissipationViolation(SolverError):
     """Free-energy balance violated beyond tolerance (strict mode only)."""
 
 
@@ -201,10 +202,9 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
             fan = star_states(l, r, sp, params)
             ratio = subcharacteristic_monitor(fan, params)
         if np.any(ratio > 1.0):
-            i = int(np.argmax(ratio))
-            raise SubcharacteristicViolation(
-                f"subcharacteristic ratio {float(ratio[i])!r} > 1 at interface {i} "
-                f"(x={float(grid.edges[i])!r}) after 3 speed doublings"
+            raise SubcharacteristicViolation.at(
+                "subcharacteristic ratio above 1 after 3 speed doublings", ratio > 1.0,
+                worst=ratio, ratio=ratio, x=grid.edges,
             )
 
     if dt is None:
@@ -279,9 +279,8 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
         g = np.where(active, g_of(s), g)
         active = np.abs(g) > tol
     if np.any(active):
-        raise SourceSolveFailure(
-            f"trace equation not converged after 100 iterations "
-            f"(worst |g|={float(np.max(np.abs(g[active])))!r}, tol={tol!r})"
+        raise SourceSolveFailure.at(
+            "trace equation not converged after 100 iterations", active, s0=s0, g=g, tol=tol
         )
 
     Q = 1.0 - s / ell
@@ -290,9 +289,9 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
     szz = (szz0 + r) / denom
     drift = np.abs((sxx + szz) - s)
     if not np.all(drift <= 1e-10 * ell):
-        raise SourceSolveFailure(
-            f"component recovery inconsistent with the trace root "
-            f"(max drift {float(np.max(drift))!r} vs {1e-10 * ell!r})"
+        raise SourceSolveFailure.at(
+            "component recovery inconsistent with the trace root", ~(drift <= 1e-10 * ell),
+            worst=drift, drift=drift, bound=1e-10 * ell,
         )
     return sxx, szz
 
@@ -310,14 +309,17 @@ def source_step(q: Conserved, p: Primitive, dt: float, params: PhysParams):
     p_new = out.primitive()
     ok = is_admissible(p_new, params)
     if not np.all(ok):
-        i = int(np.flatnonzero(~np.atleast_1d(ok))[0])
-        raise SourceSolveFailure(f"relaxed state inadmissible at cell {i}")
+        raise SourceSolveFailure.at(
+            "relaxed state inadmissible", ~ok, sxx=p_new.sxx, szz=p_new.szz, ell=params.ell
+        )
     f_before = free_energy(p, params)
     f_after = free_energy(p_new, params)
     allowance = 1e-12 * (1.0 + np.abs(f_before))
-    if not np.all(f_after <= f_before + allowance):
-        worst = float(np.max(f_after - f_before))
-        raise SourceSolveFailure(f"free energy increased by {worst!r} during relaxation")
+    if not np.all(ok := f_after <= f_before + allowance):
+        raise SourceSolveFailure.at(
+            "free energy increased during relaxation", ~ok, worst=f_after - f_before,
+            before=f_before, after=f_after,
+        )
     return out, p_new, f_after
 
 
@@ -351,10 +353,8 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     res, tol = dissipation_residuals(f_old, f_new, g_flux, d_new, dt, grid.dx)
     violations = int(np.sum(res > tol))
     if violations and control.strict_dissipation:
-        i = int(np.argmax(res - tol))
-        raise DissipationViolation(
-            f"free-energy balance violated at cell {i} "
-            f"(residual {float(res[i])!r} > tol {float(tol[i])!r}, {violations} cells)"
+        raise DissipationViolation.at(
+            "free-energy balance violated", res > tol, worst=res - tol, residual=res, tol=tol
         )
 
     dx = grid.dx

@@ -209,7 +209,10 @@ class TestStarStates:
 
         ql = Primitive(1.0, 8.0, 1.0, 1.0).conserved()
         qr = Primitive(0.01, -8.0, 1.0, 1.0).conserved()
-        msg = r"interface index \(0,\) \(c_l=1e-06, c_r=1e-06,"
+        msg = (
+            r"^non-positive star depth at index \(0,\): "
+            r"c_l=1e-06, c_r=1e-06 \(1 offending entries\)$"
+        )
         with pytest.raises(StarStateError, match=msg) as err:
             fan_of(ql, qr, sp=SpeedPair(1e-6, 1e-6))
         assert "np." not in str(err.value)

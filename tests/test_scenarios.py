@@ -8,8 +8,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import fenepsv
 from fenepsv.cli import build_config, main, parse_config_file
-from fenepsv.model import PhysParams, equilibrium_sigma
+from fenepsv.model import PhysParams, SolverError, equilibrium_sigma
 from fenepsv.scenarios import (
     ConfigError,
     RunConfig,
@@ -29,7 +30,14 @@ from fenepsv.scenarios import (
     _snapshot_rows,
     write_snapshot_csv,
 )
-from fenepsv.timeloop import Grid, SourceSolveFailure
+from fenepsv.timeloop import DissipationViolation, Grid, SourceSolveFailure
+
+# Every exception class of the package root but ConfigError: the solver's errors.
+SOLVER_ERROR_NAMES = sorted(
+    name
+    for name, obj in vars(fenepsv).items()
+    if isinstance(obj, type) and issubclass(obj, Exception) and obj is not ConfigError
+)
 
 
 class TestConfig:
@@ -480,7 +488,7 @@ class TestCli:
         assert main(["solve", "--config", p, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "SubcharacteristicViolation" in err and "Traceback" not in err
-        assert "ratio 2.0 > 1 at interface 0" in err
+        assert "ratio above 1 after 3 speed doublings at index (0,): ratio=2.0, x=0.0" in err
         assert "SubcharacteristicViolation" in json.loads((out / "run.json").read_text())["error"]
 
     def test_dissipation_violation_exits_4(self, tmp_path, monkeypatch):
@@ -504,7 +512,7 @@ class TestCli:
         assert main(["converge", "--config", p, "--levels", "16,32"]) == 4
         converge_err = capsys.readouterr().err
         for err in (solve_err, converge_err):
-            assert err.startswith("dissipation violation: free-energy balance violated at cell")
+            assert err.startswith("dissipation violation: free-energy balance violated at index (")
             assert "Traceback" not in err
 
     def test_strict_dissipation_clean_run_ok(self, tmp_path):
@@ -536,3 +544,59 @@ class TestCli:
         assert main(["check", "--samples", "50"]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out and "fd_dP_dh" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--samples", "0"],
+            ["check", "--samples", "-1"],
+            ["check", "--seed", "-1"],
+            ["converge", "--levels", "0,4"],
+        ],
+    )
+    def test_bad_flag_value_exits_2(self, argv, tmp_path, capsys):
+        if argv[0] == "converge":
+            argv = [*argv, "--config", write_cfg(tmp_path / "c.cfg", "cells = 16\n")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
+
+class TestSolverErrors:
+    def test_root_exports_every_solver_error(self):
+        assert SOLVER_ERROR_NAMES == [
+            "AdmissibilityError",
+            "DissipationViolation",
+            "NonHyperbolicError",
+            "SolverError",
+            "SourceSolveFailure",
+            "StarStateError",
+            "SubcharacteristicViolation",
+            "TimeStepCollapse",
+        ]
+
+    @pytest.mark.parametrize("name", SOLVER_ERROR_NAMES)
+    def test_contract(self, name, tmp_path, monkeypatch, capsys):
+        import fenepsv.cli as cli_mod
+
+        cls = getattr(fenepsv, name)
+        assert issubclass(cls, SolverError)
+        err = cls.at(
+            "forced failure", np.array([False, True, True]),
+            h=np.array([1.0, 2.0, 3.0]), ell=np.float64(10.0),
+        )
+        assert err.index == (1,) and all(type(i) is int for i in err.index)
+        assert err.values == {"h": 2.0, "ell": 10.0}
+        assert all(type(v) is float for v in err.values.values())
+        assert str(err) == "forced failure at index (1,): h=2.0, ell=10.0 (2 offending entries)"
+
+        def boom(cfg):
+            raise err
+
+        monkeypatch.setattr(cli_mod, "run", boom)
+        out = tmp_path / "err"
+        code = main(["solve", "--config", write_cfg(tmp_path / "c.cfg", ""), "--out", str(out)])
+        assert code == (4 if cls is DissipationViolation else 3)
+        record = json.loads((out / "run.json").read_text())
+        assert record["status"] == "error" and record["error"] == f"{name}: {err}"
+        assert "Traceback" not in capsys.readouterr().err

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fenepsv.cli import _SOLVER_ERRORS
 from fenepsv.model import (
     AdmissibilityError,
     Conserved,
     PhysParams,
     Primitive,
+    SolverError,
     equilibrium_sigma,
     free_energy,
     total_pressure,
@@ -20,7 +20,6 @@ from fenepsv.model import (
 from fenepsv.oracles import newton_source_2x2, sample_states
 from fenepsv.riemann import cell_state, interface_fluxes, relaxation_speeds, star_states
 from fenepsv.timeloop import (
-    DissipationViolation,
     Grid,
     SimState,
     SourceSolveFailure,
@@ -285,6 +284,26 @@ class TestSource:
         assert np.all(sxx > 0) and np.all(szz > 0)
         assert np.all(sxx + szz < P10.ell)
 
+    def test_failures_name_their_cell(self, monkeypatch):
+        import fenepsv.timeloop as timeloop_mod
+
+        with pytest.raises(SourceSolveFailure) as err:
+            relax_conformations(np.array([0.5, np.nan]), np.array([0.5, 0.5]), 0.01, P10)
+        assert str(err.value) == (
+            "component recovery inconsistent with the trace root at index (1,): "
+            "drift=nan, bound=1e-09 (1 offending entries)"
+        )
+        energies = iter([np.zeros(3), np.array([0.0, 1.0, 0.5])])
+        monkeypatch.setattr(timeloop_mod, "free_energy", lambda p, params: next(energies))
+        q = dam_break_state(3).q
+        with pytest.raises(SourceSolveFailure) as err:
+            source_step(q, q.primitive(), 0.01, P10)
+        assert err.value.index == (1,) and err.value.values == {"before": 0.0, "after": 1.0}
+        assert str(err.value) == (
+            "free energy increased during relaxation at index (1,): "
+            "before=0.0, after=1.0 (2 offending entries)"
+        )
+
 
 class TestFullStep:
     def test_equilibrium_rest_state_stationary(self):
@@ -335,7 +354,10 @@ class TestFullStep:
 
         monkeypatch.setattr(timeloop_mod, "subcharacteristic_monitor", stuck)
         grid = Grid.uniform(0.0, 1.0, 8)
-        msg = r"ratio 2\.0 > 1 at interface 0 \(x=0\.0\)"
+        msg = (
+            r"^subcharacteristic ratio above 1 after 3 speed doublings at index \(0,\): "
+            r"ratio=2\.0, x=0\.0 \(9 offending entries\)$"
+        )
         with pytest.raises(SubcharacteristicViolation, match=msg):
             full_step(dam_break_state(8), grid, P10, StepControl(strict_subchar=True))
         assert len(calls) == 4  # the fan, then once after each of the 3 doublings
@@ -447,6 +469,6 @@ class TestFuzz:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 for _ in range(3):
                     state, _ = full_step(state, grid, params, control)
-        except (DissipationViolation, *_SOLVER_ERRORS):
+        except SolverError:
             return
         assert np.all(np.isfinite(state.q.as_array()))
