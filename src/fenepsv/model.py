@@ -181,8 +181,13 @@ def require_admissible(p: Primitive, params: PhysParams, context: str = "state")
 
 
 def _trace_gap(p: Primitive, params: PhysParams):
-    """1 - (sxx+szz)/ell, the FENE denominator; must be positive."""
-    gap = 1.0 - (p.sxx + p.szz) / params.ell
+    """1 - (sxx+szz)/ell, the FENE denominator (unchecked)."""
+    return 1.0 - (p.sxx + p.szz) / params.ell
+
+
+def _checked_trace_gap(p: Primitive, params: PhysParams):
+    """The trace gap, raising AdmissibilityError where it is not positive."""
+    gap = _trace_gap(p, params)
     if not np.all(gap > 0):
         raise AdmissibilityError.at(
             "conformation trace reached the extensibility bound", ~(gap > 0),
@@ -191,14 +196,29 @@ def _trace_gap(p: Primitive, params: PhysParams):
     return gap
 
 
+# normal_stress, total_pressure, free_energy, internal_energy and
+# dissipation_rate are each a check plus an unchecked kernel of the same name
+# with a leading underscore.  A kernel assumes an admissible state (and, given
+# `gap`, a positive trace gap): the time step calls the kernels after its own
+# stage checks, every other caller goes through the checked functions.
+
+
+def _normal_stress(p: Primitive, params: PhysParams, gap):
+    return params.G * (p.szz - p.sxx) / gap
+
+
 def normal_stress(p: Primitive, params: PhysParams):
     """Elastic normal-stress difference N = G (szz - sxx) / (1 - (sxx+szz)/ell)."""
-    return params.G * (p.szz - p.sxx) / _trace_gap(p, params)
+    return _normal_stress(p, params, _checked_trace_gap(p, params))
+
+
+def _total_pressure(p: Primitive, params: PhysParams, gap):
+    return params.g * p.h**2 / 2.0 + p.h * _normal_stress(p, params, gap)
 
 
 def total_pressure(p: Primitive, params: PhysParams):
     """Total depth-integrated pressure P = g h^2/2 + h N."""
-    return params.g * p.h**2 / 2.0 + p.h * normal_stress(p, params)
+    return _total_pressure(p, params, _checked_trace_gap(p, params))
 
 
 def dP_dh_frozen(p: Primitive, params: PhysParams):
@@ -213,7 +233,7 @@ def dP_dh_frozen(p: Primitive, params: PhysParams):
     with s = sxx + szz and Q = 1 - s/ell.  The square of the Lagrangian
     sound speed is h^2 dP/dh; positivity is required for hyperbolicity.
     """
-    Q = _trace_gap(p, params)
+    Q = _checked_trace_gap(p, params)
     s = p.sxx + p.szz
     N = params.G * (p.szz - p.sxx) / Q
     out = (
@@ -239,16 +259,34 @@ def _elastic_energy(p: Primitive, params: PhysParams):
     )
 
 
+def _free_energy(p: Primitive, params: PhysParams):
+    return p.h * (p.u**2 / 2.0 + params.g * p.h / 2.0 - _elastic_energy(p, params))
+
+
 def free_energy(p: Primitive, params: PhysParams):
     """Free energy F = h (u^2/2 + g h/2 - elastic); convex in the conserved state."""
     require_admissible(p, params, "free_energy argument")
-    return p.h * (p.u**2 / 2.0 + params.g * p.h / 2.0 - _elastic_energy(p, params))
+    return _free_energy(p, params)
+
+
+def _internal_energy(p: Primitive, params: PhysParams):
+    return params.g * p.h / 2.0 - _elastic_energy(p, params)
 
 
 def internal_energy(p: Primitive, params: PhysParams):
     """Internal (non-kinetic) part of F per unit depth: F/h - u^2/2."""
     require_admissible(p, params, "internal_energy argument")
-    return params.g * p.h / 2.0 - _elastic_energy(p, params)
+    return _internal_energy(p, params)
+
+
+def _dissipation_rate(p: Primitive, params: PhysParams):
+    Q = _trace_gap(p, params)
+    return (
+        -params.G
+        * p.h
+        / (2.0 * (1.0 - params.zeta) * params.lam)
+        * ((1.0 - p.sxx / Q) ** 2 / p.sxx + (1.0 - p.szz / Q) ** 2 / p.szz)
+    )
 
 
 def dissipation_rate(p: Primitive, params: PhysParams):
@@ -258,13 +296,7 @@ def dissipation_rate(p: Primitive, params: PhysParams):
     with Q = 1 - (sxx+szz)/ell.  Vanishes exactly at equilibrium.
     """
     require_admissible(p, params, "dissipation_rate argument")
-    Q = 1.0 - (p.sxx + p.szz) / params.ell
-    return (
-        -params.G
-        * p.h
-        / (2.0 * (1.0 - params.zeta) * params.lam)
-        * ((1.0 - p.sxx / Q) ** 2 / p.sxx + (1.0 - p.szz / Q) ** 2 / p.szz)
-    )
+    return _dissipation_rate(p, params)
 
 
 def equilibrium_sigma(params: PhysParams) -> float:

@@ -31,10 +31,11 @@ from .model import (
     PhysParams,
     Primitive,
     SolverError,
+    _internal_energy,
+    _total_pressure,
+    _trace_gap,
     dP_dh_frozen,
-    internal_energy,
     require_admissible,
-    total_pressure,
 )
 
 __all__ = [
@@ -68,7 +69,8 @@ class CellState:
 
     q is the conserved state as a (4, ...) array, u the velocity, P the total
     pressure, dPdh its frozen derivative and a = sqrt(dPdh), ehat the
-    internal energy per unit depth, w1 and w2 the transported invariants,
+    internal energy per unit depth, hP = h P and hE = h (u^2/2 + ehat) the
+    cell's relaxed-state pressure and energy, w1 and w2 the transported invariants,
     alpha and beta the compression- and expansion-side speed amplifiers,
     proj the (4, ...) conserved state projected back through w1 and w2 (the
     outer fan states), f the (4, ...) exact flux of the shallow viscoelastic
@@ -82,6 +84,8 @@ class CellState:
     dPdh: np.ndarray | float
     a: np.ndarray | float
     ehat: np.ndarray | float
+    hP: np.ndarray | float
+    hE: np.ndarray | float
     w1: np.ndarray | float
     w2: np.ndarray | float
     alpha: np.ndarray | float
@@ -98,7 +102,10 @@ class CellState:
         return self.q[1]
 
     def __getitem__(self, idx) -> "CellState":
-        return CellState(*(getattr(self, f.name)[..., idx] for f in fields(self)))
+        return CellState(*[getattr(self, name)[..., idx] for name in _CELL_FIELDS])
+
+
+_CELL_FIELDS = tuple(f.name for f in fields(CellState))
 
 
 @dataclass
@@ -176,6 +183,11 @@ def w_bounds(p: Primitive, params: PhysParams):
     cancellation when A*B is small.  Always 0 < w- < 1 < w+.
     """
     require_admissible(p, params, "w_bounds argument")
+    return _w_bounds(p, params)
+
+
+def _w_bounds(p: Primitive, params: PhysParams):
+    """`w_bounds` without its admissibility check."""
     A = p.szz / params.ell
     B = p.sxx / params.ell
     disc = np.sqrt(np.maximum(1.0 - 4.0 * A * B, 0.0))
@@ -192,26 +204,36 @@ def cell_state(q: Conserved, params: PhysParams) -> CellState:
     alpha = max(2, W/(W-1)) with W = w+^(1/(2(1-zeta))) guards the lower
     bound on star depths (if w+ overflows, szz ~ 0, the bound is vacuous and
     the floor 2 applies); beta = V/(1-V) with V = w-^(1/(2(1-zeta))) in (0,1)
-    guards expansions.
+    guards expansions.  Raises AdmissibilityError if a cell lies outside U.
     """
     p = q.primitive()
-    w_minus, w_plus = w_bounds(p, params)
+    require_admissible(p, params, "w_bounds argument")
+    return _cell_state(q, p, params)
+
+
+def _cell_state(q: Conserved, p: Primitive, params: PhysParams) -> CellState:
+    """`cell_state` of admissible cells q with primitive variables p, unchecked."""
+    w_minus, w_plus = _w_bounds(p, params)
     expo = 1.0 / (2.0 * (1.0 - params.zeta))
     with np.errstate(over="ignore"):
         W = np.power(w_plus, expo)
-    alpha = np.maximum(2.0, np.where(np.isinf(W), 2.0, W / np.where(np.isinf(W), 2.0, W - 1.0)))
+    inf = np.isinf(W)
+    alpha = np.maximum(2.0, np.where(inf, 2.0, W / np.where(inf, 2.0, W - 1.0)))
     V = np.power(w_minus, expo)
-    dPdh = dP_dh_frozen(p, params)
+    dPdh = dP_dh_frozen(p, params)   # also rejects a non-positive trace gap
     w1 = p.sxx * np.power(p.h, 2.0 * (1.0 - params.zeta))
     w2 = p.szz * np.power(p.h, 2.0 * (params.zeta - 1.0))
-    P = total_pressure(p, params)
+    P = _total_pressure(p, params, _trace_gap(p, params))
+    ehat = _internal_energy(p, params)
     return CellState(
         q=q.as_array(),
         u=p.u,
         P=P,
         dPdh=dPdh,
         a=np.sqrt(dPdh),
-        ehat=internal_energy(p, params),
+        ehat=ehat,
+        hP=q.h * P,
+        hE=q.h * (p.u**2 / 2.0 + ehat),
         w1=w1,
         w2=w2,
         alpha=alpha,
@@ -271,7 +293,7 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
     # reciprocal so equal input states reproduce h exactly.
     den_l = 1.0 + hl * ((cr * (ur - ul) + (pi_l - pi_r)) / (cl * csum))
     den_r = 1.0 + hr * ((cl * (ur - ul) + (pi_r - pi_l)) / (cr * csum))
-    if not np.all(ok := (den_l > 0) & (den_r > 0)):
+    if not (ok := (den_l > 0) & (den_r > 0)).all():
         raise StarStateError.at("non-positive star depth", ~ok, c_l=cl, c_r=cr)
     h_l_star = hl / den_l
     h_r_star = hr / den_r
@@ -280,7 +302,7 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
     ehat_r_star = r.ehat + (pi_star**2 - pi_r**2) / (2.0 * cr**2)
 
     states = (
-        RelaxedState(hl, l.hu, l.w1, l.w2, hl * pi_l, hl * (ul**2 / 2.0 + l.ehat), cl),
+        RelaxedState(hl, l.hu, l.w1, l.w2, l.hP, l.hE, cl),
         RelaxedState(
             h_l_star,
             h_l_star * u_star,
@@ -299,7 +321,7 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
             h_r_star * (u_star**2 / 2.0 + ehat_r_star),
             cr,
         ),
-        RelaxedState(hr, r.hu, r.w1, r.w2, hr * pi_r, hr * (ur**2 / 2.0 + r.ehat), cr),
+        RelaxedState(hr, r.hu, r.w1, r.w2, r.hP, r.hE, cr),
     )
     stars = [project_state(st, params.zeta) for st in states[1:3]]
     fan = WaveFan(
@@ -316,10 +338,10 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
     for proj in fan.proj[1:3]:
         trace = (proj.hsxx + proj.hszz) / proj.h
         ok = (proj.hsxx > 0) & (proj.hszz > 0) & (trace < params.ell)
-        if not np.all(ok):
+        if not ok.all():
             raise StarStateError.at("inadmissible star conformation", ~ok, c_l=cl, c_r=cr)
 
-    if not np.all(ok := (fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)):
+    if not (ok := (fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)).all():
         raise StarStateError.at("unordered wave speeds", ~ok, c_l=cl, c_r=cr)
 
     # Single-valued star pressure: both one-sided expressions must agree.
@@ -328,7 +350,7 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
         np.maximum(np.abs(pi_l), np.abs(pi_r)),
         np.maximum(cl * np.abs(ul), cr * np.abs(ur)),
     )
-    if not np.all(ok := np.abs(res) <= 1e-10 * scale + 1e-300):
+    if not (ok := np.abs(res) <= 1e-10 * scale + 1e-300).all():
         raise StarStateError.at("two-sided star pressure mismatch", ~ok, c_l=cl, c_r=cr)
 
     return fan
@@ -337,7 +359,7 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
 def _project(h, hu, w1, w2, zeta: float) -> Conserved:
     sxx = w1 * np.power(h, 2.0 * (zeta - 1.0))
     szz = w2 * np.power(h, 2.0 * (1.0 - zeta))
-    return Conserved(h, hu, h * sxx, h * szz)
+    return Conserved.from_array(np.array([h, hu, h * sxx, h * szz]))
 
 
 def project_state(rs: RelaxedState, zeta: float) -> Conserved:
@@ -385,11 +407,13 @@ def energy_flux(fan: WaveFan):
     speed; a wave of speed exactly 0 counts as lying right of the ray.
     Consistent with the exact entropy flux u (F + P) when both sides agree.
     """
-    region = np.asarray(fan.s1 < 0, dtype=int) + (fan.s2 < 0) + (fan.s3 < 0)
+    # The speeds are ordered, so s3 < 0 implies s2 < 0 implies s1 < 0.
+    neg1, neg2, neg3 = fan.s1 < 0, fan.s2 < 0, fan.s3 < 0
     states = fan.states()
 
     def pick(name):
-        return np.choose(region, [getattr(st, name) for st in states])
+        a, b, c, d = (getattr(st, name) for st in states)
+        return np.where(neg1, np.where(neg2, np.where(neg3, d, c), b), a)
 
     h = pick("h")
     return pick("hu") / h * (pick("hE") + pick("hpi") / h)

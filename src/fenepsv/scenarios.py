@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import operator
 import time
@@ -274,12 +275,18 @@ def _grid_text(centers: bytes) -> tuple:
     return tuple(repr(x) + "," for x in np.frombuffer(centers).tolist())
 
 
+# Rows joined into each write: a write call per row costs more than its text.
+_ROWS_PER_WRITE = 512
+
+
 def write_snapshot_csv(path: Path, grid: Grid, q: Conserved, params: PhysParams) -> None:
     x, *cols = _snapshot_rows(grid, q, params)
     x_text = _grid_text(np.ascontiguousarray(x, dtype=np.float64).tobytes())
+    rows = map(operator.add, x_text, _format_runs(cols, _ROW_TAIL))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        f.writelines(map(operator.add, x_text, _format_runs(cols, _ROW_TAIL)))
+        while chunk := "".join(itertools.islice(rows, _ROWS_PER_WRITE)):
+            f.write(chunk)
 
 
 _DIAGNOSTICS_HEADER = (

@@ -14,7 +14,7 @@ recorded in the step diagnostics; in strict mode they abort the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,14 +23,14 @@ from .model import (
     PhysParams,
     Primitive,
     SolverError,
-    dissipation_rate,
-    free_energy,
+    _dissipation_rate,
+    _free_energy,
     is_admissible,
     require_admissible,
 )
 from .riemann import (
     SpeedPair,
-    cell_state,
+    _cell_state,
     energy_flux,
     interface_fluxes,
     relaxation_speeds,
@@ -104,10 +104,18 @@ class Grid:
 
 @dataclass
 class SimState:
-    """Solution snapshot: time and conserved fields over the grid."""
+    """Solution snapshot: time and conserved fields over the grid.
+
+    A state returned by `full_step` also carries (params, F): the free energy
+    of its cells, computed and checked by that step, which the next step
+    reuses as its F(q^n).  Its q array is read-only so that F cannot go stale.
+    Any other state (built by hand, or by `dataclasses.replace`) carries
+    nothing, and `full_step` checks it in full.
+    """
 
     t: float
     q: Conserved
+    _carried_f: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -161,8 +169,8 @@ def cfl_dt(grid: Grid, fan, cfl: float, dt_min_factor: float = 1e-12) -> float:
     dt = cfl * min dx / S_max with S_max the largest |outer wave speed| over
     all interfaces.  Raises TimeStepCollapse below dt_min_factor * min dx.
     """
-    s_max = float(np.max(np.maximum(np.abs(fan.s1), np.abs(fan.s3))))
-    min_dx = float(np.min(grid.dx))
+    s_max = float(np.maximum(np.abs(fan.s1), np.abs(fan.s3)).max())
+    min_dx = float(grid.dx.min())
     dt = cfl * min_dx / s_max if s_max > 0 else np.inf
     if dt < dt_min_factor * min_dx:
         raise TimeStepCollapse(
@@ -174,6 +182,7 @@ def cfl_dt(grid: Grid, fan, cfl: float, dt_min_factor: float = 1e-12) -> float:
 def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, dt=None):
     """Finite-volume transport of the cells of q over one step.
 
+    q must be admissible (its padded cells are evaluated unchecked).
     Evaluates every padded cell once, solves the fan at every interface
     (doubling the speeds where strict_subchar finds the monitor above 1, up
     to 3 times, then raising SubcharacteristicViolation) and
@@ -186,7 +195,8 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
     Returns (transported cells, their primitive variables, dt, fan,
     subcharacteristic ratios).
     """
-    cells = cell_state(apply_boundary(q, control.bc), params)
+    padded = apply_boundary(q, control.bc)
+    cells = _cell_state(padded, padded.primitive(), params)
     l, r = cells[:-1], cells[1:]
     sp = relaxation_speeds(l, r)
     fan = star_states(l, r, sp, params)
@@ -194,14 +204,14 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
     if control.strict_subchar:
         for _ in range(3):
             bad = ratio > 1.0
-            if not np.any(bad):
+            if not bad.any():
                 break
             sp = SpeedPair(
                 np.where(bad, 2.0 * sp.c_l, sp.c_l), np.where(bad, 2.0 * sp.c_r, sp.c_r)
             )
             fan = star_states(l, r, sp, params)
             ratio = subcharacteristic_monitor(fan, params)
-        if np.any(ratio > 1.0):
+        if (ratio > 1.0).any():
             raise SubcharacteristicViolation.at(
                 "subcharacteristic ratio above 1 after 3 speed doublings", ratio > 1.0,
                 worst=ratio, ratio=ratio, x=grid.edges,
@@ -230,6 +240,7 @@ def homogeneous_step(
     state: SimState, grid: Grid, params: PhysParams, dt: float, control: StepControl | None = None
 ) -> SimState:
     """Transport-only update over dt (no relaxation source)."""
+    require_admissible(state.q.primitive(), params, "cell state")
     q_half, *_ = _transport(state.q, grid, params, control or StepControl(), dt)
     return SimState(state.t + dt, q_half)
 
@@ -267,7 +278,7 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
     g = g_of(s)
     active = np.abs(g) > tol
     for _ in range(100):
-        if not np.any(active):
+        if not active.any():
             break
         hi = np.where(active & (g > 0), s, hi)
         lo = np.where(active & (g <= 0), s, lo)
@@ -278,7 +289,7 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
         s = np.where(active, s_new, s)
         g = np.where(active, g_of(s), g)
         active = np.abs(g) > tol
-    if np.any(active):
+    if active.any():
         raise SourceSolveFailure.at(
             "trace equation not converged after 100 iterations", active, s0=s0, g=g, tol=tol
         )
@@ -288,7 +299,7 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
     sxx = (sxx0 + r) / denom
     szz = (szz0 + r) / denom
     drift = np.abs((sxx + szz) - s)
-    if not np.all(drift <= 1e-10 * ell):
+    if not (drift <= 1e-10 * ell).all():
         raise SourceSolveFailure.at(
             "component recovery inconsistent with the trace root", ~(drift <= 1e-10 * ell),
             worst=drift, drift=drift, bound=1e-10 * ell,
@@ -299,23 +310,24 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
 def source_step(q: Conserved, p: Primitive, dt: float, params: PhysParams):
     """Apply the implicit relaxation source; depth and momentum untouched.
 
-    p holds the primitive variables of q.  Postconditions (checked): the
-    result is admissible and the free energy does not increase beyond a
-    roundoff allowance.  Returns the relaxed state with its primitive
-    variables and free energy, (q, p, F).
+    q must be admissible and p hold its primitive variables (the step checks
+    them after transport).  Postconditions (checked): the result is
+    admissible and the free energy does not increase beyond a roundoff
+    allowance.  Returns the relaxed state with its primitive variables and
+    free energy, (q, p, F).
     """
     sxx, szz = relax_conformations(p.sxx, p.szz, dt, params)
-    out = Conserved(q.h, q.hu, q.h * sxx, q.h * szz)
+    out = Conserved.from_array(np.array([q.h, q.hu, q.h * sxx, q.h * szz]))
     p_new = out.primitive()
     ok = is_admissible(p_new, params)
-    if not np.all(ok):
+    if not ok.all():
         raise SourceSolveFailure.at(
             "relaxed state inadmissible", ~ok, sxx=p_new.sxx, szz=p_new.szz, ell=params.ell
         )
-    f_before = free_energy(p, params)
-    f_after = free_energy(p_new, params)
+    f_before = _free_energy(p, params)
+    f_after = _free_energy(p_new, params)
     allowance = 1e-12 * (1.0 + np.abs(f_before))
-    if not np.all(ok := f_after <= f_before + allowance):
+    if not (ok := f_after <= f_before + allowance).all():
         raise SourceSolveFailure.at(
             "free energy increased during relaxation", ~ok, worst=f_after - f_before,
             before=f_before, after=f_after,
@@ -340,18 +352,26 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     Returns (new_state, StepDiagnostics).  The time step is the CFL one,
     possibly shortened by control.max_dt to land on an output time (never
     below half the CFL step unless the cap itself is smaller).
+
+    The state is checked three times: the input (skipped when it carries
+    the free energy of the step that made it, see SimState), the cells after
+    transport, and the relaxed cells; everything else runs unchecked.
     """
     control = control or StepControl()
-    p_old = state.q.primitive()
-    require_admissible(p_old, params, "cell state")
+    carried = state._carried_f
+    if carried is not None and carried[0] == params:
+        f_old = carried[1]
+    else:
+        p_old = state.q.primitive()
+        require_admissible(p_old, params, "cell state")
+        f_old = _free_energy(p_old, params)
     q_half, p_half, dt, fan, ratio = _transport(state.q, grid, params, control)
     q_new, p_new, f_new = source_step(q_half, p_half, dt, params)
 
-    f_old = free_energy(p_old, params)
-    d_new = dissipation_rate(p_new, params)
+    d_new = _dissipation_rate(p_new, params)
     g_flux = energy_flux(fan)
     res, tol = dissipation_residuals(f_old, f_new, g_flux, d_new, dt, grid.dx)
-    violations = int(np.sum(res > tol))
+    violations = int(np.count_nonzero(res > tol))
     if violations and control.strict_dissipation:
         raise DissipationViolation.at(
             "free-energy balance violated", res > tol, worst=res - tol, residual=res, tol=tol
@@ -360,11 +380,14 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     dx = grid.dx
     diag = StepDiagnostics(
         dt=float(dt),
-        mass=float(np.sum(q_new.h * dx)),
-        momentum=float(np.sum(q_new.hu * dx)),
-        free_energy=float(np.sum(f_new * dx)),
-        max_dissipation_residual=float(np.max(res)),
+        mass=float((q_new.h * dx).sum()),
+        momentum=float((q_new.hu * dx).sum()),
+        free_energy=float((f_new * dx).sum()),
+        max_dissipation_residual=float(res.max()),
         dissipation_violations=violations,
-        worst_subchar_ratio=float(np.max(ratio)),
+        worst_subchar_ratio=float(ratio.max()),
     )
-    return SimState(state.t + dt, q_new), diag
+    q_new.as_array().flags.writeable = False
+    new_state = SimState(state.t + dt, q_new)
+    new_state._carried_f = (params, f_new)
+    return new_state, diag

@@ -1,24 +1,45 @@
 """Splitting scheme: boundaries, CFL, homogeneous update, source, audit."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fenepsv.model as model_mod
 from fenepsv.model import (
     AdmissibilityError,
     Conserved,
+    NonHyperbolicError,
     PhysParams,
     Primitive,
     SolverError,
+    _dissipation_rate,
+    _free_energy,
+    _internal_energy,
+    _normal_stress,
+    _total_pressure,
+    _trace_gap,
+    dissipation_rate,
+    dP_dh_frozen,
     equilibrium_sigma,
     free_energy,
+    internal_energy,
+    normal_stress,
     total_pressure,
 )
 from fenepsv.oracles import newton_source_2x2, sample_states
-from fenepsv.riemann import cell_state, interface_fluxes, relaxation_speeds, star_states
+from fenepsv.riemann import (
+    _cell_state,
+    _w_bounds,
+    cell_state,
+    interface_fluxes,
+    relaxation_speeds,
+    star_states,
+    w_bounds,
+)
 from fenepsv.timeloop import (
     Grid,
     SimState,
@@ -214,6 +235,12 @@ class TestHomogeneous:
         with pytest.raises(AdmissibilityError, match="after transport"):
             homogeneous_step(SimState(0.0, q2), grid, P10, 1.0, StepControl())
 
+    def test_rejects_inadmissible_input(self):
+        grid = Grid.uniform(0.0, 1.0, 4)
+        q = Conserved(np.ones(4), np.zeros(4), np.array([1.0, 1.0, -1.0, 1.0]), np.ones(4))
+        with pytest.raises(AdmissibilityError, match=r"^cell state outside admissible region at index \(2,\)"):
+            homogeneous_step(SimState(0.0, q), grid, P10, 1e-3)
+
 
 class TestSource:
     def test_dt_zero_identity(self, rng):
@@ -294,7 +321,7 @@ class TestSource:
             "drift=nan, bound=1e-09 (1 offending entries)"
         )
         energies = iter([np.zeros(3), np.array([0.0, 1.0, 0.5])])
-        monkeypatch.setattr(timeloop_mod, "free_energy", lambda p, params: next(energies))
+        monkeypatch.setattr(timeloop_mod, "_free_energy", lambda p, params: next(energies))
         q = dam_break_state(3).q
         with pytest.raises(SourceSolveFailure) as err:
             source_step(q, q.primitive(), 0.01, P10)
@@ -472,3 +499,191 @@ class TestFuzz:
         except SolverError:
             return
         assert np.all(np.isfinite(state.q.as_array()))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def spoiled(p, k, how, ell):
+    """p with cell k pushed out of the admissible region in the way `how` names."""
+    h, u, sxx, szz = (np.array(v, dtype=float) for v in (p.h, p.u, p.sxx, p.szz))
+    if how == "h":
+        h[k] = -h[k]
+    elif how == "sxx":
+        sxx[k] = 0.0
+    elif how == "szz":
+        szz[k] = -szz[k]
+    else:   # the trace exactly at the extensibility bound
+        sxx[k] = szz[k] = ell / 2.0
+    return Primitive(h, u, sxx, szz)
+
+
+class TestKernels:
+    """Each guarded public function is its check plus an unchecked kernel."""
+
+    @given(piecewise_cases())
+    def test_kernels_match_their_guards_bitwise(self, case):
+        params, p, _ = case
+        gap = _trace_gap(p, params)
+        for kernel, guard in (
+            (_free_energy(p, params), free_energy(p, params)),
+            (_internal_energy(p, params), internal_energy(p, params)),
+            (_dissipation_rate(p, params), dissipation_rate(p, params)),
+            (_normal_stress(p, params, gap), normal_stress(p, params)),
+            (_total_pressure(p, params, gap), total_pressure(p, params)),
+            *zip(_w_bounds(p, params), w_bounds(p, params)),
+        ):
+            assert same_bits(kernel, guard)
+        q = p.conserved()
+        unchecked, checked = _cell_state(q, q.primitive(), params), cell_state(q, params)
+        for name in ("P", "dPdh", "ehat", "hP", "hE", "alpha", "beta", "proj", "f"):
+            assert same_bits(getattr(unchecked, name), getattr(checked, name)), name
+
+    @given(piecewise_cases(), st.sampled_from(("h", "sxx", "szz", "trace")), st.data())
+    def test_guards_reject_inadmissible_states(self, case, how, data):
+        params, p, _ = case
+        k = data.draw(st.integers(0, p.h.size - 1))
+        bad = spoiled(p, k, how, params.ell)
+        bad_q = bad.conserved()
+
+        def text(context, p):
+            return (
+                f"{context} outside admissible region at index ({k},): h={float(p.h[k])!r}, "
+                f"sxx={float(p.sxx[k])!r}, szz={float(p.szz[k])!r}, ell={params.ell!r} "
+                "(1 offending entries)"
+            )
+
+        for call, want in (
+            (lambda: free_energy(bad, params), text("free_energy argument", bad)),
+            (lambda: internal_energy(bad, params), text("internal_energy argument", bad)),
+            (lambda: dissipation_rate(bad, params), text("dissipation_rate argument", bad)),
+            (lambda: w_bounds(bad, params), text("w_bounds argument", bad)),
+            (lambda: cell_state(bad_q, params), text("w_bounds argument", bad_q.primitive())),
+        ):
+            with pytest.raises(AdmissibilityError) as err:
+                call()
+            assert str(err.value) == want
+        if how == "trace":
+            for guard in (normal_stress, total_pressure, dP_dh_frozen):
+                with pytest.raises(AdmissibilityError) as err:
+                    guard(bad, params)
+                assert str(err.value) == (
+                    f"conformation trace reached the extensibility bound at index ({k},): "
+                    f"sxx={float(bad.sxx[k])!r}, szz={float(bad.szz[k])!r}, ell={params.ell!r} "
+                    "(1 offending entries)"
+                )
+
+    @given(piecewise_cases(), st.data())
+    def test_dP_dh_frozen_rejects_non_hyperbolic_states(self, case, data):
+        # A shallow cell with sxx = -szz = ell/8: trace 0, dP/dh <= g h - G ell/8 < 0.
+        params, p, _ = case
+        k = data.draw(st.integers(0, p.h.size - 1))
+        h, u, sxx, szz = (np.array(v, dtype=float) for v in (p.h, p.u, p.sxx, p.szz))
+        h[k], sxx[k], szz[k] = 1e-6, params.ell / 8.0, -params.ell / 8.0
+        with pytest.raises(NonHyperbolicError) as err:
+            dP_dh_frozen(Primitive(h, u, sxx, szz), params)
+        dPdh = err.value.values["dPdh"]
+        assert err.value.index == (k,) and dPdh < 0.0
+        assert str(err.value) == (
+            f"dP/dh non-positive (state left the hyperbolic region) at index ({k},): "
+            f"dPdh={dPdh!r}, h=1e-06, sxx={float(sxx[k])!r}, szz={float(szz[k])!r} "
+            "(1 offending entries)"
+        )
+
+
+class TestCarry:
+    """full_step's output carries its free energy into the next step."""
+
+    @staticmethod
+    def chain(params, p, bc, restart):
+        # Six steps; with restart each input is rebuilt by hand, so it carries nothing.
+        grid = Grid.uniform(0.0, 1.0, p.h.size)
+        state = SimState(0.0, p.conserved())
+        trail = []
+        try:
+            for _ in range(6):
+                if restart:
+                    state = SimState(state.t, state.q.copy())
+                state, diag = full_step(state, grid, params, StepControl(bc=bc))
+                trail.append((state.t, state.q.as_array().tobytes(), diag))
+        except SolverError as e:
+            trail.append((type(e), str(e)))
+        return trail
+
+    @given(piecewise_cases())
+    def test_carried_chain_equals_rechecked_chain(self, case):
+        assert self.chain(*case, restart=False) == self.chain(*case, restart=True)
+
+    def test_output_array_is_read_only(self):
+        grid = Grid.uniform(0.0, 1.0, 8)
+        state, _ = full_step(dam_break_state(8), grid, P10)
+        assert not state.q.as_array().flags.writeable
+        with pytest.raises(ValueError):
+            state.q.h[0] = 2.0
+        copy = state.q.copy()
+        copy.h[0] = 2.0
+        assert state.q.h[0] == 1.0
+
+    def test_carried_energy_is_hidden_from_init_repr_and_eq(self):
+        grid = Grid.uniform(0.0, 1.0, 8)
+        state, _ = full_step(dam_break_state(8), grid, P10)
+        plain = SimState(state.t, state.q)
+        assert state == plain and repr(state) == repr(plain)
+        with pytest.raises(TypeError):
+            SimState(0.0, state.q, None)
+
+
+@pytest.fixture
+def guarded_calls(monkeypatch):
+    """Counts of model.is_admissible and model.free_energy calls, through every
+    name bound to them in a loaded fenepsv module."""
+    counts = dict.fromkeys(("is_admissible", "free_energy"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for k, m in list(sys.modules.items()) if k.split(".")[0] == "fenepsv"]
+    for name in counts:
+        original = getattr(model_mod, name)
+        wrapper = counting(name, original)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+class TestCheckBudget:
+    """The step checks each state once per stage, whatever the input."""
+
+    grid = Grid.uniform(0.0, 1.0, 32)
+
+    def stepped(self):
+        state, _ = full_step(dam_break_state(32), self.grid, P10)
+        return state
+
+    def test_step_from_step_output(self, guarded_calls):
+        state = self.stepped()
+        guarded_calls.update(is_admissible=0, free_energy=0)
+        full_step(state, self.grid, P10)
+        assert guarded_calls["is_admissible"] <= 2 and guarded_calls["free_energy"] == 0
+
+    def test_step_from_hand_built_state(self, guarded_calls):
+        full_step(dam_break_state(32), self.grid, P10)
+        assert guarded_calls["is_admissible"] <= 3 and guarded_calls["free_energy"] == 0
+
+    def test_replace_and_new_params_drop_the_carried_energy(self, guarded_calls):
+        state = self.stepped()
+        for state_in, params in (
+            (dataclasses.replace(state, t=1.0), P10),
+            (state, dataclasses.replace(P10, ell=20.0)),
+        ):
+            guarded_calls.update(is_admissible=0)
+            full_step(state_in, self.grid, params)
+            assert guarded_calls["is_admissible"] == 3
