@@ -28,6 +28,8 @@ expect() {
 
 printf 'frobnicate = 1\n' >"$work/unknown.cfg"
 printf 'cells = 16\nt_end = 0.01\ndt_min_factor = 1.0\n' >"$work/collapse.cfg"
+printf 'cells = 16\nlambda = inf\n' >"$work/lambda_inf.cfg"
+printf 'cells = 16\nt_end = inf\n' >"$work/t_end_inf.cfg"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
@@ -35,5 +37,7 @@ if ! grep -q '"status": "error"' "$work/collapse/run.json"; then
     echo "FAIL: the collapsed run wrote no error run.json" >&2
     status=1
 fi
+expect 2 "$@" solve --config "$work/lambda_inf.cfg" --out "$work/lambda_inf"
+expect 2 "$@" solve --config "$work/t_end_inf.cfg" --out "$work/t_end_inf"
 expect 2 "$@" check --samples 0
 exit $status

@@ -104,6 +104,9 @@ class PhysParams:
     ell: float
 
     def __post_init__(self):
+        for name in ("g", "G", "lam", "ell"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.g > 0:
             raise ValueError(f"g must be positive, got {self.g}")
         if not self.G >= 0:

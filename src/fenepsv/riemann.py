@@ -381,23 +381,41 @@ def interface_fluxes(fan: WaveFan) -> FluxPair:
     (h, hu) take the algebraically identical central form 0.5*(F0_l + F0_r
     - sum_k |s_k| jump_k), shared verbatim by both outputs, which makes the
     scheme telescope exactly.
+
+    Both outputs are fresh arrays, each sum accumulated in place in the
+    association order written above.
     """
     proj = [st.as_array() for st in fan.proj]
-    d1 = proj[1] - proj[0]
-    d2 = proj[2] - proj[1]
-    d3 = proj[3] - proj[2]
     s1, s2, s3 = fan.s1, fan.s2, fan.s3
     f0_l, f0_r = fan.left.f, fan.right.f
+    f_left, f_right = np.empty_like(proj[1]), np.empty_like(proj[1])
+    # Jumps d_k = proj[k] - proj[k-1] of two rows at a time, a weight per wave
+    # and a scratch row pair, reused for the (h, hu) and the conformation rows.
+    d1, d2, d3, tmp = np.empty((4, 2) + np.shape(s1))
+    w = np.empty_like(s1)
 
-    central = 0.5 * (
-        (f0_l[:2] + f0_r[:2]) - ((np.abs(s1) * d1[:2] + np.abs(s3) * d3[:2]) + np.abs(s2) * d2[:2])
-    )
-    d1, d2, d3 = d1[2:], d2[2:], d3[2:]
-    left = (np.minimum(s1, 0.0) * d1 + np.minimum(s3, 0.0) * d3) + np.minimum(s2, 0.0) * d2
-    right = (np.maximum(s1, 0.0) * d1 + np.maximum(s3, 0.0) * d3) + np.maximum(s2, 0.0) * d2
-    return FluxPair(
-        np.concatenate([central, f0_l[2:] + left]), np.concatenate([central, f0_r[2:] - right])
-    )
+    def jumps(rows):
+        for d, k in ((d1, 1), (d2, 2), (d3, 3)):
+            np.subtract(proj[k][rows], proj[k - 1][rows], out=d)
+
+    # sum_k weight(s_k) d_k as (weight(s1) d1 + weight(s3) d3) + weight(s2) d2, into out
+    def wave_sum(weight, out):
+        np.multiply(weight(s1, w), d1, out=out)
+        out += np.multiply(weight(s3, w), d3, out=tmp)
+        out += np.multiply(weight(s2, w), d2, out=tmp)
+        return out
+
+    jumps(slice(None, 2))
+    central = wave_sum(np.abs, f_left[:2])
+    np.subtract(np.add(f0_l[:2], f0_r[:2], out=tmp), central, out=central)
+    central *= 0.5
+    f_right[:2] = central
+    jumps(slice(2, None))
+    left = wave_sum(lambda s, out: np.minimum(s, 0.0, out=out), f_left[2:])
+    np.add(f0_l[2:], left, out=left)
+    right = wave_sum(lambda s, out: np.maximum(s, 0.0, out=out), f_right[2:])
+    np.subtract(f0_r[2:], right, out=right)
+    return FluxPair(f_left, f_right)
 
 
 def energy_flux(fan: WaveFan):

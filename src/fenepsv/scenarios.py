@@ -95,6 +95,9 @@ class RunConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.bc not in BOUNDARY_KINDS:
             raise ConfigError(f"unknown bc {self.bc!r}; choose from {BOUNDARY_KINDS}")
+        for name in ("x_min", "x_max", "t_end", "jump_x", "dt_min_factor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_max > self.x_min:
             raise ConfigError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
         if self.cells < 1:
@@ -103,6 +106,8 @@ class RunConfig:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if not 0.0 < self.cfl <= 0.5:
             raise ConfigError(f"cfl must lie in (0, 1/2], got {self.cfl}")
+        if not self.dt_min_factor >= 0:
+            raise ConfigError(f"dt_min_factor must be >= 0, got {self.dt_min_factor}")
         if self.snapshots < 1:
             raise ConfigError(f"snapshots must be >= 1, got {self.snapshots}")
         if self.scenario == "dam-break" and not (self.x_min < self.jump_x < self.x_max):
@@ -112,6 +117,8 @@ class RunConfig:
             for side, vals in zip(("left", "right"), states):
                 if len(vals) != 4:
                     raise ConfigError(f"{side} state needs 4 entries (h u sigma_xx sigma_zz)")
+                if not np.isfinite(vals).all():
+                    raise ConfigError(f"{side} state {tuple(vals)} has a non-finite entry")
                 p = Primitive(*map(float, vals))
                 if not np.all(is_admissible(p, self.params)):
                     raise ConfigError(f"{side} state {tuple(vals)} is not admissible")
@@ -375,7 +382,7 @@ def run(config: RunConfig) -> RunResult:
                 ctrl = dataclasses.replace(control, max_dt=remaining)
                 state, diag = full_step(state, grid, config.params, ctrl)
                 if diag.dt == remaining:
-                    state = dataclasses.replace(state, t=t_next)
+                    state.t = t_next   # the step's own state keeps its carried free energy
                 steps += 1
                 min_dt = min(min_dt, diag.dt)
                 violations += diag.dissipation_violations

@@ -108,9 +108,10 @@ class SimState:
 
     A state returned by `full_step` also carries (params, F): the free energy
     of its cells, computed and checked by that step, which the next step
-    reuses as its F(q^n).  Its q array is read-only so that F cannot go stale.
-    Any other state (built by hand, or by `dataclasses.replace`) carries
-    nothing, and `full_step` checks it in full.
+    reuses as its F(q^n).  Its q array is read-only so that F cannot go stale;
+    its t may be set (`run` lands on output times so).  Any other state
+    (built by hand, or by `dataclasses.replace`) carries nothing, and
+    `full_step` checks it in full.
     """
 
     t: float
@@ -227,10 +228,11 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
         elif not np.isfinite(dt):
             raise TimeStepCollapse("CFL produced a non-finite dt and no cap was given")
 
+    # q - (dt/dx) (f_left[:, 1:] - f_right[:, :-1]), formed in one buffer
     pair = interface_fluxes(fan)
-    q_half = Conserved.from_array(
-        q.as_array() - (dt / grid.dx) * (pair.f_left[:, 1:] - pair.f_right[:, :-1])
-    )
+    update = np.subtract(pair.f_left[:, 1:], pair.f_right[:, :-1])
+    update *= dt / grid.dx
+    q_half = Conserved.from_array(np.subtract(q.as_array(), update, out=update))
     p_half = q_half.primitive()
     require_admissible(p_half, params, "cell after transport")
     return q_half, p_half, dt, fan, ratio
@@ -259,6 +261,11 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
 
     and likewise for szz.  Unconditionally stable: any dt >= 0 keeps the
     result admissible.
+
+    Each entry stops iterating once its residual is within tolerance: a pass
+    that leaves fewer entries unconverged writes the others' roots out and
+    carries on with the rest only, so every entry takes the same iterates
+    as if the whole array were iterated until the last one converged.
     """
     if dt == 0.0:
         return sxx0, szz0
@@ -266,34 +273,44 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
     r = dt / params.lam
     sxx0 = np.asarray(sxx0, dtype=float)
     szz0 = np.asarray(szz0, dtype=float)
-    s0 = sxx0 + szz0
+    s0_all = sxx0 + szz0
     tol = 1e-13 * (2.0 + ell / r)
 
-    def g_of(s):
-        return (s - s0) / r - 2.0 + s / (1.0 - s / ell)
-
-    s = s0.copy()
+    # root holds every entry's trace; idx, s0, the iterate s, its residual g,
+    # Q = 1 - s/ell and the bracket (lo, hi) cover the unconverged entries.
+    s0 = np.ravel(s0_all)
+    root = s0.copy()
+    idx = np.arange(root.size)
+    s = root
+    Q = 1.0 - s / ell
+    g = (s - s0) / r - 2.0 + s / Q
     lo = np.zeros_like(s)
     hi = np.full_like(s, ell)
-    g = g_of(s)
-    active = np.abs(g) > tol
-    for _ in range(100):
-        if not active.any():
-            break
-        hi = np.where(active & (g > 0), s, hi)
-        lo = np.where(active & (g <= 0), s, lo)
-        gp = 1.0 / r + 1.0 / (1.0 - s / ell) ** 2
-        s_new = s - g / gp
-        outside = (s_new <= lo) | (s_new >= hi)
-        s_new = np.where(outside, 0.5 * (lo + hi), s_new)
-        s = np.where(active, s_new, s)
-        g = np.where(active, g_of(s), g)
+    for passes in range(101):
         active = np.abs(g) > tol
-    if active.any():
-        raise SourceSolveFailure.at(
-            "trace equation not converged after 100 iterations", active, s0=s0, g=g, tol=tol
-        )
+        if not (active.size and active.all()):   # some entry converged, or none is left
+            root[idx] = s
+            idx = idx[active]
+            if not idx.size:
+                break
+            s, s0, g, Q, lo, hi = (a[active] for a in (s, s0, g, Q, lo, hi))
+        if passes == 100:
+            bad = np.zeros(s0_all.shape, dtype=bool)
+            bad.flat[idx] = True
+            g_all = np.zeros(s0_all.shape)
+            g_all.flat[idx] = g
+            raise SourceSolveFailure.at(
+                "trace equation not converged after 100 iterations", bad,
+                s0=s0_all, g=g_all, tol=tol,
+            )
+        hi = np.where(g > 0, s, hi)
+        lo = np.where(g <= 0, s, lo)
+        s_new = s - g / (1.0 / r + 1.0 / Q**2)
+        s = np.where((s_new <= lo) | (s_new >= hi), 0.5 * (lo + hi), s_new)
+        Q = 1.0 - s / ell
+        g = (s - s0) / r - 2.0 + s / Q
 
+    s = root.reshape(s0_all.shape)
     Q = 1.0 - s / ell
     denom = 1.0 + r / Q
     sxx = (sxx0 + r) / denom

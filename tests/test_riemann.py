@@ -339,6 +339,76 @@ class TestFluxes:
             assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale + 1e-300)
 
 
+def concatenated_fluxes(fan):
+    """`interface_fluxes` written with a temporary per operation and the two
+    outputs joined by np.concatenate: the reference for its in-place form."""
+    proj = [st.as_array() for st in fan.proj]
+    d1 = proj[1] - proj[0]
+    d2 = proj[2] - proj[1]
+    d3 = proj[3] - proj[2]
+    s1, s2, s3 = fan.s1, fan.s2, fan.s3
+    f0_l, f0_r = fan.left.f, fan.right.f
+
+    central = 0.5 * (
+        (f0_l[:2] + f0_r[:2]) - ((np.abs(s1) * d1[:2] + np.abs(s3) * d3[:2]) + np.abs(s2) * d2[:2])
+    )
+    d1, d2, d3 = d1[2:], d2[2:], d3[2:]
+    left = (np.minimum(s1, 0.0) * d1 + np.minimum(s3, 0.0) * d3) + np.minimum(s2, 0.0) * d2
+    right = (np.maximum(s1, 0.0) * d1 + np.maximum(s3, 0.0) * d3) + np.maximum(s2, 0.0) * d2
+    return np.concatenate([central, f0_l[2:] + left]), np.concatenate([central, f0_r[2:] - right])
+
+
+class TestFluxAssembly:
+    """interface_fluxes fills fresh arrays in place, bit for bit the concatenated form."""
+
+    @staticmethod
+    def assert_reference_bits(fan):
+        pair = interface_fluxes(fan)
+        for got, want in zip((pair.f_left, pair.f_right), concatenated_fluxes(fan)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        return pair
+
+    @staticmethod
+    def mixed_states(params, n, rng):
+        # Random states, with equal-state, resting and supersonic interfaces mixed in.
+        q_l = sample_states(params, n, rng).conserved().as_array().copy()
+        q_r = sample_states(params, n, rng).conserved().as_array().copy()
+        q_r[:, ::7] = q_l[:, ::7]
+        q_l[1, 1::5] = q_r[1, 1::5] = 0.0
+        q_l[1, 2::9] = 40.0 * q_l[0, 2::9]
+        q_r[1, 2::9] = 41.0 * q_r[0, 2::9]
+        return Conserved.from_array(q_l), Conserved.from_array(q_r)
+
+    def test_fuzzed_fans(self, rng):
+        for params in PARAM_GRID:
+            fan = fan_of(*self.mixed_states(params, 600, rng), params)
+            self.assert_reference_bits(fan)
+            self.assert_reference_bits(zero_f0(fan))
+
+    def test_zero_dimensional_fans(self, rng):
+        p = sample_states(P10, 40, rng)
+        for k in range(0, 40, 2):
+            q_l = Primitive(*(float(a[k]) for a in (p.h, p.u, p.sxx, p.szz))).conserved()
+            q_r = Primitive(*(float(a[k + 1]) for a in (p.h, p.u, p.sxx, p.szz))).conserved()
+            for fan in (fan_of(q_l, q_r), fan_of(q_l, q_l)):
+                assert np.ndim(fan.s1) == 0
+                assert self.assert_reference_bits(fan).f_left.shape == (4,)
+                self.assert_reference_bits(zero_f0(fan))
+
+    def test_outputs_are_fresh_arrays(self, rng):
+        fan = fan_of(*self.mixed_states(P10, 50, rng))
+        pair = interface_fluxes(fan)
+        inputs = [fan.left.f, fan.right.f, fan.s1, fan.s2, fan.s3]
+        inputs += [st.as_array() for st in fan.proj]
+        for out in (pair.f_left, pair.f_right):
+            assert out.flags.owndata and out.flags.writeable
+            assert not any(np.shares_memory(out, a) for a in inputs)
+        assert not np.shares_memory(pair.f_left, pair.f_right)
+        again = interface_fluxes(fan)
+        assert not np.shares_memory(again.f_left, pair.f_left)
+
+
 class TestEnergyAndMonitor:
     def test_energy_flux_consistent(self):
         p = Primitive(1.3, 0.8, 1.2, 0.9)

@@ -181,6 +181,22 @@ class TestRunDriver:
         res = run(preset_dam_break(10.0, cells=32, t_end=0.02))
         assert res.state.t == 0.02
 
+    def test_snapshot_landings_keep_the_carried_energy(self, monkeypatch):
+        import fenepsv.timeloop as timeloop_mod
+
+        contexts = []
+        check = timeloop_mod.require_admissible
+
+        def recording(p, params, context="state"):
+            contexts.append(context)
+            return check(p, params, context)
+
+        monkeypatch.setattr(timeloop_mod, "require_admissible", recording)
+        res = run(preset_dam_break(10.0, cells=32, t_end=0.06, snapshots=5))
+        assert res.steps > 2 * 5
+        assert contexts.count("cell state") == 1
+        assert contexts.count("cell after transport") == res.steps
+
     def test_rerun_byte_identical(self, tmp_path):
         for name in ("a", "b"):
             run(preset_dam_break(10.0, cells=24, t_end=0.01, outdir=str(tmp_path / name)))
@@ -408,6 +424,35 @@ class TestConfigFile:
         p = write_cfg(tmp_path / "c.cfg", "seed = 0\n")
         with pytest.raises(ConfigError, match="unknown key 'seed'"):
             parse_config_file(p)
+
+
+NON_FINITE_CONFIG = [
+    ("g", "inf"), ("G", "inf"), ("lambda", "inf"), ("ell", "inf"), ("g", "nan"),
+    ("x_min", "-inf"), ("x_max", "inf"), ("t_end", "inf"), ("t_end", "nan"), ("jump_x", "nan"),
+    ("left_h", "inf"), ("left_u", "nan"), ("right_u", "-inf"), ("right_szz", "nan"),
+    ("dt_min_factor", "inf"), ("dt_min_factor", "nan"), ("dt_min_factor", "-1e-12"),
+]
+
+
+class TestNonFiniteConfig:
+    """Non-finite physics, domain, time and state values are configuration errors."""
+
+    @pytest.mark.parametrize("key,raw", NON_FINITE_CONFIG)
+    def test_build_config_rejects(self, tmp_path, key, raw):
+        p = write_cfg(tmp_path / "c.cfg", f"{key} = {raw}\n")
+        with pytest.raises(ConfigError):
+            build_config(parse_config_file(p), {})
+
+    @pytest.mark.parametrize("key,raw", NON_FINITE_CONFIG)
+    def test_solve_exits_2_without_traceback(self, tmp_path, capsys, key, raw):
+        p = write_cfg(tmp_path / "c.cfg", f"cells = 16\n{key} = {raw}\n")
+        assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_dt_min_factor_accepted(self):
+        assert dataclasses.replace(preset_dam_break(10.0), dt_min_factor=0.0).validated()
 
 
 class TestCli:

@@ -332,6 +332,139 @@ class TestSource:
         )
 
 
+def full_array_relax(sxx0, szz0, dt, params):
+    """`relax_conformations` iterating on the whole array, converged entries
+    held by masks: the reference for its compressing form.  Also returns the
+    number of Newton passes each entry took."""
+    ell = params.ell
+    r = dt / params.lam
+    sxx0 = np.asarray(sxx0, dtype=float)
+    szz0 = np.asarray(szz0, dtype=float)
+    s0 = sxx0 + szz0
+    tol = 1e-13 * (2.0 + ell / r)
+
+    def g_of(s):
+        return (s - s0) / r - 2.0 + s / (1.0 - s / ell)
+
+    s = s0.copy()
+    lo = np.zeros_like(s)
+    hi = np.full_like(s, ell)
+    g = g_of(s)
+    active = np.abs(g) > tol
+    passes = np.zeros(s.shape, dtype=int)
+    for _ in range(100):
+        if not active.any():
+            break
+        passes += active
+        hi = np.where(active & (g > 0), s, hi)
+        lo = np.where(active & (g <= 0), s, lo)
+        gp = 1.0 / r + 1.0 / (1.0 - s / ell) ** 2
+        s_new = s - g / gp
+        outside = (s_new <= lo) | (s_new >= hi)
+        s_new = np.where(outside, 0.5 * (lo + hi), s_new)
+        s = np.where(active, s_new, s)
+        g = np.where(active, g_of(s), g)
+        active = np.abs(g) > tol
+    if active.any():
+        raise SourceSolveFailure.at(
+            "trace equation not converged after 100 iterations", active, s0=s0, g=g, tol=tol
+        )
+
+    Q = 1.0 - s / ell
+    denom = 1.0 + r / Q
+    sxx = (sxx0 + r) / denom
+    szz = (szz0 + r) / denom
+    drift = np.abs((sxx + szz) - s)
+    if not (drift <= 1e-10 * ell).all():
+        raise SourceSolveFailure.at(
+            "component recovery inconsistent with the trace root", ~(drift <= 1e-10 * ell),
+            worst=drift, drift=drift, bound=1e-10 * ell,
+        )
+    return sxx, szz, passes
+
+
+def relax_outcome(relax, sxx0, szz0, dt, params):
+    """Type, shape and bytes of a solve's (sxx, szz), or the error's type, text and entry.
+
+    Inputs at the bound divide by zero on the way to their error, so the
+    floating-point warnings are silenced here.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            sxx, szz = relax(sxx0, szz0, dt, params)[:2]
+    except SourceSolveFailure as e:
+        return type(e), str(e), e.index
+    return type(sxx), np.shape(sxx), np.asarray(sxx).tobytes(), np.asarray(szz).tobytes()
+
+
+class TestSourceReference:
+    """relax_conformations iterates on unconverged entries only, bit for bit the
+    full-array loop."""
+
+    @staticmethod
+    def traces(ell):
+        # Spread over (0, ell), the equilibrium trace, and within 1e-12 of ell.
+        near = ell - np.array([1e-12, 4e-13, 1e-13])
+        near = np.append(near, np.nextafter(ell, 0.0))
+        spread = ell * np.array([1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-9])
+        return np.concatenate([spread, [2.0 * ell / (ell + 2.0)], near])
+
+    def assert_same(self, sxx0, szz0, dt, params):
+        want = relax_outcome(full_array_relax, sxx0, szz0, dt, params)
+        assert relax_outcome(relax_conformations, sxx0, szz0, dt, params) == want
+
+    def test_grid_array_and_scalar_inputs(self):
+        for ell in (2.05, 3.0, 10.0, 100.0, 1e3, 1e4):
+            params = PhysParams(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=ell)
+            s0 = self.traces(ell)
+            for split in (0.5, 0.03, 0.97):
+                sxx0, szz0 = split * s0, (1.0 - split) * s0
+                for r in np.logspace(-6.0, 2.0, 9):
+                    dt = float(r) * params.lam
+                    self.assert_same(sxx0, szz0, dt, params)
+                    self.assert_same(sxx0.reshape(2, -1), szz0.reshape(2, -1), dt, params)
+                    for a, b in zip(sxx0[::3], szz0[::3]):
+                        self.assert_same(float(a), float(b), dt, params)
+            self.assert_same(np.array([]), np.array([]), 0.1, params)
+
+    def test_entries_converging_at_different_passes(self, rng):
+        params = PhysParams(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=100.0)
+        s0 = np.concatenate([self.traces(100.0), rng.uniform(0.0, 100.0, 200)])
+        sxx0, szz0 = 0.4 * s0, 0.6 * s0
+        for dt in (1e-5, 1e-3, 0.1, 3.0):
+            passes = full_array_relax(sxx0, szz0, dt, params)[2]
+            assert len(set(passes.tolist())) >= 3
+            self.assert_same(sxx0, szz0, dt, params)
+            self.assert_same(sxx0[::-1], szz0[::-1], dt, params)
+
+    def test_fuzzed_arrays(self, rng):
+        for _ in range(60):
+            ell = float(np.exp(rng.uniform(np.log(2.05), np.log(1e4))))
+            params = PhysParams(g=10.0, G=0.1, lam=1.0, zeta=0.0, ell=ell)
+            n = int(rng.integers(1, 60))
+            s0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, ell, n),
+                          ell * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0, n)))
+            split = rng.uniform(0.0, 1.0, n)
+            self.assert_same(split * s0, (1.0 - split) * s0, 10.0 ** rng.uniform(-6.0, 2.0), params)
+
+    def test_non_convergence_names_the_first_entry(self):
+        # An inadmissible trace above ell whose residual never reaches the tolerance.
+        params = PhysParams(g=10.0, G=0.1, lam=1.0, zeta=0.0, ell=8490.906362948828)
+        dt, stuck, split = 1710.5819035951301, 9891.119843317154, 0.5160685855478787
+        s0 = np.array([100.0, stuck, 4000.0, stuck, 8000.0])
+        sxx0, szz0 = split * s0, (1.0 - split) * s0
+        with pytest.raises(SourceSolveFailure) as err, np.errstate(all="ignore"):
+            relax_conformations(sxx0, szz0, dt, params)
+        assert err.value.index == (1,) and err.value.values["s0"] == stuck
+        assert str(err.value).startswith(
+            "trace equation not converged after 100 iterations at index (1,): s0=9891.119843317154"
+        )
+        assert str(err.value).endswith("(2 offending entries)")
+        self.assert_same(sxx0, szz0, dt, params)
+        self.assert_same(sxx0.reshape(5, 1), szz0.reshape(5, 1), dt, params)
+        self.assert_same(float(sxx0[3]), float(szz0[3]), dt, params)
+
+
 class TestFullStep:
     def test_equilibrium_rest_state_stationary(self):
         se = float(equilibrium_sigma(P10))
