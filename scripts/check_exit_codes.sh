@@ -5,19 +5,24 @@
 #   sh scripts/check_exit_codes.sh python3 -m fenepsv.cli    # from a source checkout
 #
 # The arguments are the command that starts the command line.  Each case must
-# exit with its documented code and print no Python traceback.  Scratch files
-# go to a fresh directory under $TMPDIR (default /tmp), removed on exit.
+# exit with its documented code within $limit seconds and print no Python
+# traceback; a case still running at the limit is killed and fails.  Scratch
+# files go to a fresh directory under $TMPDIR (default /tmp), removed on exit.
 set -u
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 status=0
+limit=60
 
 expect() {
     want=$1
     shift
-    "$@" >"$work/stdout" 2>"$work/stderr"
+    timeout -k 5 "$limit" "$@" >"$work/stdout" 2>"$work/stderr"
     got=$?
-    if [ "$got" != "$want" ] || grep -q Traceback "$work/stderr"; then
+    if [ "$got" = 124 ] || [ "$got" = 137 ]; then
+        echo "FAIL: still running after $limit s (killed): $*" >&2
+        status=1
+    elif [ "$got" != "$want" ] || grep -q Traceback "$work/stderr"; then
         echo "FAIL: exit $got, expected $want: $*" >&2
         cat "$work/stderr" >&2
         status=1

@@ -170,6 +170,51 @@ class Conserved:
         return f"Conserved(h={self.h!r}, hu={self.hu!r}, hsxx={self.hsxx!r}, hszz={self.hszz!r})"
 
 
+def _column_runs(a: np.ndarray):
+    """(starts, lengths) of the maximal runs of equal columns of the (k, n) float64 array a.
+
+    Two columns are equal when every row's float64 bit pattern is, so -0.0
+    and 0.0 stay apart.
+    """
+    bits = a.view(np.int64)
+    n = a.shape[1]
+    edges = np.ones(n + 1, dtype=bool)   # edges[i]: a run ends before column i
+    (bits[:, 1:] != bits[:, :-1]).any(axis=0, out=edges[1:n])
+    bounds = edges.nonzero()[0]
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+# Fewest cells for which `_on_runs` looks for runs.  Finding the runs and
+# repeating a stage's outputs cost about as much as evaluating a stage on
+# 500 to 1000 more cells, so on smaller arrays the stages see every cell.
+RUNS_MIN_CELLS = 1024
+
+
+def _on_runs(stage, q: Conserved, p: Primitive | None, *args):
+    """`stage(q, p, *args)` of a stage that is a pure function of each cell,
+    evaluated on the first cell of each run of equal cells of q.
+
+    p holds the primitive variables of q, or is None to have them computed
+    where needed.  Returns (result, lengths): with lengths None, the stage
+    ran on q itself, because q has fewer than RUNS_MIN_CELLS cells or no two
+    neighbouring cells are equal; otherwise the result is that of the runs'
+    first cells, and repeating each of its per-cell arrays by `lengths`
+    along the cell axis gives the result on q, bit for bit.  A SolverError
+    on the first cells is raised again by the stage on q itself, so its
+    text, index and count name the cells of q.
+    """
+    a = q.as_array()
+    if a.shape[1] < RUNS_MIN_CELLS or (runs := _column_runs(a))[0].size == a.shape[1]:
+        return stage(q, q.primitive() if p is None else p, *args), None
+    starts, lengths = runs
+    firsts = Conserved.from_array(a[:, starts])
+    try:
+        return stage(firsts, firsts.primitive(), *args), lengths
+    except SolverError:
+        stage(q, q.primitive() if p is None else p, *args)
+        raise
+
+
 def is_admissible(p: Primitive, params: PhysParams):
     """Elementwise test for membership in U (strict inequalities)."""
     return (p.h > 0) & (p.sxx > 0) & (p.szz > 0) & (p.sxx + p.szz < params.ell)

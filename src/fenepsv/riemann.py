@@ -32,6 +32,7 @@ from .model import (
     Primitive,
     SolverError,
     _internal_energy,
+    _on_runs,
     _total_pressure,
     _trace_gap,
     dP_dh_frozen,
@@ -106,6 +107,8 @@ class CellState:
 
 
 _CELL_FIELDS = tuple(f.name for f in fields(CellState))
+# The one-row fields, between q and the (4, ...) proj and f.
+_ROW_FIELDS = _CELL_FIELDS[1:-2]
 
 
 @dataclass
@@ -241,6 +244,22 @@ def _cell_state(q: Conserved, p: Primitive, params: PhysParams) -> CellState:
         proj=_project(q.h, q.hu, w1, w2, params.zeta).as_array(),
         f=np.stack([q.hu, q.hu * p.u + P, q.hsxx * p.u, q.hszz * p.u]),
     )
+
+
+def _cell_state_by_runs(q: Conserved, params: PhysParams) -> CellState:
+    """`_cell_state` of admissible cells q, evaluated once per run of equal
+    cells (see `model._on_runs`); bit for bit the evaluation of every cell.
+
+    On runs, every field but q comes back as a row of one array, repeated
+    in one call.
+    """
+    firsts, lengths = _on_runs(_cell_state, q, None, params)
+    if lengths is None:
+        return firsts
+    rows = [getattr(firsts, name) for name in _ROW_FIELDS]
+    rows = np.repeat(np.concatenate([rows, firsts.proj, firsts.f]), lengths, axis=1)
+    k = len(_ROW_FIELDS)
+    return CellState(q.as_array(), *rows[:k], proj=rows[k : k + 4], f=rows[k + 4 :])
 
 
 def relaxation_speeds(l: CellState, r: CellState) -> SpeedPair:

@@ -25,10 +25,13 @@ from .model import (
     Conserved,
     PhysParams,
     Primitive,
+    _column_runs,
+    _free_energy,
+    _normal_stress,
+    _trace_gap,
     equilibrium_sigma,
-    free_energy,
     is_admissible,
-    normal_stress,
+    require_admissible,
 )
 from .oracles import exact_sw_dam_break
 from .timeloop import (
@@ -242,16 +245,18 @@ class RunResult:
 
 
 def _snapshot_rows(grid: Grid, q: Conserved, params: PhysParams):
+    """The snapshot columns of q, checked once and then evaluated unchecked."""
     p = q.primitive()
+    require_admissible(p, params, "snapshot state")
     cols = (
         grid.centers,
         p.h,
         p.u,
         p.sxx,
         p.szz,
-        normal_stress(p, params),
+        _normal_stress(p, params, _trace_gap(p, params)),
         p.sxx + p.szz,
-        free_energy(p, params),
+        _free_energy(p, params),
     )
     return np.broadcast_arrays(*cols)
 
@@ -263,10 +268,9 @@ def _format_runs(cols, fmt: str) -> list:
     pattern changes, so -0.0 and 0.0 stay apart.
     """
     a = np.array(np.broadcast_arrays(*cols), dtype=np.float64)
-    bits = a.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], np.any(bits[:, 1:] != bits[:, :-1], axis=0))))
+    starts, lengths = _column_runs(a)
     texts = np.array([fmt % row for row in zip(*a[:, starts].tolist())], dtype=object)
-    return np.repeat(texts, np.diff(starts, append=a.shape[1])).tolist()
+    return np.repeat(texts, lengths).tolist()
 
 
 _ROW_TAIL = ",".join(["%r"] * (len(SNAPSHOT_COLUMNS) - 1)) + "\n"

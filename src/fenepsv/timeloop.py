@@ -25,12 +25,13 @@ from .model import (
     SolverError,
     _dissipation_rate,
     _free_energy,
+    _on_runs,
     is_admissible,
     require_admissible,
 )
 from .riemann import (
     SpeedPair,
-    _cell_state,
+    _cell_state_by_runs,
     energy_flux,
     interface_fluxes,
     relaxation_speeds,
@@ -184,20 +185,20 @@ def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepContro
     """Finite-volume transport of the cells of q over one step.
 
     q must be admissible (its padded cells are evaluated unchecked).
-    Evaluates every padded cell once, solves the fan at every interface
-    (doubling the speeds where strict_subchar finds the monitor above 1, up
-    to 3 times, then raising SubcharacteristicViolation) and
-    applies the three-point update: cell i sees f_left of its right interface
-    and f_right of its left interface.  dt=None takes the CFL step, shortened
-    by control.max_dt to land on an output time (never below half the CFL
-    step unless the cap itself is smaller).  A transported cell outside the
-    admissible region raises AdmissibilityError.
+    Evaluates the padded cells once per run of equal cells, solves the fan
+    at every interface (doubling the speeds where strict_subchar finds the
+    monitor above 1, up to 3 times, then raising SubcharacteristicViolation)
+    and applies the three-point update: cell i sees f_left of its right
+    interface and f_right of its left interface.  dt=None takes the CFL
+    step, shortened by control.max_dt to land on an output time (never below
+    half the CFL step unless the cap itself is smaller).  A transported cell
+    outside the admissible region raises AdmissibilityError.
 
     Returns (transported cells, their primitive variables, dt, fan,
     subcharacteristic ratios).
     """
     padded = apply_boundary(q, control.bc)
-    cells = _cell_state(padded, padded.primitive(), params)
+    cells = _cell_state_by_runs(padded, params)
     l, r = cells[:-1], cells[1:]
     sp = relaxation_speeds(l, r)
     fan = star_states(l, r, sp, params)
@@ -352,6 +353,22 @@ def source_step(q: Conserved, p: Primitive, dt: float, params: PhysParams):
     return out, p_new, f_after
 
 
+def _relax_by_runs(q: Conserved, p: Primitive, dt: float, params: PhysParams):
+    """`source_step` of q and the dissipation rate of its result, evaluated
+    once per run of equal cells (see `model._on_runs`); bit for bit the
+    evaluation of every cell.  Returns (relaxed cells, F, D).
+
+    On runs, each output is repeated into an array of its own, so a state
+    holding the relaxed cells holds no other output.
+    """
+    (q_new, p_new, f_new), lengths = _on_runs(source_step, q, p, dt, params)
+    d_new = _dissipation_rate(p_new, params)
+    if lengths is None:
+        return q_new, f_new, d_new
+    q_new = Conserved.from_array(np.repeat(q_new.as_array(), lengths, axis=1))
+    return q_new, np.repeat(f_new, lengths), np.repeat(d_new, lengths)
+
+
 def dissipation_residuals(f_old, f_new, g_flux, d_new, dt: float, dx):
     """Per-cell residual of the discrete free-energy inequality and its tolerance.
 
@@ -372,7 +389,10 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
 
     The state is checked three times: the input (skipped when it carries
     the free energy of the step that made it, see SimState), the cells after
-    transport, and the relaxed cells; everything else runs unchecked.
+    transport, and the relaxed cells; everything else runs unchecked.  The
+    cell state and the source run once per run of equal cells (see
+    `model._on_runs`); the fan, the fluxes, the update and the audit see
+    every cell.
     """
     control = control or StepControl()
     carried = state._carried_f
@@ -383,9 +403,7 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
         require_admissible(p_old, params, "cell state")
         f_old = _free_energy(p_old, params)
     q_half, p_half, dt, fan, ratio = _transport(state.q, grid, params, control)
-    q_new, p_new, f_new = source_step(q_half, p_half, dt, params)
-
-    d_new = _dissipation_rate(p_new, params)
+    q_new, f_new, d_new = _relax_by_runs(q_half, p_half, dt, params)
     g_flux = energy_flux(fan)
     res, tol = dissipation_residuals(f_old, f_new, g_flux, d_new, dt, grid.dx)
     violations = int(np.count_nonzero(res > tol))

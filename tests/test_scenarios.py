@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import types
 import xml.etree.ElementTree as ET
 
@@ -10,7 +11,8 @@ import pytest
 
 import fenepsv
 from fenepsv.cli import build_config, main, parse_config_file
-from fenepsv.model import PhysParams, SolverError, equilibrium_sigma
+import fenepsv.model as model_mod
+from fenepsv.model import AdmissibilityError, PhysParams, SolverError, equilibrium_sigma
 from fenepsv.scenarios import (
     ConfigError,
     RunConfig,
@@ -333,6 +335,36 @@ class TestColumnFormat:
         assert root.tag.endswith("svg")
         rows = (tmp_path / res.snapshot_files[-1]).read_text().splitlines()
         assert rows[1:] == _loop_rows(_snapshot_rows(res.grid, res.state.q, res.config.params))
+
+
+    def test_snapshot_checks_its_state_once(self, tmp_path, monkeypatch):
+        # One admissibility check per file, then the unchecked kernels.
+        cfg = preset_dam_break(10.0, cells=16)
+        grid = Grid.uniform(0.0, 1.0, 16)
+        q = initial_condition(cfg, grid)
+        calls = dict.fromkeys(("is_admissible", "require_admissible", "free_energy",
+                               "normal_stress"), 0)
+        modules = [m for k, m in list(sys.modules.items()) if k.split(".")[0] == "fenepsv"]
+        for name in calls:
+            original = getattr(model_mod, name)
+
+            def counting(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        write_snapshot_csv(tmp_path / "s.csv", grid, q, cfg.params)
+        assert calls == {"is_admissible": 1, "require_admissible": 1, "free_energy": 0,
+                         "normal_stress": 0}
+        bad = q.copy()
+        bad.hszz[3] = -1.0
+        with pytest.raises(AdmissibilityError) as err:
+            write_snapshot_csv(tmp_path / "bad.csv", grid, bad, cfg.params)
+        assert err.value.index == (3,)
+        assert str(err.value).startswith("snapshot state outside admissible region at index (3,)")
 
 
 class TestConvergence:

@@ -16,10 +16,12 @@ from fenepsv.model import (
     PhysParams,
     Primitive,
     SolverError,
+    _column_runs,
     _dissipation_rate,
     _free_energy,
     _internal_energy,
     _normal_stress,
+    _on_runs,
     _total_pressure,
     _trace_gap,
     dissipation_rate,
@@ -32,7 +34,9 @@ from fenepsv.model import (
 )
 from fenepsv.oracles import newton_source_2x2, sample_states
 from fenepsv.riemann import (
+    _CELL_FIELDS,
     _cell_state,
+    _cell_state_by_runs,
     _w_bounds,
     cell_state,
     interface_fluxes,
@@ -47,6 +51,7 @@ from fenepsv.timeloop import (
     StepControl,
     SubcharacteristicViolation,
     TimeStepCollapse,
+    _relax_by_runs,
     apply_boundary,
     cfl_dt,
     full_step,
@@ -724,6 +729,192 @@ class TestKernels:
             f"dPdh={dPdh!r}, h=1e-06, sxx={float(sxx[k])!r}, szz={float(szz[k])!r} "
             "(1 offending entries)"
         )
+
+
+@st.composite
+def run_cases(draw):
+    """Admissible piecewise-constant cells with runs of 1 to 6 equal cells.
+
+    Each piece after the first is a fresh state, or its left neighbour with
+    the momentum's zero of the other sign, or with one component moved by
+    one last bit, so that neighbouring runs differ in their bits alone.
+    Returns (params, conserved (4, n) array, bc, strict_subchar).
+    """
+    params, _, bc = draw(piecewise_cases())
+    piece = st.tuples(
+        st.floats(1e-2, 1e2), st.floats(-5.0, 5.0), st.floats(1e-3, 0.99), st.floats(1e-2, 0.99)
+    )
+    columns, lengths = [], []
+    for kind in draw(st.lists(st.sampled_from(("new", "signed zero", "last bit")), min_size=1,
+                              max_size=6)):
+        if kind == "new" or not columns:
+            h, u, frac, share = draw(piece)
+            trace = frac * params.ell
+            col = np.array([h, h * u, h * share * trace, h * (1.0 - share) * trace])
+        elif kind == "signed zero":
+            columns[-1][1] = draw(st.sampled_from((0.0, -0.0)))
+            col = columns[-1].copy()
+            col[1] = -col[1]
+        else:
+            col = columns[-1].copy()
+            k = draw(st.integers(0, 3))
+            col[k] = np.nextafter(col[k], draw(st.sampled_from((0.0, np.inf))))
+        columns.append(col)
+        lengths.append(draw(st.integers(1, 6)))
+    q = np.repeat(np.array(columns).T, lengths, axis=1)
+    return params, q, bc, draw(st.booleans())
+
+
+def runs_outcome(call, *args):
+    """The bytes of every array `call(*args)` returns, or its error's type, text
+    (which holds its values) and entry.
+
+    States outside the admissible region divide by zero or take the power
+    of a negative base on their way to the error, so the floating-point
+    warnings are silenced here.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            out = call(*args)
+    except SolverError as e:
+        return type(e), str(e), e.index
+    return [(a.shape, a.tobytes()) for a in out]
+
+
+def cells_on_runs(q, params):
+    cells = _cell_state_by_runs(q, params)
+    return [np.asarray(getattr(cells, name)) for name in _CELL_FIELDS]
+
+
+def cells_in_full(q, params):
+    cells = _cell_state(q, q.primitive(), params)
+    return [np.asarray(getattr(cells, name)) for name in _CELL_FIELDS]
+
+
+def source_on_runs(q, p, dt, params):
+    q_new, f_new, d_new = _relax_by_runs(q, p, dt, params)
+    return q_new.as_array(), f_new, d_new
+
+
+def source_in_full(q, p, dt, params):
+    q_new, p_new, f_new = source_step(q, p, dt, params)
+    return q_new.as_array(), f_new, _dissipation_rate(p_new, params)
+
+
+class TestRuns:
+    """The per-cell stages evaluated once per run of equal cells are bit for
+    bit, errors included, the stages evaluated on every cell."""
+
+    def test_column_runs_compare_bit_patterns(self):
+        a = np.array([[0.0, -0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 1.0, 1.0, np.nan, np.nan],
+                      [2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 4.0, 4.0]])
+        starts, lengths = _column_runs(a)
+        assert starts.tolist() == [0, 1, 3, 4, 5, 7]
+        assert lengths.tolist() == [1, 2, 1, 1, 2, 2]
+        starts, lengths = _column_runs(np.empty((4, 0)))
+        assert starts.size == lengths.size == 0
+        starts, lengths = _column_runs(np.ones((4, 5)))
+        assert starts.tolist() == [0] and lengths.tolist() == [5]
+
+    @given(run_cases(), st.floats(1e-6, 1e2))
+    def test_stages_on_runs_equal_stages_on_every_cell(self, case, r):
+        params, q, bc, _ = case
+        padded = apply_boundary(Conserved.from_array(q), bc)
+        q_full = Conserved.from_array(q)
+        dt = r * params.lam
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_mod, "RUNS_MIN_CELLS", 0)
+            on_runs = (
+                runs_outcome(cells_on_runs, padded, params),
+                runs_outcome(source_on_runs, q_full, q_full.primitive(), dt, params),
+            )
+        assert on_runs[0] == runs_outcome(cells_in_full, padded, params)
+        assert on_runs[1] == runs_outcome(source_in_full, q_full, q_full.primitive(), dt, params)
+
+    @given(run_cases())
+    def test_steps_on_runs_equal_steps_on_every_cell(self, case):
+        params, q, bc, strict = case
+        grid = Grid.uniform(0.0, 1.0, q.shape[1])
+        control = StepControl(bc=bc, strict_subchar=strict)
+        trails = []
+        for min_cells in (0, sys.maxsize):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model_mod, "RUNS_MIN_CELLS", min_cells)
+                state, trail = SimState(0.0, Conserved.from_array(q.copy())), []
+                try:
+                    for _ in range(3):
+                        state, diag = full_step(state, grid, params, control)
+                        trail.append((state.t, state.q.as_array().tobytes(), diag))
+                except SolverError as e:
+                    trail.append((type(e), str(e), e.index))
+                trails.append(trail)
+        assert trails[0] == trails[1]
+
+    @given(run_cases(), st.data())
+    def test_errors_on_runs_name_cells(self, case, data):
+        # A run of cells made non-hyperbolic (dP/dh < 0), and a run of traces
+        # above ell, on which the source solve fails: each error names the
+        # cell, and counts the cells, that the full evaluation names.
+        params, q, _, _ = case
+        n = q.shape[1]
+        lo = data.draw(st.integers(0, n - 1))
+        bad = slice(lo, data.draw(st.integers(lo + 1, n)))
+        spoiled = q.copy()
+        spoiled[0, bad] = 1e-6
+        spoiled[2, bad], spoiled[3, bad] = 1e-6 * params.ell / 8.0, -1e-6 * params.ell / 8.0
+        spoiled = Conserved.from_array(spoiled)
+        want = runs_outcome(cells_in_full, spoiled, params)
+        assert want[0] is NonHyperbolicError
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_mod, "RUNS_MIN_CELLS", 0)
+            assert runs_outcome(cells_on_runs, spoiled, params) == want
+
+        stuck = q.copy()
+        stuck[2, bad] = stuck[0, bad] * 1.1 * params.ell
+        stuck = Conserved.from_array(stuck)
+        dt = 1e3 * params.lam
+        want = runs_outcome(source_in_full, stuck, stuck.primitive(), dt, params)
+        assert want[0] is SourceSolveFailure
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_mod, "RUNS_MIN_CELLS", 0)
+            assert runs_outcome(source_on_runs, stuck, stuck.primitive(), dt, params) == want
+
+    def test_small_arrays_and_distinct_cells_skip_the_runs(self):
+        seen = []
+
+        def stage(q, p, *args):
+            seen.append(q)
+            return p
+
+        n = model_mod.RUNS_MIN_CELLS
+        small = Conserved.from_array(np.ones((4, n - 1)))
+        distinct = Conserved.from_array(np.arange(1.0, 4.0 * n + 1.0).reshape(4, n))
+        for q in (small, distinct):
+            assert _on_runs(stage, q, None)[1] is None and seen[-1] is q
+        p, lengths = _on_runs(stage, Conserved.from_array(np.ones((4, n))), None)
+        assert lengths.tolist() == [n] and seen[-1].as_array().shape == (4, 1)
+        assert p.h.tolist() == [1.0]
+
+    def test_relaxed_cells_own_their_array(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "RUNS_MIN_CELLS", 0)
+        state = dam_break_state(16)
+        q_new, f_new, d_new = _relax_by_runs(state.q, state.q.primitive(), 0.01, P10)
+        assert q_new.as_array().base is None and q_new.as_array().shape == (4, 16)
+        assert f_new.base is None and d_new.base is None
+
+    def test_source_postcondition_error_names_cells(self, monkeypatch):
+        # An F that the relaxation raises: the check's worst entry and count are per cell.
+        se = equilibrium_sigma(P10)
+        monkeypatch.setattr(model_mod, "RUNS_MIN_CELLS", 0)
+        import fenepsv.timeloop as timeloop_mod
+
+        monkeypatch.setattr(timeloop_mod, "_free_energy", lambda p, params: -(p.sxx - se) ** 2)
+        sxx = np.repeat([1.0, 2.0, 1.0, 3.0], [3, 1, 2, 4])
+        q = Conserved.from_array(np.array([np.ones(10), np.zeros(10), sxx, np.full(10, 1.0)]))
+        want = runs_outcome(source_in_full, q, q.primitive(), 0.01, P10)
+        assert want[0] is SourceSolveFailure and want[2] == (6,)
+        assert want[1].endswith("(10 offending entries)")
+        assert runs_outcome(source_on_runs, q, q.primitive(), 0.01, P10) == want
 
 
 class TestCarry:
