@@ -35,6 +35,10 @@ printf 'frobnicate = 1\n' >"$work/unknown.cfg"
 printf 'cells = 16\nt_end = 0.01\ndt_min_factor = 1.0\n' >"$work/collapse.cfg"
 printf 'cells = 16\nlambda = inf\n' >"$work/lambda_inf.cfg"
 printf 'cells = 16\nt_end = inf\n' >"$work/t_end_inf.cfg"
+# Two clean solves: a smooth wave whose only runs of equal cells are its ghost
+# cells (every cell evaluated), and a dam break (evaluated on its runs).
+printf 'scenario = smooth-wave\nbc = transmissive\ncells = 4096\nt_end = 0.002\n' >"$work/smooth.cfg"
+printf 'cells = 4096\nt_end = 0.01\n' >"$work/dam.cfg"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
@@ -44,5 +48,7 @@ if ! grep -q '"status": "error"' "$work/collapse/run.json"; then
 fi
 expect 2 "$@" solve --config "$work/lambda_inf.cfg" --out "$work/lambda_inf"
 expect 2 "$@" solve --config "$work/t_end_inf.cfg" --out "$work/t_end_inf"
+expect 0 "$@" solve --config "$work/smooth.cfg" --out "$work/smooth"
+expect 0 "$@" solve --config "$work/dam.cfg" --out "$work/dam"
 expect 2 "$@" check --samples 0
 exit $status

@@ -184,10 +184,27 @@ def _column_runs(a: np.ndarray):
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-# Fewest cells for which `_on_runs` looks for runs.  Finding the runs and
-# repeating a stage's outputs cost about as much as evaluating a stage on
-# 500 to 1000 more cells, so on smaller arrays the stages see every cell.
+# The gates of `_dense_runs`.  Finding the runs and repeating a stage's
+# outputs cost about as much as evaluating a stage on 500 to 1000 more
+# cells, so arrays of fewer than RUNS_MIN_CELLS cells see every cell.  With
+# more than RUNS_MAX_SHARE runs per cell, the fan on runs costs more than on
+# every cell: on equal runs it broke even at one run per four cells (see
+# README, numerical notes).
 RUNS_MIN_CELLS = 1024
+RUNS_MAX_SHARE = 0.25
+
+
+def _dense_runs(a: np.ndarray):
+    """`_column_runs(a)` when evaluating on them pays, else None.
+
+    It pays when a has at least RUNS_MIN_CELLS columns and at most
+    RUNS_MAX_SHARE of them start a run; both are read at call time.
+    """
+    n = a.shape[1]
+    if n < RUNS_MIN_CELLS:
+        return None
+    runs = _column_runs(a)
+    return runs if runs[0].size <= RUNS_MAX_SHARE * n else None
 
 
 def _on_runs(stage, q: Conserved, p: Primitive | None, *args):
@@ -196,15 +213,15 @@ def _on_runs(stage, q: Conserved, p: Primitive | None, *args):
 
     p holds the primitive variables of q, or is None to have them computed
     where needed.  Returns (result, lengths): with lengths None, the stage
-    ran on q itself, because q has fewer than RUNS_MIN_CELLS cells or no two
-    neighbouring cells are equal; otherwise the result is that of the runs'
-    first cells, and repeating each of its per-cell arrays by `lengths`
-    along the cell axis gives the result on q, bit for bit.  A SolverError
-    on the first cells is raised again by the stage on q itself, so its
-    text, index and count name the cells of q.
+    ran on q itself, because q's runs are too few or too short to pay (see
+    `_dense_runs`); otherwise the result is that of the runs' first cells,
+    and repeating each of its per-cell arrays by `lengths` along the cell
+    axis gives the result on q, bit for bit.  A SolverError on the first
+    cells is raised again by the stage on q itself, so its text, index and
+    count name the cells of q.
     """
     a = q.as_array()
-    if a.shape[1] < RUNS_MIN_CELLS or (runs := _column_runs(a))[0].size == a.shape[1]:
+    if (runs := _dense_runs(a)) is None:
         return stage(q, q.primitive() if p is None else p, *args), None
     starts, lengths = runs
     firsts = Conserved.from_array(a[:, starts])

@@ -32,7 +32,6 @@ from .model import (
     Primitive,
     SolverError,
     _internal_energy,
-    _on_runs,
     _total_pressure,
     _trace_gap,
     dP_dh_frozen,
@@ -76,7 +75,8 @@ class CellState:
     proj the (4, ...) conserved state projected back through w1 and w2 (the
     outer fan states), f the (4, ...) exact flux of the shallow viscoelastic
     system.  Indexing slices every field along the cell axis, so the two
-    sides of all interfaces are `cells[:-1]` and `cells[1:]`.
+    sides of all interfaces are `cells[:-1]` and `cells[1:]`; `take`
+    gathers cells by position.
     """
 
     q: np.ndarray
@@ -105,10 +105,13 @@ class CellState:
     def __getitem__(self, idx) -> "CellState":
         return CellState(*[getattr(self, name)[..., idx] for name in _CELL_FIELDS])
 
+    def take(self, indices) -> "CellState":
+        """The cells at the integer positions `indices`, copied (`np.take`
+        gathers several times faster than indexing with an array)."""
+        return CellState(*[np.take(getattr(self, name), indices, axis=-1) for name in _CELL_FIELDS])
+
 
 _CELL_FIELDS = tuple(f.name for f in fields(CellState))
-# The one-row fields, between q and the (4, ...) proj and f.
-_ROW_FIELDS = _CELL_FIELDS[1:-2]
 
 
 @dataclass
@@ -244,22 +247,6 @@ def _cell_state(q: Conserved, p: Primitive, params: PhysParams) -> CellState:
         proj=_project(q.h, q.hu, w1, w2, params.zeta).as_array(),
         f=np.stack([q.hu, q.hu * p.u + P, q.hsxx * p.u, q.hszz * p.u]),
     )
-
-
-def _cell_state_by_runs(q: Conserved, params: PhysParams) -> CellState:
-    """`_cell_state` of admissible cells q, evaluated once per run of equal
-    cells (see `model._on_runs`); bit for bit the evaluation of every cell.
-
-    On runs, every field but q comes back as a row of one array, repeated
-    in one call.
-    """
-    firsts, lengths = _on_runs(_cell_state, q, None, params)
-    if lengths is None:
-        return firsts
-    rows = [getattr(firsts, name) for name in _ROW_FIELDS]
-    rows = np.repeat(np.concatenate([rows, firsts.proj, firsts.f]), lengths, axis=1)
-    k = len(_ROW_FIELDS)
-    return CellState(q.as_array(), *rows[:k], proj=rows[k : k + 4], f=rows[k + 4 :])
 
 
 def relaxation_speeds(l: CellState, r: CellState) -> SpeedPair:

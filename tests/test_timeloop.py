@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fenepsv.model as model_mod
+import fenepsv.timeloop as timeloop_mod
 from fenepsv.model import (
     AdmissibilityError,
     Conserved,
@@ -34,9 +35,9 @@ from fenepsv.model import (
 )
 from fenepsv.oracles import newton_source_2x2, sample_states
 from fenepsv.riemann import (
-    _CELL_FIELDS,
+    SpeedPair,
+    StarStateError,
     _cell_state,
-    _cell_state_by_runs,
     _w_bounds,
     cell_state,
     interface_fluxes,
@@ -44,6 +45,7 @@ from fenepsv.riemann import (
     star_states,
     w_bounds,
 )
+from fenepsv.scenarios import initial_condition, preset_dam_break, preset_smooth_wave
 from fenepsv.timeloop import (
     Grid,
     SimState,
@@ -51,6 +53,8 @@ from fenepsv.timeloop import (
     StepControl,
     SubcharacteristicViolation,
     TimeStepCollapse,
+    _fluxes,
+    _pair_runs,
     _relax_by_runs,
     apply_boundary,
     cfl_dt,
@@ -781,29 +785,54 @@ def runs_outcome(call, *args):
     return [(a.shape, a.tobytes()) for a in out]
 
 
-def cells_on_runs(q, params):
-    cells = _cell_state_by_runs(q, params)
-    return [np.asarray(getattr(cells, name)) for name in _CELL_FIELDS]
+def force_runs(mp, on=True):
+    """Patch the gates of `model._dense_runs` so that every array is evaluated
+    on its runs (on) or on every cell (not on)."""
+    if on:
+        mp.setattr(model_mod, "RUNS_MIN_CELLS", 0)
+        mp.setattr(model_mod, "RUNS_MAX_SHARE", 1.0)
+    else:
+        mp.setattr(model_mod, "RUNS_MIN_CELLS", sys.maxsize)
 
 
-def cells_in_full(q, params):
-    cells = _cell_state(q, q.primitive(), params)
-    return [np.asarray(getattr(cells, name)) for name in _CELL_FIELDS]
+def with_runs(on, call, *args):
+    """`runs_outcome(call, *args)` with the run path forced on or off."""
+    with pytest.MonkeyPatch.context() as mp:
+        force_runs(mp, on)
+        return runs_outcome(call, *args)
 
 
-def source_on_runs(q, p, dt, params):
-    q_new, f_new, d_new = _relax_by_runs(q, p, dt, params)
+def fluxes(q, grid, params, control):
+    *arrays, dt, _ = _fluxes(q, grid, params, control)
+    return [*arrays, np.float64(dt)]
+
+
+def relaxed(q, dt, params):
+    q_new, f_new, d_new = _relax_by_runs(q, dt, params)
     return q_new.as_array(), f_new, d_new
 
 
-def source_in_full(q, p, dt, params):
-    q_new, p_new, f_new = source_step(q, p, dt, params)
-    return q_new.as_array(), f_new, _dissipation_rate(p_new, params)
+def source(q, dt, params):
+    # `source_step` alone through `_on_runs`; on runs the output is the runs', so
+    # only its errors compare with the evaluation on every cell.
+    (q_new, _, f_new), _ = _on_runs(source_step, q, None, dt, params)
+    return q_new.as_array(), f_new
+
+
+def slowed(factor):
+    """`relaxation_speeds` with both speeds scaled by factor (< 1 breaks the fan)."""
+
+    def speeds(l, r):
+        sp = relaxation_speeds(l, r)
+        return SpeedPair(factor * sp.c_l, factor * sp.c_r)
+
+    return speeds
 
 
 class TestRuns:
-    """The per-cell stages evaluated once per run of equal cells are bit for
-    bit, errors included, the stages evaluated on every cell."""
+    """The per-cell stages and the fan evaluated once per run of equal cells or
+    of equal interface pairs are bit for bit, errors included, the evaluation
+    of every cell."""
 
     def test_column_runs_compare_bit_patterns(self):
         a = np.array([[0.0, -0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 1.0, 1.0, np.nan, np.nan],
@@ -816,20 +845,25 @@ class TestRuns:
         starts, lengths = _column_runs(np.ones((4, 5)))
         assert starts.tolist() == [0] and lengths.tolist() == [5]
 
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    def test_pair_runs_are_the_runs_of_interface_pairs(self, lengths):
+        left, right, span = _pair_runs(np.array(lengths))
+        run_of_cell = np.repeat(np.arange(len(lengths)), lengths)
+        assert np.repeat(left, span).tolist() == run_of_cell[:-1].tolist()
+        assert np.repeat(right, span).tolist() == run_of_cell[1:].tolist()
+        pairs = list(zip(left.tolist(), right.tolist()))
+        assert all(p != q for p, q in zip(pairs, pairs[1:]))   # maximal runs
+        assert (span > 0).all()
+
     @given(run_cases(), st.floats(1e-6, 1e2))
     def test_stages_on_runs_equal_stages_on_every_cell(self, case, r):
-        params, q, bc, _ = case
-        padded = apply_boundary(Conserved.from_array(q), bc)
-        q_full = Conserved.from_array(q)
+        params, q, bc, strict = case
+        q = Conserved.from_array(q)
+        grid = Grid.uniform(0.0, 1.0, q.h.size)
+        control = StepControl(bc=bc, strict_subchar=strict)
         dt = r * params.lam
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model_mod, "RUNS_MIN_CELLS", 0)
-            on_runs = (
-                runs_outcome(cells_on_runs, padded, params),
-                runs_outcome(source_on_runs, q_full, q_full.primitive(), dt, params),
-            )
-        assert on_runs[0] == runs_outcome(cells_in_full, padded, params)
-        assert on_runs[1] == runs_outcome(source_in_full, q_full, q_full.primitive(), dt, params)
+        for call, args in ((fluxes, (q, grid, params, control)), (relaxed, (q, dt, params))):
+            assert with_runs(True, call, *args) == with_runs(False, call, *args)
 
     @given(run_cases())
     def test_steps_on_runs_equal_steps_on_every_cell(self, case):
@@ -837,9 +871,9 @@ class TestRuns:
         grid = Grid.uniform(0.0, 1.0, q.shape[1])
         control = StepControl(bc=bc, strict_subchar=strict)
         trails = []
-        for min_cells in (0, sys.maxsize):
+        for on in (True, False):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(model_mod, "RUNS_MIN_CELLS", min_cells)
+                force_runs(mp, on)
                 state, trail = SimState(0.0, Conserved.from_array(q.copy())), []
                 try:
                     for _ in range(3):
@@ -853,31 +887,56 @@ class TestRuns:
     @given(run_cases(), st.data())
     def test_errors_on_runs_name_cells(self, case, data):
         # A run of cells made non-hyperbolic (dP/dh < 0), and a run of traces
-        # above ell, on which the source solve fails: each error names the
-        # cell, and counts the cells, that the full evaluation names.
-        params, q, _, _ = case
+        # above ell, which the check after transport rejects and on which the
+        # source solve fails: each error names the cell, and counts the cells,
+        # that the full evaluation names.
+        params, q, bc, strict = case
         n = q.shape[1]
         lo = data.draw(st.integers(0, n - 1))
         bad = slice(lo, data.draw(st.integers(lo + 1, n)))
         spoiled = q.copy()
         spoiled[0, bad] = 1e-6
         spoiled[2, bad], spoiled[3, bad] = 1e-6 * params.ell / 8.0, -1e-6 * params.ell / 8.0
-        spoiled = Conserved.from_array(spoiled)
-        want = runs_outcome(cells_in_full, spoiled, params)
+        args = (Conserved.from_array(spoiled), Grid.uniform(0.0, 1.0, n), params,
+                StepControl(bc=bc, strict_subchar=strict))
+        want = with_runs(False, fluxes, *args)
         assert want[0] is NonHyperbolicError
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model_mod, "RUNS_MIN_CELLS", 0)
-            assert runs_outcome(cells_on_runs, spoiled, params) == want
+        assert with_runs(True, fluxes, *args) == want
 
         stuck = q.copy()
         stuck[2, bad] = stuck[0, bad] * 1.1 * params.ell
-        stuck = Conserved.from_array(stuck)
-        dt = 1e3 * params.lam
-        want = runs_outcome(source_in_full, stuck, stuck.primitive(), dt, params)
-        assert want[0] is SourceSolveFailure
+        args = (Conserved.from_array(stuck), 1e3 * params.lam, params)
+        for call, error in ((source, SourceSolveFailure), (relaxed, AdmissibilityError)):
+            want = with_runs(False, call, *args)
+            assert want[0] is error
+            assert with_runs(True, call, *args) == want
+
+    @given(run_cases(), st.sampled_from((1e-3, 0.05, 0.3, 0.6)))
+    def test_fan_errors_on_runs_name_interfaces(self, case, factor):
+        params, q, bc, strict = case
+        args = (Conserved.from_array(q), Grid.uniform(0.0, 1.0, q.shape[1]), params,
+                StepControl(bc=bc, strict_subchar=strict))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model_mod, "RUNS_MIN_CELLS", 0)
-            assert runs_outcome(source_on_runs, stuck, stuck.primitive(), dt, params) == want
+            mp.setattr(timeloop_mod, "relaxation_speeds", slowed(factor))
+            assert with_runs(True, fluxes, *args) == with_runs(False, fluxes, *args)
+
+    @pytest.mark.parametrize("name, stage, strict, error, index", [
+        # Slowed speeds: the star depth at the jump turns negative, or its
+        # conformation leaves the admissible region.
+        ("relaxation_speeds", slowed(0.05), False, StarStateError, (6,)),
+        ("relaxation_speeds", slowed(0.6), True, StarStateError, (6,)),
+        # A monitor stuck above 1 where the left cell is shallow.
+        ("subcharacteristic_monitor", lambda fan, params: np.where(fan.left.h < 0.5, 2.0, 0.5),
+         True, SubcharacteristicViolation, (7,)),
+    ])
+    def test_fan_errors_on_runs_are_those_of_every_interface(self, name, stage, strict, error,
+                                                             index, monkeypatch):
+        args = (dam_break_state(12).q, Grid.uniform(0.0, 1.0, 12), P10,
+                StepControl(strict_subchar=strict))
+        monkeypatch.setattr(timeloop_mod, name, stage)
+        want = with_runs(False, fluxes, *args)
+        assert want[0] is error and want[2] == index
+        assert with_runs(True, fluxes, *args) == want
 
     def test_small_arrays_and_distinct_cells_skip_the_runs(self):
         seen = []
@@ -887,34 +946,63 @@ class TestRuns:
             return p
 
         n = model_mod.RUNS_MIN_CELLS
+        share = model_mod.RUNS_MAX_SHARE
         small = Conserved.from_array(np.ones((4, n - 1)))
         distinct = Conserved.from_array(np.arange(1.0, 4.0 * n + 1.0).reshape(4, n))
-        for q in (small, distinct):
+        # runs one cell longer than the longest that the share gate refuses
+        short = int(np.ceil(1.0 / share)) - 1
+        sparse = Conserved.from_array(np.repeat(distinct.as_array()[:, : n // short + 1], short,
+                                                axis=1))
+        for q in (small, distinct, sparse):
             assert _on_runs(stage, q, None)[1] is None and seen[-1] is q
         p, lengths = _on_runs(stage, Conserved.from_array(np.ones((4, n))), None)
         assert lengths.tolist() == [n] and seen[-1].as_array().shape == (4, 1)
         assert p.h.tolist() == [1.0]
+        dense = np.repeat(distinct.as_array()[:, : n // (short + 1) + 1], short + 1, axis=1)
+        assert _on_runs(stage, Conserved.from_array(dense), None)[1] is not None
+
+    @pytest.mark.parametrize("cfg, on_runs", [
+        (preset_smooth_wave(10.0, cells=4096, bc="transmissive"), False),
+        (preset_dam_break(10.0, cells=4096), True),
+    ])
+    def test_density_gate(self, cfg, on_runs, monkeypatch):
+        # The smooth wave's only runs are its two ghost cells' copies of their
+        # neighbours; the dam break is two runs.
+        sizes = []
+
+        def spy(stage):
+            def wrapper(q, *args):
+                sizes.append(q.h.size)
+                return stage(q, *args)
+            return wrapper
+
+        monkeypatch.setattr(timeloop_mod, "_cell_state", spy(_cell_state))
+        monkeypatch.setattr(timeloop_mod, "source_step", spy(source_step))
+        grid = Grid(np.linspace(cfg.x_min, cfg.x_max, cfg.cells + 1))
+        full_step(SimState(0.0, initial_condition(cfg, grid)), grid, cfg.params,
+                  StepControl(bc=cfg.bc))
+        if on_runs:
+            assert sizes[0] == 2 and sizes[1] < 100
+        else:
+            assert sizes == [cfg.cells + 2, cfg.cells]
 
     def test_relaxed_cells_own_their_array(self, monkeypatch):
-        monkeypatch.setattr(model_mod, "RUNS_MIN_CELLS", 0)
+        force_runs(monkeypatch)
         state = dam_break_state(16)
-        q_new, f_new, d_new = _relax_by_runs(state.q, state.q.primitive(), 0.01, P10)
+        q_new, f_new, d_new = _relax_by_runs(state.q, 0.01, P10)
         assert q_new.as_array().base is None and q_new.as_array().shape == (4, 16)
         assert f_new.base is None and d_new.base is None
 
     def test_source_postcondition_error_names_cells(self, monkeypatch):
         # An F that the relaxation raises: the check's worst entry and count are per cell.
         se = equilibrium_sigma(P10)
-        monkeypatch.setattr(model_mod, "RUNS_MIN_CELLS", 0)
-        import fenepsv.timeloop as timeloop_mod
-
         monkeypatch.setattr(timeloop_mod, "_free_energy", lambda p, params: -(p.sxx - se) ** 2)
         sxx = np.repeat([1.0, 2.0, 1.0, 3.0], [3, 1, 2, 4])
         q = Conserved.from_array(np.array([np.ones(10), np.zeros(10), sxx, np.full(10, 1.0)]))
-        want = runs_outcome(source_in_full, q, q.primitive(), 0.01, P10)
+        want = with_runs(False, relaxed, q, 0.01, P10)
         assert want[0] is SourceSolveFailure and want[2] == (6,)
         assert want[1].endswith("(10 offending entries)")
-        assert runs_outcome(source_on_runs, q, q.primitive(), 0.01, P10) == want
+        assert with_runs(True, relaxed, q, 0.01, P10) == want
 
 
 class TestCarry:
