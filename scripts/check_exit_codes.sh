@@ -39,6 +39,11 @@ printf 'cells = 16\nt_end = inf\n' >"$work/t_end_inf.cfg"
 # cells (every cell evaluated), and a dam break (evaluated on its runs).
 printf 'scenario = smooth-wave\nbc = transmissive\ncells = 4096\nt_end = 0.002\n' >"$work/smooth.cfg"
 printf 'cells = 4096\nt_end = 0.01\n' >"$work/dam.cfg"
+# Strict subcharacteristic mode, which re-solves the fan with doubled speeds,
+# on every interface (256 cells) and on the runs of interface pairs (4096).
+printf 'cells = 256\nt_end = 0.02\nstrict_subchar = true\n' >"$work/strict_256.cfg"
+printf 'cells = 4096\nt_end = 0.005\nstrict_subchar = true\n' >"$work/strict_4096.cfg"
+printf 'cells = 64\nmax_steps = 3\n' >"$work/budget.cfg"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
@@ -50,5 +55,12 @@ expect 2 "$@" solve --config "$work/lambda_inf.cfg" --out "$work/lambda_inf"
 expect 2 "$@" solve --config "$work/t_end_inf.cfg" --out "$work/t_end_inf"
 expect 0 "$@" solve --config "$work/smooth.cfg" --out "$work/smooth"
 expect 0 "$@" solve --config "$work/dam.cfg" --out "$work/dam"
+expect 0 "$@" solve --config "$work/strict_256.cfg" --out "$work/strict_256"
+expect 0 "$@" solve --config "$work/strict_4096.cfg" --out "$work/strict_4096"
+expect 3 "$@" solve --config "$work/budget.cfg" --out "$work/budget"
+if ! grep -q 'StepBudgetExceeded' "$work/budget/run.json"; then
+    echo "FAIL: the run over its step budget wrote no error run.json" >&2
+    status=1
+fi
 expect 2 "$@" check --samples 0
 exit $status

@@ -16,6 +16,7 @@ from .riemann import StarStateError
 from .scenarios import (
     ConfigError,
     RunConfig,
+    StepBudgetExceeded,
     initial_condition,
     preset_dam_break,
     preset_smooth_wave,

@@ -54,10 +54,12 @@ def _parse_bool(raw: str) -> bool:
 
 # An empty configuration file describes the paper's dam break at ell = 10.
 _DEFAULTS = _flat_keys(preset_dam_break(10.0))
-# Each key is parsed as the type of its default; outdir (None) reads as text.
+# Each key is parsed as the type of its default; outdir (None) reads as
+# text, max_steps (None) as an integer.
 _PARSERS = {
     k: {bool: _parse_bool, int: int, float: float}.get(type(v), str) for k, v in _DEFAULTS.items()
 }
+_PARSERS["max_steps"] = int
 
 
 def _parse_value(key: str, raw: str, where: str):

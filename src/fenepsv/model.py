@@ -150,7 +150,9 @@ class Conserved:
     hszz = property(lambda self: self._a[3])
 
     def primitive(self) -> Primitive:
-        return Primitive(self.h, self.hu / self.h, self.hsxx / self.h, self.hszz / self.h)
+        """The primitive state; u, sxx and szz are the rows of one array."""
+        u, sxx, szz = self._a[1:] / self._a[0]
+        return Primitive(self._a[0], u, sxx, szz)
 
     def as_array(self) -> np.ndarray:
         """The (4, ...) component array itself (not a copy)."""
@@ -184,14 +186,18 @@ def _column_runs(a: np.ndarray):
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-# The gates of `_dense_runs`.  Finding the runs and repeating a stage's
+# The gates of the run path.  Finding the runs and repeating a stage's
 # outputs cost about as much as evaluating a stage on 500 to 1000 more
-# cells, so arrays of fewer than RUNS_MIN_CELLS cells see every cell.  With
-# more than RUNS_MAX_SHARE runs per cell, the fan on runs costs more than on
-# every cell: on equal runs it broke even at one run per four cells (see
-# README, numerical notes).
+# cells, so arrays of fewer than RUNS_MIN_CELLS cells see every cell.  The
+# per-cell stages (`_dense_runs`) take the runs where they number at most
+# RUNS_MAX_SHARE of the cells.  The fan's cost on runs follows the runs of
+# equal interface pairs, so it has its own gate (`timeloop._fan_runs`): at
+# most PAIR_RUNS_MAX_SHARE pair runs per interface, below the measured
+# break-even of one pair run per 1.8 to 2 interfaces (see README, numerical
+# notes).
 RUNS_MIN_CELLS = 1024
 RUNS_MAX_SHARE = 0.25
+PAIR_RUNS_MAX_SHARE = 0.5
 
 
 def _dense_runs(a: np.ndarray):
@@ -232,6 +238,12 @@ def _on_runs(stage, q: Conserved, p: Primitive | None, *args):
         raise
 
 
+def _holds(ok) -> bool:
+    """Whether the mask ok holds at every entry (as np.all(ok), in a third of
+    its time on small arrays)."""
+    return np.count_nonzero(ok) == getattr(ok, "size", 1)
+
+
 def is_admissible(p: Primitive, params: PhysParams):
     """Elementwise test for membership in U (strict inequalities)."""
     return (p.h > 0) & (p.sxx > 0) & (p.szz > 0) & (p.sxx + p.szz < params.ell)
@@ -239,7 +251,7 @@ def is_admissible(p: Primitive, params: PhysParams):
 
 def require_admissible(p: Primitive, params: PhysParams, context: str = "state"):
     ok = is_admissible(p, params)
-    if not np.all(ok):
+    if not _holds(ok):
         raise AdmissibilityError.at(
             f"{context} outside admissible region", ~ok, h=p.h, sxx=p.sxx, szz=p.szz, ell=params.ell
         )
@@ -250,15 +262,26 @@ def _trace_gap(p: Primitive, params: PhysParams):
     return 1.0 - (p.sxx + p.szz) / params.ell
 
 
-def _checked_trace_gap(p: Primitive, params: PhysParams):
-    """The trace gap, raising AdmissibilityError where it is not positive."""
-    gap = _trace_gap(p, params)
-    if not np.all(gap > 0):
+def _checked_trace_gap(p: Primitive, params: PhysParams, s=None):
+    """The trace gap, raising AdmissibilityError where it is not positive;
+    s is the trace sxx + szz if the caller has it."""
+    gap = _trace_gap(p, params) if s is None else 1.0 - s / params.ell
+    if not _holds(gap > 0):
         raise AdmissibilityError.at(
             "conformation trace reached the extensibility bound", ~(gap > 0),
             sxx=p.sxx, szz=p.szz, ell=params.ell,
         )
     return gap
+
+
+def _stress_terms(p: Primitive, params: PhysParams):
+    """(s, gap, d, N) of p: the trace s = sxx + szz, the trace gap 1 - s/ell
+    (raising AdmissibilityError where it is not positive), d = szz - sxx and
+    the normal stress N = G d / gap, for callers that share them."""
+    s = p.sxx + p.szz
+    gap = _checked_trace_gap(p, params, s)
+    d = p.szz - p.sxx
+    return s, gap, d, params.G * d / gap
 
 
 # normal_stress, total_pressure, free_energy, internal_energy and
@@ -286,7 +309,7 @@ def total_pressure(p: Primitive, params: PhysParams):
     return _total_pressure(p, params, _checked_trace_gap(p, params))
 
 
-def dP_dh_frozen(p: Primitive, params: PhysParams):
+def dP_dh_frozen(p: Primitive, params: PhysParams, terms=None):
     """Derivative of P along compressions that transport the conformation.
 
     Holding w1 = sxx * h^(2(1-zeta)) and w2 = szz * h^(2(zeta-1)) fixed (the
@@ -297,16 +320,11 @@ def dP_dh_frozen(p: Primitive, params: PhysParams):
 
     with s = sxx + szz and Q = 1 - s/ell.  The square of the Lagrangian
     sound speed is h^2 dP/dh; positivity is required for hyperbolicity.
+    `terms` are the `_stress_terms` of p, if the caller has them.
     """
-    Q = _checked_trace_gap(p, params)
-    s = p.sxx + p.szz
-    N = params.G * (p.szz - p.sxx) / Q
-    out = (
-        params.g * p.h
-        + N
-        + 2.0 * (1.0 - params.zeta) * params.G * (s * Q + (p.szz - p.sxx) ** 2 / params.ell) / Q**2
-    )
-    if not np.all(out > 0):
+    s, Q, d, N = _stress_terms(p, params) if terms is None else terms
+    out = params.g * p.h + N + 2.0 * (1.0 - params.zeta) * params.G * (s * Q + d**2 / params.ell) / Q**2
+    if not _holds(out > 0):
         raise NonHyperbolicError.at(
             "dP/dh non-positive (state left the hyperbolic region)", ~(out > 0), worst=-out,
             dPdh=out, h=p.h, sxx=p.sxx, szz=p.szz,
@@ -314,9 +332,10 @@ def dP_dh_frozen(p: Primitive, params: PhysParams):
     return out
 
 
-def _elastic_energy(p: Primitive, params: PhysParams):
-    """Elastic free energy per unit depth (with its barrier at the bounds)."""
-    s = p.sxx + p.szz
+def _elastic_energy(p: Primitive, params: PhysParams, s=None):
+    """Elastic free energy per unit depth (with its barrier at the bounds);
+    s is the trace sxx + szz if the caller has it."""
+    s = p.sxx + p.szz if s is None else s
     return (
         params.G
         / (2.0 * (1.0 - params.zeta))

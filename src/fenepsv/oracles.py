@@ -194,6 +194,42 @@ class RHReport:
         return float(np.max(self.residuals))
 
 
+@dataclass
+class _RelaxedState:
+    """One constant state of the relaxed system: depth h, momentum hu, the
+    transported invariants w1 and w2, relaxed pressure weighted by depth hpi,
+    total energy hE and the frozen Lagrangian speed c."""
+
+    h: np.ndarray
+    hu: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    hpi: np.ndarray
+    hE: np.ndarray
+    c: np.ndarray
+
+
+def _fan_states(fan: riemann.WaveFan):
+    """The four relaxed states of the fan, in fan order (q_l, q_l*, q_r*, q_r).
+
+    The outer states are the sides' cells, with hpi = h P and
+    hE = h (u^2/2 + ehat); each star state carries the depth and momentum
+    of its projected row, its own hpi and hE, and the w1, w2 and c of its
+    side.
+    """
+    sides, star = fan.sides, fan.star
+    outer, stars = [], []
+    for k in (0, 1):
+        h = sides[riemann.H, k]
+        transported = (sides[riemann.W1, k], sides[riemann.W2, k])
+        hE = h * (sides[riemann.U, k] ** 2 / 2.0 + sides[riemann.EHAT, k])
+        outer.append(_RelaxedState(h, sides[riemann.HU, k], *transported,
+                                   h * sides[riemann.P, k], hE, fan.c[k]))
+        stars.append(_RelaxedState(star[riemann.H, k], star[riemann.HU, k], *transported,
+                                   fan.hpi[k], fan.hE[k], fan.c[k]))
+    return outer[0], stars[0], stars[1], outer[1]
+
+
 def rh_residuals(fan: riemann.WaveFan) -> RHReport:
     """Verify the fan is an exact weak solution of the relaxed system.
 
@@ -202,8 +238,8 @@ def rh_residuals(fan: riemann.WaveFan) -> RHReport:
     waves, where c is single-valued; across the contact the velocity is
     continuous, so that contribution drops and hpi obeys pure transport.
     """
-    states = fan.states()
-    speeds = (fan.s1, fan.s2, fan.s3)
+    states = _fan_states(fan)
+    speeds = fan.s
     rows = []
     for k in range(3):
         L, R = states[k], states[k + 1]
@@ -226,7 +262,7 @@ def rh_residuals(fan: riemann.WaveFan) -> RHReport:
     return RHReport(np.stack(rows), gap)
 
 
-def _relaxed_flux(st: riemann.RelaxedState, comp: str, contact: bool):
+def _relaxed_flux(st: _RelaxedState, comp: str, contact: bool):
     u = st.hu / st.h
     pi = st.hpi / st.h
     if comp == "h":
@@ -396,10 +432,10 @@ def _random_pairs(params: PhysParams, n: int, rng: np.random.Generator):
 
 
 def _fan_under_test(q_l: Conserved, q_r: Conserved, params: PhysParams):
-    """Speeds and fan of the production solver for the pairs (q_l, q_r)."""
-    l, r = riemann.cell_state(q_l, params), riemann.cell_state(q_r, params)
-    sp = riemann.relaxation_speeds(l, r)
-    return sp, riemann.star_states(l, r, sp, params)  # raises on any violation
+    """Speeds (c_l, c_r) and fan of the production solver for the pairs (q_l, q_r)."""
+    sides = riemann.side_pair(riemann.cell_state(q_l, params), riemann.cell_state(q_r, params))
+    c = riemann.relaxation_speeds(sides)
+    return c, riemann.star_states(sides, c, params)  # raises on any violation
 
 
 def _check_rh(seed: int, samples: int) -> OracleReport:
@@ -471,19 +507,19 @@ def _check_fan_battery(seed: int, samples: int) -> OracleReport:
     ok = True
     for params in _PARAM_GRID:
         q_l, q_r = _random_pairs(params, samples, rng)
-        sp, fan = _fan_under_test(q_l, q_r, params)
+        (c_l, c_r), fan = _fan_under_test(q_l, q_r, params)
         pl, pr = q_l.primitive(), q_r.primitive()
         pi_l = total_pressure(pl, params)
         pi_r = total_pressure(pr, params)
-        lhs = pi_l + sp.c_l * (pl.u - fan.s2)
-        rhs = pi_r + sp.c_r * (fan.s2 - pr.u)
+        lhs = pi_l + c_l * (pl.u - fan.s2)
+        rhs = pi_r + c_r * (fan.s2 - pr.u)
         scale = np.maximum.reduce(
-            [np.abs(pi_l), np.abs(pi_r), sp.c_l * np.abs(pl.u), sp.c_r * np.abs(pr.u)]
+            [np.abs(pi_l), np.abs(pi_r), c_l * np.abs(pl.u), c_r * np.abs(pr.u)]
         )
         worst_pi = max(worst_pi, float(np.max(np.abs(lhs - rhs) / (scale + 1e-300))))
         ok &= bool(np.all((fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)))
-        pair = riemann.interface_fluxes(fan)
-        ok &= bool(np.array_equal(pair.f_left[:2], pair.f_right[:2]))
+        f_left, f_right = riemann.interface_fluxes(fan)
+        ok &= bool(np.array_equal(f_left[:2], f_right[:2]))
         total += samples
     return OracleReport(
         "riemann_fan_battery", total, worst_pi, 1e-10, ok and worst_pi <= 1e-10

@@ -18,11 +18,25 @@ state plus the sum of travelling jumps on the relevant side of the interface.
 Left/right flux expressions are evaluated in symmetrized floating-point form
 so that mirrored data produce bitwise mirrored fluxes and the conservative
 components telescope exactly.
+
+Data layout.  `cell_state` evaluates every per-cell input of the fan once,
+into one (CELL_ROWS, n) float block whose rows are named by the module
+constants below.  The two sides of a set of interfaces are one (CELL_ROWS,
+2, m) array, `sides`, whose index 0 along axis 1 is the left cell and 1 the
+right one: a strided view of neighbouring cells (`interface_sides`), a
+gather of the block (`np.take`, on runs of equal interface pairs), or two
+blocks stacked (`side_pair`).  Each one-sided formula of the fan is
+evaluated once on the (2, m) rows of both sides; the other side is the
+same row reversed along that axis, and each element sees the operations,
+in the order, of the formula written per side.  The speeds are a (2, m)
+array and the fan (`WaveFan`) keeps its wave speeds and star states as
+arrays of the same kind; no object is built per state, per side or per
+flux.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,25 +45,22 @@ from .model import (
     PhysParams,
     Primitive,
     SolverError,
-    _internal_energy,
-    _total_pressure,
-    _trace_gap,
+    _elastic_energy,
+    _holds,
+    _stress_terms,
     dP_dh_frozen,
     require_admissible,
 )
 
 __all__ = [
-    "CellState",
-    "RelaxedState",
-    "SpeedPair",
     "WaveFan",
-    "FluxPair",
     "StarStateError",
     "w_bounds",
     "cell_state",
+    "interface_sides",
+    "side_pair",
     "relaxation_speeds",
     "star_states",
-    "project_state",
     "interface_fluxes",
     "energy_flux",
     "subcharacteristic_monitor",
@@ -57,6 +68,26 @@ __all__ = [
 
 # Relative floor keeping the relaxation speeds away from zero in degenerate data.
 SPEED_FLOOR = 1e-14
+# Relative tolerance of the check that both one-sided star pressures agree.
+STAR_PRESSURE_RTOL = 1e-10
+
+# Rows of the cell-state block.  Rows 0-3 (PROJ) are the cell as an outer fan
+# state, projected to conserved variables through (w1, w2): h and hu as they
+# are, h sxx and h szz recomputed from w1 and w2.  The same indices name the
+# components of every conserved state of the fan.
+H, HU, HSXX, HSZZ = 0, 1, 2, 3
+PROJ = slice(0, 4)
+# u and the total pressure P, next to each other so that the fan reads both
+# at once.
+U, P = 4, 5
+# Rows 6-9 (FLUX): the exact flux F0 = (hu, hu u + P, h sxx u, h szz u).
+FLUX = slice(6, 10)
+# a = sqrt(dP/dh frozen); h a; the speed floor SPEED_FLOOR h max(1, a); the
+# compression- and expansion-side amplifiers; the internal energy per unit
+# depth ehat; w1 and w2; the monitor's outer term h^2 dP/dh; the energy flux
+# G = u (hE + h P) / h of the cell as an outer fan state, hE = h (u^2/2 + ehat).
+A, HA, FLOOR, ALPHA, BETA, EHAT, W1, W2, SOUND, G = range(10, 20)
+CELL_ROWS = 20
 
 
 class StarStateError(SolverError):
@@ -64,116 +95,29 @@ class StarStateError(SolverError):
 
 
 @dataclass
-class CellState:
-    """Every per-cell input of the fan, evaluated once per cell.
-
-    q is the conserved state as a (4, ...) array, u the velocity, P the total
-    pressure, dPdh its frozen derivative and a = sqrt(dPdh), ehat the
-    internal energy per unit depth, hP = h P and hE = h (u^2/2 + ehat) the
-    cell's relaxed-state pressure and energy, w1 and w2 the transported invariants,
-    alpha and beta the compression- and expansion-side speed amplifiers,
-    proj the (4, ...) conserved state projected back through w1 and w2 (the
-    outer fan states), f the (4, ...) exact flux of the shallow viscoelastic
-    system.  Indexing slices every field along the cell axis, so the two
-    sides of all interfaces are `cells[:-1]` and `cells[1:]`; `take`
-    gathers cells by position.
-    """
-
-    q: np.ndarray
-    u: np.ndarray | float
-    P: np.ndarray | float
-    dPdh: np.ndarray | float
-    a: np.ndarray | float
-    ehat: np.ndarray | float
-    hP: np.ndarray | float
-    hE: np.ndarray | float
-    w1: np.ndarray | float
-    w2: np.ndarray | float
-    alpha: np.ndarray | float
-    beta: np.ndarray | float
-    proj: np.ndarray
-    f: np.ndarray
-
-    @property
-    def h(self):
-        return self.q[0]
-
-    @property
-    def hu(self):
-        return self.q[1]
-
-    def __getitem__(self, idx) -> "CellState":
-        return CellState(*[getattr(self, name)[..., idx] for name in _CELL_FIELDS])
-
-    def take(self, indices) -> "CellState":
-        """The cells at the integer positions `indices`, copied (`np.take`
-        gathers several times faster than indexing with an array)."""
-        return CellState(*[np.take(getattr(self, name), indices, axis=-1) for name in _CELL_FIELDS])
-
-
-_CELL_FIELDS = tuple(f.name for f in fields(CellState))
-
-
-@dataclass
-class RelaxedState:
-    """One constant state of the relaxed system.
-
-    Components: depth h, momentum hu, transported conformation invariants
-    w1 and w2, relaxed pressure weighted by depth hpi, total energy
-    hE = h (u^2/2 + ehat) with ehat the internal energy per unit depth, and
-    the frozen Lagrangian speed c.
-    """
-
-    h: np.ndarray | float
-    hu: np.ndarray | float
-    w1: np.ndarray | float
-    w2: np.ndarray | float
-    hpi: np.ndarray | float
-    hE: np.ndarray | float
-    c: np.ndarray | float
-
-
-@dataclass
-class SpeedPair:
-    c_l: np.ndarray | float
-    c_r: np.ndarray | float
-
-
-@dataclass
 class WaveFan:
-    """Explicit Riemann fan: speeds s1 <= s2 <= s3 and the four states.
+    """Explicit Riemann fan of a set of interfaces.
 
-    `left` and `right` are the input sides; `proj` holds the four states
-    projected back to conserved variables, in fan order.
+    s holds the wave speeds s1 <= s2 <= s3 as a (3, ...) array, c the
+    Lagrangian speeds (c_l, c_r) as a (2, ...) array, and sides the cell
+    state of the input sides (see the module docstring), whose rows PROJ
+    are the outer states q_l and q_r.  star holds the star states q_l* and
+    q_r* projected to conserved variables as a (4, 2, ...) array indexed
+    [component, side], as the rows PROJ of sides are; hpi and hE are their
+    relaxed pressure and energy, weighted by depth, as (2, ...) arrays.  The
+    star states carry the w1, w2 and c of their side.
     """
 
-    s1: np.ndarray | float
-    s2: np.ndarray | float
-    s3: np.ndarray | float
-    q_l: RelaxedState
-    q_l_star: RelaxedState
-    q_r_star: RelaxedState
-    q_r: RelaxedState
-    left: CellState
-    right: CellState
-    proj: tuple
+    s: np.ndarray
+    c: np.ndarray
+    sides: np.ndarray
+    star: np.ndarray
+    hpi: np.ndarray
+    hE: np.ndarray
 
-    def states(self):
-        return (self.q_l, self.q_l_star, self.q_r_star, self.q_r)
-
-
-@dataclass
-class FluxPair:
-    """Fluxes seen by the two cells sharing an interface, shape (4, ...).
-
-    Components order: (h, hu, h sxx, h szz).  The first two components are
-    identical in f_left and f_right (the system is conservative there); the
-    conformation components differ because their transport is not a
-    conservation law.
-    """
-
-    f_left: np.ndarray
-    f_right: np.ndarray
+    s1 = property(lambda self: self.s[0])
+    s2 = property(lambda self: self.s[1])
+    s3 = property(lambda self: self.s[2])
 
 
 def w_bounds(p: Primitive, params: PhysParams):
@@ -196,15 +140,16 @@ def _w_bounds(p: Primitive, params: PhysParams):
     """`w_bounds` without its admissibility check."""
     A = p.szz / params.ell
     B = p.sxx / params.ell
-    disc = np.sqrt(np.maximum(1.0 - 4.0 * A * B, 0.0))
-    w_minus = 2.0 * B / (1.0 + disc)
+    one_disc = 1.0 + np.sqrt(np.maximum(1.0 - 4.0 * A * B, 0.0))
+    w_minus = 2.0 * B / one_disc
     with np.errstate(divide="ignore"):
-        w_plus = (1.0 + disc) / (2.0 * A)
+        w_plus = one_disc / (2.0 * A)
     return w_minus, w_plus
 
 
-def cell_state(q: Conserved, params: PhysParams) -> CellState:
-    """Evaluate the fan inputs of every cell of q once (see CellState).
+def cell_state(q: Conserved, params: PhysParams) -> np.ndarray:
+    """The fan inputs of every cell of q, evaluated once: the (CELL_ROWS, ...)
+    block whose rows the module constants name.
 
     The amplifiers come from the admissible compression range (w-, w+):
     alpha = max(2, W/(W-1)) with W = w+^(1/(2(1-zeta))) guards the lower
@@ -217,211 +162,230 @@ def cell_state(q: Conserved, params: PhysParams) -> CellState:
     return _cell_state(q, p, params)
 
 
-def _cell_state(q: Conserved, p: Primitive, params: PhysParams) -> CellState:
-    """`cell_state` of admissible cells q with primitive variables p, unchecked."""
+def _cell_state(q: Conserved, p: Primitive, params: PhysParams) -> np.ndarray:
+    """`cell_state` of admissible cells q with primitive variables
+    p = q.primitive(), unchecked."""
+    shape = getattr(p.h, "shape", ())
+    cells = np.empty((CELL_ROWS,) + (shape or (1,)))   # a row of a 0-d state is a view too
+    h, u, zeta = p.h, p.u, params.zeta
     w_minus, w_plus = _w_bounds(p, params)
-    expo = 1.0 / (2.0 * (1.0 - params.zeta))
+    expo = 1.0 / (2.0 * (1.0 - zeta))
     with np.errstate(over="ignore"):
         W = np.power(w_plus, expo)
-    inf = np.isinf(W)
-    alpha = np.maximum(2.0, np.where(inf, 2.0, W / np.where(inf, 2.0, W - 1.0)))
+    if np.count_nonzero(inf := np.isinf(W)):
+        W = np.where(inf, 2.0, W / np.where(inf, 2.0, W - 1.0))
+    else:
+        W = W / (W - 1.0)
+    np.maximum(2.0, W, out=cells[ALPHA])
     V = np.power(w_minus, expo)
-    dPdh = dP_dh_frozen(p, params)   # also rejects a non-positive trace gap
-    w1 = p.sxx * np.power(p.h, 2.0 * (1.0 - params.zeta))
-    w2 = p.szz * np.power(p.h, 2.0 * (params.zeta - 1.0))
-    P = _total_pressure(p, params, _trace_gap(p, params))
-    ehat = _internal_energy(p, params)
-    return CellState(
-        q=q.as_array(),
-        u=p.u,
-        P=P,
-        dPdh=dPdh,
-        a=np.sqrt(dPdh),
-        ehat=ehat,
-        hP=q.h * P,
-        hE=q.h * (p.u**2 / 2.0 + ehat),
-        w1=w1,
-        w2=w2,
-        alpha=alpha,
-        beta=V / (1.0 - V),
-        proj=_project(q.h, q.hu, w1, w2, params.zeta).as_array(),
-        f=np.stack([q.hu, q.hu * p.u + P, q.hsxx * p.u, q.hszz * p.u]),
-    )
+    np.divide(V, 1.0 - V, out=cells[BETA])
+    terms = s, _, _, N = _stress_terms(p, params)   # rejects a non-positive trace gap
+    dPdh = dP_dh_frozen(p, params, terms)
+    # h^(2(1-zeta)) and h^(2(zeta-1)): w1 and w2 take one each, and their
+    # projection back to h sxx and h szz the other.  The exponents stay
+    # scalars (see `star_states`).
+    up, down = np.power(h, 2.0 * (1.0 - zeta)), np.power(h, 2.0 * (zeta - 1.0))
+    np.multiply(p.sxx, up, out=cells[W1])
+    np.multiply(p.szz, down, out=cells[W2])
+    a = q.as_array().reshape((4,) + cells.shape[1:])
+    cells[:HSXX] = a[:HSXX]
+    np.multiply(cells[W1], down, out=cells[HSXX])
+    np.multiply(cells[W2], up, out=cells[HSZZ])
+    cells[HSXX : HSZZ + 1] *= h
+    h2 = h**2
+    np.add(params.g * h2 / 2.0, h * N, out=cells[P])
+    ehat = np.subtract(params.g * h / 2.0, _elastic_energy(p, params, s), out=cells[EHAT])
+    cells[FLUX.start] = a[HU]
+    np.add(a[HU] * u, cells[P], out=cells[FLUX.start + 1])
+    np.multiply(a[HSXX : HSZZ + 1], u, out=cells[FLUX.start + 2 : FLUX.stop])
+    np.sqrt(dPdh, out=cells[A])
+    np.multiply(h, cells[A], out=cells[HA])
+    np.multiply(SPEED_FLOOR * h, np.maximum(1.0, cells[A]), out=cells[FLOOR])
+    np.multiply(h2, dPdh, out=cells[SOUND])
+    hE = h * (u**2 / 2.0 + ehat)
+    # u (hE + hP/h) is the outer state's hu/h (hE + hpi/h), u being hu/h.
+    np.multiply(u, hE + h * cells[P] / h, out=cells[G])
+    cells[U] = u
+    return cells.reshape((CELL_ROWS,) + shape)
 
 
-def relaxation_speeds(l: CellState, r: CellState) -> SpeedPair:
-    """Lagrangian speeds (c_l, c_r) guaranteeing an admissible fan.
+def interface_sides(cells: np.ndarray) -> np.ndarray:
+    """The sides of the interfaces between neighbouring cells of the (k, n)
+    block cells: a read-only (k, 2, n - 1) view, no copy."""
+    k, n = cells.shape
+    row, col = cells.strides
+    sides = np.ndarray((k, 2, n - 1), cells.dtype, cells, 0, (row, col, col))
+    sides.flags.writeable = False
+    return sides
+
+
+def side_pair(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The sides of interfaces with cell-state blocks l on the left and r on
+    the right: the (k, 2, ...) array of both."""
+    return np.stack((l, r), axis=1)
+
+
+def relaxation_speeds(sides: np.ndarray) -> np.ndarray:
+    """Lagrangian speeds (c_l, c_r) guaranteeing an admissible fan, as a
+    (2, ...) array.
 
     Starting from the sound-speed baseline h a, a = sqrt(dP/dh frozen), each
     side is enlarged by the alpha term under compression (approach velocity
     or adverse pressure jump) and by the beta term under expansion, scaled by
     the pressure-jump estimate |pi_r - pi_l| / (h_l a_l + h_r a_r).
     """
-    den = l.h * l.a + r.h * r.a
-    du_comp = np.maximum(l.u - r.u, 0.0)   # approach velocity
-    du_expn = np.maximum(r.u - l.u, 0.0)   # separation velocity
-    dpi_lr = np.maximum(l.P - r.P, 0.0)
-    dpi_rl = np.maximum(r.P - l.P, 0.0)
-
-    c_l = l.h * np.maximum(
-        l.a + l.alpha * (du_comp + dpi_rl / den),
-        l.beta * (du_expn + dpi_lr / den),
-    )
-    c_r = r.h * np.maximum(
-        r.a + r.alpha * (du_comp + dpi_lr / den),
-        r.beta * (du_expn + dpi_rl / den),
-    )
-    floor_l = SPEED_FLOOR * l.h * np.maximum(1.0, l.a)
-    floor_r = SPEED_FLOOR * r.h * np.maximum(1.0, r.a)
-    return SpeedPair(np.maximum(c_l, floor_l), np.maximum(c_r, floor_r))
+    den = sides[HA, 0] + sides[HA, 1]
+    # [[ul - ur, ur - ul], [pi_l - pi_r, pi_r - pi_l]] floored at 0: the
+    # [approach, separation] velocity and each side's pressure drop towards
+    # the other side.
+    up = sides[U : P + 1]
+    du, drop = np.maximum(up - up[:, ::-1], 0.0)
+    drop /= den
+    comp = du[0] + drop[::-1]
+    comp *= sides[ALPHA]
+    comp += sides[A]
+    expn = du[1] + drop
+    expn *= sides[BETA]
+    c = np.maximum(comp, expn, out=comp)
+    c *= sides[H]
+    return np.maximum(c, sides[FLOOR], out=c)
 
 
-def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -> WaveFan:
-    """Solve the relaxed Riemann problem exactly.
+def star_states(sides: np.ndarray, c: np.ndarray, params: PhysParams) -> WaveFan:
+    """Solve the relaxed Riemann problem exactly for speeds c = (c_l, c_r).
 
     All expressions are grouped so that swapping sides and negating
     velocities yields the bitwise mirrored fan.  Raises StarStateError if
     a star depth fails positivity, the projected star conformations touch
     the extensibility bound, or the wave speeds come out unordered; with
     speeds from `relaxation_speeds` (or any enlargement) none of that can
-    happen in exact arithmetic.
+    happen in exact arithmetic.  A check fails on the left star states
+    before the right ones, and names the failing interface.
     """
-    pi_l, pi_r = l.P, r.P
-    hl, hr = l.h, r.h
-    ul, ur = l.u, r.u
-    cl, cr = sp.c_l, sp.c_r
-
+    h = sides[H].copy()   # contiguous copies of the rows read most
+    up = sides[U : P + 1].copy()
+    u, pi = up
+    cl, cr = c
     csum = cl + cr
-    u_star = ((cl * ul + cr * ur) + (pi_l - pi_r)) / csum
-    pi_star = ((cr * pi_l + cl * pi_r) + (cl * cr) * (ul - ur)) / csum
+    s = np.empty((3,) + np.shape(csum))
+    du, dpi = up - up[:, ::-1]   # [ul - ur, ur - ul] and [pi_l - pi_r, pi_r - pi_l]
+    t = c * u
+    u_star = np.divide((t[0] + t[1]) + dpi[0], csum, out=s[1, ...])
+    t = np.multiply(c[::-1], pi, out=t)
+    pi_star = ((t[0] + t[1]) + (cl * cr) * du[0]) / csum
 
     # h* from 1/h* = 1/h + jump/(c (c_l+c_r)), written without the double
     # reciprocal so equal input states reproduce h exactly.
-    den_l = 1.0 + hl * ((cr * (ur - ul) + (pi_l - pi_r)) / (cl * csum))
-    den_r = 1.0 + hr * ((cl * (ur - ul) + (pi_r - pi_l)) / (cr * csum))
-    if not (ok := (den_l > 0) & (den_r > 0)).all():
-        raise StarStateError.at("non-positive star depth", ~ok, c_l=cl, c_r=cr)
-    h_l_star = hl / den_l
-    h_r_star = hr / den_r
+    den = np.multiply(c[::-1], du[1], out=t)
+    den += dpi
+    del du, dpi
+    den /= c * csum
+    den *= h
+    den += 1.0
+    if not _holds(ok := den > 0):
+        raise StarStateError.at("non-positive star depth", ~(ok[0] & ok[1]), c_l=cl, c_r=cr)
+    ehat_star = np.subtract(pi_star**2, np.square(pi), out=np.empty_like(den))
+    t = c**2
+    t *= 2.0
+    ehat_star /= t
+    ehat_star += sides[EHAT]
 
-    ehat_l_star = l.ehat + (pi_star**2 - pi_l**2) / (2.0 * cl**2)
-    ehat_r_star = r.ehat + (pi_star**2 - pi_r**2) / (2.0 * cr**2)
-
-    states = (
-        RelaxedState(hl, l.hu, l.w1, l.w2, l.hP, l.hE, cl),
-        RelaxedState(
-            h_l_star,
-            h_l_star * u_star,
-            l.w1,
-            l.w2,
-            h_l_star * pi_star,
-            h_l_star * (u_star**2 / 2.0 + ehat_l_star),
-            cl,
-        ),
-        RelaxedState(
-            h_r_star,
-            h_r_star * u_star,
-            r.w1,
-            r.w2,
-            h_r_star * pi_star,
-            h_r_star * (u_star**2 / 2.0 + ehat_r_star),
-            cr,
-        ),
-        RelaxedState(hr, r.hu, r.w1, r.w2, r.hP, r.hE, cr),
-    )
-    stars = [project_state(st, params.zeta) for st in states[1:3]]
-    fan = WaveFan(
-        ul - cl / hl,
-        u_star,
-        ur + cr / hr,
-        *states,
-        left=l,
-        right=r,
-        proj=(Conserved.from_array(l.proj), *stars, Conserved.from_array(r.proj)),
-    )
+    # The star states projected to conserved variables through the w1 and
+    # w2 of their side.
+    star = np.empty((4, 2) + np.shape(csum))
+    h_star = np.divide(h, den, out=star[H])
+    np.multiply(h_star, u_star, out=star[HU])
+    # Scalar exponents: numpy squares for an exponent of 2 only when it is a
+    # scalar, so an array of exponents would move the last bit.
+    zeta = params.zeta
+    conformation = star[HSXX : HSZZ + 1]
+    np.power(h_star, 2.0 * (zeta - 1.0), out=conformation[0])
+    np.power(h_star, 2.0 * (1.0 - zeta), out=conformation[1])
+    conformation *= sides[W1 : W2 + 1]
+    conformation *= h_star
+    hpi = h_star * pi_star
+    ehat_star += u_star**2 / 2.0
+    hE = np.multiply(h_star, ehat_star, out=ehat_star)
 
     # Projected star conformations must stay strictly inside the admissible region.
-    for proj in fan.proj[1:3]:
-        trace = (proj.hsxx + proj.hszz) / proj.h
-        ok = (proj.hsxx > 0) & (proj.hszz > 0) & (trace < params.ell)
-        if not ok.all():
-            raise StarStateError.at("inadmissible star conformation", ~ok, c_l=cl, c_r=cr)
+    trace = conformation[0] + conformation[1]
+    trace /= h_star
+    ok = trace < params.ell
+    if not (_holds(ok) and _holds(conformation > 0)):
+        ok &= conformation[0] > 0
+        ok &= conformation[1] > 0
+        side = 0 if not _holds(ok[0]) else 1
+        raise StarStateError.at("inadmissible star conformation", ~ok[side], c_l=cl, c_r=cr)
 
-    if not (ok := (fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)).all():
-        raise StarStateError.at("unordered wave speeds", ~ok, c_l=cl, c_r=cr)
+    ch = c / h
+    np.subtract(u[0], ch[0], out=s[0, ...])
+    np.add(u[1], ch[1], out=s[2, ...])
+    if not _holds(ok := s[1:] >= s[:-1]):
+        raise StarStateError.at("unordered wave speeds", ~(ok[0] & ok[1]), c_l=cl, c_r=cr)
 
     # Single-valued star pressure: both one-sided expressions must agree.
-    res = (pi_l + cl * (ul - u_star)) - (pi_r + cr * (u_star - ur))
-    scale = np.maximum(
-        np.maximum(np.abs(pi_l), np.abs(pi_r)),
-        np.maximum(cl * np.abs(ul), cr * np.abs(ur)),
-    )
-    if not (ok := np.abs(res) <= 1e-10 * scale + 1e-300).all():
+    t = u - u_star
+    t *= c   # [c_l (u_l - u*), c_r (u_r - u*)]
+    res = (pi[0] + t[0]) - (pi[1] - t[1])
+    scale = np.abs(up)
+    scale[0] *= c
+    scale = np.maximum(scale[0], scale[1])
+    scale = np.maximum(scale[0], scale[1])   # max(|pi_l|, |pi_r|, c_l |u_l|, c_r |u_r|)
+    scale *= STAR_PRESSURE_RTOL
+    scale += 1e-300
+    if not _holds(ok := np.abs(res) <= scale):
         raise StarStateError.at("two-sided star pressure mismatch", ~ok, c_l=cl, c_r=cr)
 
-    return fan
+    return WaveFan(s, c, sides, star, hpi, hE)
 
 
-def _project(h, hu, w1, w2, zeta: float) -> Conserved:
-    sxx = w1 * np.power(h, 2.0 * (zeta - 1.0))
-    szz = w2 * np.power(h, 2.0 * (1.0 - zeta))
-    return Conserved.from_array(np.array([h, hu, h * sxx, h * szz]))
-
-
-def project_state(rs: RelaxedState, zeta: float) -> Conserved:
-    """Project a relaxed state back to conserved variables via the invariants."""
-    return _project(rs.h, rs.hu, rs.w1, rs.w2, zeta)
-
-
-def interface_fluxes(fan: WaveFan) -> FluxPair:
-    """Numerical fluxes of the simple solver built on the relaxed fan.
+def interface_fluxes(fan: WaveFan) -> np.ndarray:
+    """Numerical fluxes of the simple solver built on the relaxed fan, as a
+    fresh (2, 4, ...) array: f_left = [0] and f_right = [1], the fluxes seen
+    by the cells left and right of each interface.
 
     f_left  = F0(q_l) + sum_k min(s_k, 0) * jump_k,
     f_right = F0(q_r) - sum_k max(s_k, 0) * jump_k,
 
-    with F0 the sides' exact fluxes `fan.left.f`, `fan.right.f` and jumps
+    with F0 the sides' exact fluxes (rows FLUX of `fan.sides`) and jumps
     taken between fan states projected to conserved variables.  The cell
     update only ever sees flux differences, so any consistent F0 gives the
     same scheme (a fan whose sides carry f = 0 exposes that).  Only the
     conformation components are one-sided: the conservative components
     (h, hu) take the algebraically identical central form 0.5*(F0_l + F0_r
     - sum_k |s_k| jump_k), shared verbatim by both outputs, which makes the
-    scheme telescope exactly.
-
-    Both outputs are fresh arrays, each sum accumulated in place in the
-    association order written above.
+    scheme telescope exactly.  Each sum is accumulated in the order
+    (w(s1) jump_1 + w(s3) jump_3) + w(s2) jump_2.
     """
-    proj = [st.as_array() for st in fan.proj]
-    s1, s2, s3 = fan.s1, fan.s2, fan.s3
-    f0_l, f0_r = fan.left.f, fan.right.f
-    f_left, f_right = np.empty_like(proj[1]), np.empty_like(proj[1])
-    # Jumps d_k = proj[k] - proj[k-1] of two rows at a time, a weight per wave
-    # and a scratch row pair, reused for the (h, hu) and the conformation rows.
-    d1, d2, d3, tmp = np.empty((4, 2) + np.shape(s1))
-    w = np.empty_like(s1)
+    s, f0 = fan.s[:, None], fan.sides[FLUX]
+    outer, star = fan.sides[PROJ], fan.star
+    f = np.empty((2, 4) + s.shape[2:])
 
-    def jumps(rows):
-        for d, k in ((d1, 1), (d2, 2), (d3, 3)):
-            np.subtract(proj[k][rows], proj[k - 1][rows], out=d)
-
-    # sum_k weight(s_k) d_k as (weight(s1) d1 + weight(s3) d3) + weight(s2) d2, into out
-    def wave_sum(weight, out):
-        np.multiply(weight(s1, w), d1, out=out)
-        out += np.multiply(weight(s3, w), d3, out=tmp)
-        out += np.multiply(weight(s2, w), d2, out=tmp)
+    def jumps(rows):   # [wave, component] jumps of the components `rows`
+        out = np.empty((3, rows.stop - rows.start) + s.shape[2:])
+        np.subtract(star[rows, 0], outer[rows, 0], out=out[0])
+        np.subtract(star[rows, 1], star[rows, 0], out=out[1])
+        np.subtract(outer[rows, 1], star[rows, 1], out=out[2])
         return out
 
-    jumps(slice(None, 2))
-    central = wave_sum(np.abs, f_left[:2])
-    np.subtract(np.add(f0_l[:2], f0_r[:2], out=tmp), central, out=central)
+    def wave_sum(terms):   # terms[k] = w(s_{k+1}) jump_{k+1}, summed into terms[0]
+        terms[0] += terms[2]
+        terms[0] += terms[1]
+        return terms[0]
+
+    central = np.add(f0[:2, 0], f0[:2, 1], out=f[0, :2])
+    conservative = jumps(slice(0, 2))
+    conservative *= np.abs(s)
+    central -= wave_sum(conservative)
     central *= 0.5
-    f_right[:2] = central
-    jumps(slice(2, None))
-    left = wave_sum(lambda s, out: np.minimum(s, 0.0, out=out), f_left[2:])
-    np.add(f0_l[2:], left, out=left)
-    right = wave_sum(lambda s, out: np.maximum(s, 0.0, out=out), f_right[2:])
-    np.subtract(f0_r[2:], right, out=right)
-    return FluxPair(f_left, f_right)
+    f[1, :2] = central
+    del conservative   # before the conformation jumps, to keep the peak low
+    conformation = jumps(slice(2, 4))
+    left = wave_sum(np.minimum(s, 0.0) * conformation)
+    right = wave_sum(np.multiply(conformation, np.maximum(s, 0.0), out=conformation))
+    np.add(f0[2:, 0], left, out=f[0, 2:])
+    np.subtract(f0[2:, 1], right, out=f[1, 2:])
+    return f
 
 
 def energy_flux(fan: WaveFan):
@@ -431,16 +395,14 @@ def energy_flux(fan: WaveFan):
     speed; a wave of speed exactly 0 counts as lying right of the ray.
     Consistent with the exact entropy flux u (F + P) when both sides agree.
     """
+    h_star = fan.star[H]
+    g_star = fan.star[HU] / h_star * (fan.hE + fan.hpi / h_star)
+    g_outer = fan.sides[G]
     # The speeds are ordered, so s3 < 0 implies s2 < 0 implies s1 < 0.
-    neg1, neg2, neg3 = fan.s1 < 0, fan.s2 < 0, fan.s3 < 0
-    states = fan.states()
-
-    def pick(name):
-        a, b, c, d = (getattr(st, name) for st in states)
-        return np.where(neg1, np.where(neg2, np.where(neg3, d, c), b), a)
-
-    h = pick("h")
-    return pick("hu") / h * (pick("hE") + pick("hpi") / h)
+    neg = fan.s < 0
+    return np.where(
+        neg[0], np.where(neg[1], np.where(neg[2], g_outer[1], g_star[1]), g_star[0]), g_outer[0]
+    )
 
 
 def subcharacteristic_monitor(fan: WaveFan, params: PhysParams):
@@ -448,13 +410,20 @@ def subcharacteristic_monitor(fan: WaveFan, params: PhysParams):
 
     Values <= 1 certify the relaxed energy dominates the true one along the
     fan (the stability requirement); values > 1 are reported, not fatal.
-    The outer states reuse the input sides' dP/dh.
+    The outer states reuse the input sides' h^2 dP/dh; the two star states
+    take one `dP_dh_frozen` call, and where it fails, the left star state's
+    failure is raised before the right one's.
     """
-    cl, cr = fan.q_l.c, fan.q_r.c
-    worst = np.maximum(
-        fan.left.h**2 * fan.left.dPdh / cl**2, fan.right.h**2 * fan.right.dPdh / cr**2
-    )
-    for proj, c in ((fan.proj[1], cl), (fan.proj[2], cr)):
-        p = proj.primitive()
-        worst = np.maximum(worst, p.h**2 * dP_dh_frozen(p, params) / c**2)
-    return worst
+    c2 = fan.c**2
+    h = fan.star[H]
+    u, sxx, szz = fan.star[HU:] / h   # as Conserved.primitive
+    p = Primitive(h, u, sxx, szz)
+    try:
+        dPdh = dP_dh_frozen(p, params)
+    except SolverError:
+        for k in (0, 1):
+            dP_dh_frozen(Primitive(p.h[k], p.u[k], p.sxx[k], p.szz[k]), params)
+        raise
+    worst = fan.sides[SOUND] / c2
+    np.maximum(worst, p.h**2 * dPdh / c2, out=worst)
+    return np.maximum(worst[0], worst[1])

@@ -25,6 +25,7 @@ from .model import (
     Conserved,
     PhysParams,
     Primitive,
+    SolverError,
     _column_runs,
     _free_energy,
     _normal_stress,
@@ -44,6 +45,7 @@ from .timeloop import (
 
 __all__ = [
     "ConfigError",
+    "StepBudgetExceeded",
     "RunConfig",
     "RunResult",
     "ConvergenceResult",
@@ -67,13 +69,18 @@ class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
+class StepBudgetExceeded(SolverError):
+    """The run needed more steps than its configured max_steps."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one run.
 
     `left`/`right` are (h, u, sigma_xx, sigma_zz) quadruples; `uniform` uses
     only `left`, `smooth-wave` ignores both and modulates an equilibrium
-    state.  `outdir=None` runs without writing any files.
+    state.  `outdir=None` runs without writing any files.  `max_steps` caps
+    the number of steps (None: no cap).
     """
 
     params: PhysParams
@@ -92,6 +99,7 @@ class RunConfig:
     strict_dissipation: bool = False
     strict_subchar: bool = False
     dt_min_factor: float = 1e-12
+    max_steps: int | None = None
 
     def validated(self) -> "RunConfig":
         if self.scenario not in SCENARIOS:
@@ -113,6 +121,10 @@ class RunConfig:
             raise ConfigError(f"dt_min_factor must be >= 0, got {self.dt_min_factor}")
         if self.snapshots < 1:
             raise ConfigError(f"snapshots must be >= 1, got {self.snapshots}")
+        steps = self.max_steps
+        if steps is not None and (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
+                                  or steps < 1):
+            raise ConfigError(f"max_steps must be an integer >= 1 or unset, got {steps!r}")
         if self.scenario == "dam-break" and not (self.x_min < self.jump_x < self.x_max):
             raise ConfigError(f"jump_x={self.jump_x} outside the domain interior")
         states = (self.left, self.right) if self.scenario == "dam-break" else (self.left,)
@@ -331,7 +343,9 @@ def run(config: RunConfig) -> RunResult:
 
     Snapshot times are hit exactly: the step is clipped to the remaining
     interval, or halved when within a factor two of it, so no step ever
-    shrinks below half the stable step.
+    shrinks below half the stable step.  A run that needs more than
+    config.max_steps steps raises StepBudgetExceeded, naming the last step
+    taken, its time and its dt.
     """
     config = config.validated()
     t0 = time.perf_counter()
@@ -382,9 +396,14 @@ def run(config: RunConfig) -> RunResult:
             diag_file.write(_DIAGNOSTICS_HEADER)
         for t_next in targets[1:]:
             while state.t < t_next:
+                if steps == config.max_steps:
+                    raise StepBudgetExceeded(
+                        f"step budget of {steps} steps spent before t_end={config.t_end!r}: "
+                        f"step {steps} ended at t={state.t!r} with dt={diag.dt!r}"
+                    )
                 remaining = t_next - state.t
-                ctrl = dataclasses.replace(control, max_dt=remaining)
-                state, diag = full_step(state, grid, config.params, ctrl)
+                control.max_dt = remaining   # run's own control: no copy per step
+                state, diag = full_step(state, grid, config.params, control)
                 if diag.dt == remaining:
                     state.t = t_next   # the step's own state keeps its carried free energy
                 steps += 1

@@ -18,23 +18,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model
 from .model import (
     Conserved,
     PhysParams,
     Primitive,
     SolverError,
-    _dense_runs,
+    _column_runs,
     _dissipation_rate,
     _free_energy,
+    _holds,
     _on_runs,
     is_admissible,
     require_admissible,
 )
 from .riemann import (
-    SpeedPair,
     _cell_state,
     energy_flux,
     interface_fluxes,
+    interface_sides,
     relaxation_speeds,
     star_states,
     subcharacteristic_monitor,
@@ -90,10 +92,12 @@ class Grid:
         self.edges = np.asarray(self.edges, dtype=float)
         if self.edges.ndim != 1 or self.edges.size < 2 or np.any(np.diff(self.edges) <= 0):
             raise ValueError("grid edges must be a strictly increasing 1D array")
-        # Cell widths and centers, computed once; read-only because they are shared.
+        # Cell widths, centers and the smallest width, computed once; read-only
+        # because they are shared.
         self.dx = np.diff(self.edges)
         self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
         self.dx.flags.writeable = self.centers.flags.writeable = False
+        self.min_dx = float(self.dx.min())
 
     @classmethod
     def uniform(cls, x_min: float, x_max: float, cells: int) -> "Grid":
@@ -172,8 +176,8 @@ def cfl_dt(grid: Grid, fan, cfl: float, dt_min_factor: float = 1e-12) -> float:
     dt = cfl * min dx / S_max with S_max the largest |outer wave speed| over
     all interfaces.  Raises TimeStepCollapse below dt_min_factor * min dx.
     """
-    s_max = float(np.maximum(np.abs(fan.s1), np.abs(fan.s3)).max())
-    min_dx = float(grid.dx.min())
+    s_max = float(np.abs(fan.s[::2]).max())
+    min_dx = grid.min_dx
     dt = cfl * min_dx / s_max if s_max > 0 else np.inf
     if dt < dt_min_factor * min_dx:
         raise TimeStepCollapse(
@@ -182,26 +186,24 @@ def cfl_dt(grid: Grid, fan, cfl: float, dt_min_factor: float = 1e-12) -> float:
     return dt
 
 
-def _fan(l, r, x, params: PhysParams, strict_subchar: bool):
-    """The fan of each interface between cells l and r, at edge x, and its
-    subcharacteristic ratio.
+def _fan(sides, x, params: PhysParams, strict_subchar: bool):
+    """The fan of each interface with the given sides (see `riemann`), at
+    edge x, and its subcharacteristic ratio.
 
     With strict_subchar, the speeds are doubled where the monitor is above
     1, up to 3 times, and a ratio still above 1 raises
     SubcharacteristicViolation.
     """
-    sp = relaxation_speeds(l, r)
-    fan = star_states(l, r, sp, params)
+    c = relaxation_speeds(sides)
+    fan = star_states(sides, c, params)
     ratio = subcharacteristic_monitor(fan, params)
     if strict_subchar:
         for _ in range(3):
             bad = ratio > 1.0
             if not bad.any():
                 break
-            sp = SpeedPair(
-                np.where(bad, 2.0 * sp.c_l, sp.c_l), np.where(bad, 2.0 * sp.c_r, sp.c_r)
-            )
-            fan = star_states(l, r, sp, params)
+            c = np.where(bad, 2.0 * c, c)
+            fan = star_states(sides, c, params)
             ratio = subcharacteristic_monitor(fan, params)
         if (ratio > 1.0).any():
             raise SubcharacteristicViolation.at(
@@ -213,18 +215,37 @@ def _fan(l, r, x, params: PhysParams, strict_subchar: bool):
 
 def _pair_runs(lengths):
     """The runs of equal interface pairs of cells whose runs of equal cells
-    have `lengths`: (left cell run, right cell run, length) of each.
+    have `lengths`: (sides, span), sides the (2, m) array of the cell runs
+    left (sides[0]) and right (sides[1]) of each pair run, span its length.
 
     Cell run i holds lengths[i] - 1 interfaces, all joining it to itself,
     and the next interface joins it to run i + 1.
     """
     left = np.repeat(np.arange(lengths.size), 2)[:-1]
-    right = left.copy()
-    right[1::2] += 1
-    span = np.ones_like(left)
+    sides = np.stack((left, left))
+    sides[1, 1::2] += 1
+    span = np.ones(sides.shape[1], dtype=lengths.dtype)
     span[::2] = lengths - 1
     keep = span > 0
-    return left[keep], right[keep], span[keep]
+    return sides[:, keep], span[keep]
+
+
+def _fan_runs(a: np.ndarray):
+    """The runs that the fan of the padded cells a is evaluated on, or None
+    when evaluating every interface costs less.
+
+    Returns (starts, sides, span): the first cell of each run of equal
+    cells and the `_pair_runs` of their lengths.  The runs pay when a has
+    at least `model.RUNS_MIN_CELLS` columns and at most
+    `model.PAIR_RUNS_MAX_SHARE` of its interfaces start a pair run; both
+    are read at call time.
+    """
+    n = a.shape[1]
+    if n < model.RUNS_MIN_CELLS:
+        return None
+    starts, lengths = _column_runs(a)
+    sides, span = _pair_runs(lengths)
+    return (starts, sides, span) if span.size <= model.PAIR_RUNS_MAX_SHARE * (n - 1) else None
 
 
 def _fluxes(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, dt=None):
@@ -235,15 +256,16 @@ def _fluxes(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, 
     shortened by control.max_dt to land on an output time (never below half
     the CFL step unless the cap itself is smaller).
 
-    Where the padded cells' runs pay (`model._dense_runs`), the cell state
-    is evaluated on each run's first cell, and the fan, fluxes, energy flux
+    Where the padded cells' pair runs pay (`_fan_runs`), the cell state is
+    evaluated on each run's first cell, and the fan, fluxes, energy flux
     and monitor on the first interface of each run of equal pairs: the
     interface k joins padded cells k and k + 1, so a pair run starts where
-    a cell run starts at k or k + 1.  Repeating those gives the evaluation
-    at every interface bit for bit, and the CFL step, a maximum over the
-    runs, needs no repeat.  A SolverError on the runs is raised again by
-    the evaluation at every interface, so its text, index and count name
-    the cells and interfaces of q.
+    a cell run starts at k or k + 1.  One `np.take` of the cell-state block
+    gathers both sides of those interfaces.  Repeating the outputs gives the
+    evaluation at every interface bit for bit, and the CFL step, a maximum
+    over the runs, needs no repeat.  A SolverError on the runs is raised
+    again by the evaluation at every interface, so its text, index and count
+    name the cells and interfaces of q.
 
     Returns (f_left, f_right, g, ratio, dt, fan): the fluxes seen by the
     cells left and right of each interface, the free-energy flux G and the
@@ -251,28 +273,26 @@ def _fluxes(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, 
     the first interfaces of the pair runs, where runs were taken).
     """
     padded = apply_boundary(q, control.bc)
-    a = padded.as_array()
 
     def everywhere():
         cells = _cell_state(padded, padded.primitive(), params)
-        return _fan(cells[:-1], cells[1:], grid.edges, params, control.strict_subchar)
+        return _fan(interface_sides(cells), grid.edges, params, control.strict_subchar)
 
-    if (runs := _dense_runs(a)) is None:
+    a = padded.as_array()
+    if (runs := _fan_runs(a)) is None:
         fan, ratio = everywhere()
         lengths = None
     else:
-        starts, run_lengths = runs
-        left, right, lengths = _pair_runs(run_lengths)
+        starts, sides, lengths = runs
         firsts = Conserved.from_array(a[:, starts])
         try:
             cells = _cell_state(firsts, firsts.primitive(), params)
             x = grid.edges[np.cumsum(lengths) - lengths]
-            fan, ratio = _fan(
-                cells.take(left), cells.take(right), x, params, control.strict_subchar
-            )
+            fan, ratio = _fan(np.take(cells, sides, axis=1), x, params, control.strict_subchar)
         except SolverError:
             everywhere()
             raise
+    del padded, a   # the padded cells are not read again
 
     if dt is None:
         dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)
@@ -284,15 +304,15 @@ def _fluxes(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, 
         elif not np.isfinite(dt):
             raise TimeStepCollapse("CFL produced a non-finite dt and no cap was given")
 
-    pair = interface_fluxes(fan)
+    f = interface_fluxes(fan)
     g = energy_flux(fan)
     if lengths is None:
-        return pair.f_left, pair.f_right, g, ratio, dt, fan
+        return f[0], f[1], g, ratio, dt, fan
     # Two blocks: the fluxes' dies with the update, before the source step.
     # A block that G and the ratio held until the audit would be given back
     # to the system at the step's end and faulted in again by the next step
     # (about 350 page faults per step at 16384 cells, against about 20).
-    f = np.repeat(np.concatenate([pair.f_left, pair.f_right]), lengths, axis=1)
+    f = np.repeat(f.reshape(8, -1), lengths, axis=1)
     g, ratio = np.repeat([g, ratio], lengths, axis=1)
     return f[:4], f[4:], g, ratio, dt, fan
 
@@ -358,24 +378,36 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
     s0_all = sxx0 + szz0
     tol = 1e-13 * (2.0 + ell / r)
 
-    # root holds every entry's trace; idx, s0, the iterate s, its residual g,
-    # Q = 1 - s/ell and the bracket (lo, hi) cover the unconverged entries.
-    s0 = np.ravel(s0_all)
-    root = s0.copy()
+    # root holds every entry's trace; idx and the rows of `it` cover the
+    # unconverged entries: s0, the iterate s, its residual g, Q = 1 - s/ell
+    # and the bracket (lo, hi).  Each pass updates the rows in place, and a
+    # pass that leaves fewer entries unconverged compresses them at once.
+    root = s0_all.ravel().copy()
     idx = np.arange(root.size)
-    s = root
-    Q = 1.0 - s / ell
-    g = (s - s0) / r - 2.0 + s / Q
-    lo = np.zeros_like(s)
-    hi = np.full_like(s, ell)
+    it = np.empty((6, root.size))
+    it[:2] = root
+    it[4] = 0.0
+    it[5] = ell
+    s0, s, g, Q, lo, hi = it
+    tmp = np.empty_like(root)
+
+    def update_residual():   # Q = 1 - s/ell, g = (s - s0)/r - 2 + s/Q
+        np.divide(s, ell, out=Q)
+        np.subtract(1.0, Q, out=Q)
+        np.divide(np.subtract(s, s0, out=g), r, out=g)
+        np.subtract(g, 2.0, out=g)
+        np.add(g, np.divide(s, Q, out=tmp), out=g)
+
+    update_residual()
     for passes in range(101):
         active = np.abs(g) > tol
-        if not (active.size and active.all()):   # some entry converged, or none is left
+        if not (active.size and _holds(active)):   # some entry converged, or none is left
             root[idx] = s
             idx = idx[active]
             if not idx.size:
                 break
-            s, s0, g, Q, lo, hi = (a[active] for a in (s, s0, g, Q, lo, hi))
+            it, tmp = it[:, active], tmp[: idx.size]
+            s0, s, g, Q, lo, hi = it
         if passes == 100:
             bad = np.zeros(s0_all.shape, dtype=bool)
             bad.flat[idx] = True
@@ -385,12 +417,17 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
                 "trace equation not converged after 100 iterations", bad,
                 s0=s0_all, g=g_all, tol=tol,
             )
-        hi = np.where(g > 0, s, hi)
-        lo = np.where(g <= 0, s, lo)
-        s_new = s - g / (1.0 / r + 1.0 / Q**2)
-        s = np.where((s_new <= lo) | (s_new >= hi), 0.5 * (lo + hi), s_new)
-        Q = 1.0 - s / ell
-        g = (s - s0) / r - 2.0 + s / Q
+        # The bracket: hi where g > 0, lo where g <= 0 (no unconverged g is NaN).
+        up = g > 0
+        np.copyto(hi, s, where=up)
+        np.copyto(lo, s, where=~up)
+        # Newton, s - g / (1/r + 1/Q^2), bisecting where it leaves the bracket.
+        step = np.divide(1.0, np.square(Q, out=tmp), out=tmp)
+        step += 1.0 / r
+        np.subtract(s, np.divide(g, step, out=step), out=s)
+        if np.count_nonzero(out := (s <= lo) | (s >= hi)):
+            np.copyto(s, 0.5 * (lo + hi), where=out)
+        update_residual()
 
     s = root.reshape(s0_all.shape)
     Q = 1.0 - s / ell
@@ -398,7 +435,7 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
     sxx = (sxx0 + r) / denom
     szz = (szz0 + r) / denom
     drift = np.abs((sxx + szz) - s)
-    if not (drift <= 1e-10 * ell).all():
+    if not _holds(drift <= 1e-10 * ell):
         raise SourceSolveFailure.at(
             "component recovery inconsistent with the trace root", ~(drift <= 1e-10 * ell),
             worst=drift, drift=drift, bound=1e-10 * ell,
@@ -419,14 +456,14 @@ def source_step(q: Conserved, p: Primitive, dt: float, params: PhysParams):
     out = Conserved.from_array(np.array([q.h, q.hu, q.h * sxx, q.h * szz]))
     p_new = out.primitive()
     ok = is_admissible(p_new, params)
-    if not ok.all():
+    if not _holds(ok):
         raise SourceSolveFailure.at(
             "relaxed state inadmissible", ~ok, sxx=p_new.sxx, szz=p_new.szz, ell=params.ell
         )
     f_before = _free_energy(p, params)
     f_after = _free_energy(p_new, params)
     allowance = 1e-12 * (1.0 + np.abs(f_before))
-    if not (ok := f_after <= f_before + allowance).all():
+    if not _holds(ok := f_after <= f_before + allowance):
         raise SourceSolveFailure.at(
             "free energy increased during relaxation", ~ok, worst=f_after - f_before,
             before=f_before, after=f_after,

@@ -24,7 +24,14 @@ from fenepsv.oracles import (
     rh_residuals,
     sample_states,
 )
-from fenepsv.riemann import cell_state, interface_fluxes, relaxation_speeds, star_states
+from fenepsv.riemann import (
+    FLUX,
+    cell_state,
+    interface_fluxes,
+    relaxation_speeds,
+    side_pair,
+    star_states,
+)
 from fenepsv.scenarios import preset_dam_break, preset_smooth_wave, initial_condition, run
 from fenepsv.timeloop import Grid, SimState, StepControl, full_step, relax_conformations
 
@@ -38,8 +45,9 @@ def params_for(ell, zeta=0.0):
 
 
 def fluxes(q_l, q_r, params):
-    l, r = cell_state(q_l, params), cell_state(q_r, params)
-    fan = star_states(l, r, relaxation_speeds(l, r), params)
+    """(f, fan): f[0] = f_left and f[1] = f_right."""
+    sides = side_pair(cell_state(q_l, params), cell_state(q_r, params))
+    fan = star_states(sides, relaxation_speeds(sides), params)
     return interface_fluxes(fan), fan
 
 
@@ -99,23 +107,23 @@ def test_riemann_battery(acceptance_record):
             params = params_for(ell, zeta)
             q_l = sample_states(params, per, rng).conserved()
             q_r = sample_states(params, per, rng).conserved()
-            l, r = cell_state(q_l, params), cell_state(q_r, params)
-            sp = relaxation_speeds(l, r)
+            sides = side_pair(cell_state(q_l, params), cell_state(q_r, params))
+            c_l, c_r = sp = relaxation_speeds(sides)
             # subcharacteristic baseline on both input states, strictly
-            for q, c in ((q_l, sp.c_l), (q_r, sp.c_r)):
+            for q, c in ((q_l, c_l), (q_r, c_r)):
                 a = np.sqrt(dP_dh_frozen(q.primitive(), params))
                 cond1_ok &= bool(np.all(c >= q.h * a * (1.0 - 1e-14)))
-            fan = star_states(l, r, sp, params)  # raises on any positivity loss
+            fan = star_states(sides, sp, params)  # raises on any positivity loss
             ordering_ok &= bool(np.all((fan.s1 <= fan.s2) & (fan.s2 <= fan.s3)))
 
             from fenepsv.model import total_pressure
 
             pl, pr = q_l.primitive(), q_r.primitive()
             pi_l, pi_r = total_pressure(pl, params), total_pressure(pr, params)
-            lhs = pi_l + sp.c_l * (pl.u - fan.s2)
-            rhs = pi_r + sp.c_r * (fan.s2 - pr.u)
+            lhs = pi_l + c_l * (pl.u - fan.s2)
+            rhs = pi_r + c_r * (fan.s2 - pr.u)
             scale = np.maximum.reduce(
-                [np.abs(pi_l), np.abs(pi_r), sp.c_l * np.abs(pl.u), sp.c_r * np.abs(pr.u)]
+                [np.abs(pi_l), np.abs(pi_r), c_l * np.abs(pl.u), c_r * np.abs(pr.u)]
             )
             worst_pi = max(worst_pi, float(np.max(np.abs(lhs - rhs) / (scale + 1e-300))))
 
@@ -123,16 +131,16 @@ def test_riemann_battery(acceptance_record):
             worst_rh = max(worst_rh, rep.max_residual())
             worst_gap = max(worst_gap, rep.transport_gap)
 
-            pair = interface_fluxes(fan)
-            flux_shared &= bool(np.array_equal(pair.f_left[:2], pair.f_right[:2]))
+            f_left, f_right = interface_fluxes(fan)
+            flux_shared &= bool(np.array_equal(f_left[:2], f_right[:2]))
 
-            zl = dataclasses.replace(l, f=np.zeros_like(l.f))
-            zr = dataclasses.replace(r, f=np.zeros_like(r.f))
-            pz = interface_fluxes(dataclasses.replace(fan, left=zl, right=zr))
-            f0l, f0r = l.f, r.f
-            recon = np.concatenate([0.5 * (f0l[:2] + f0r[:2]) + pz.f_left[:2], f0l[2:] + pz.f_left[2:]])
-            scale_f = np.abs(pair.f_left) + np.abs(f0l) + np.abs(f0r) + 1.0
-            worst_f0 = max(worst_f0, float(np.max(np.abs(pair.f_left - recon) / scale_f)))
+            zero_f0 = sides.copy()
+            zero_f0[FLUX] = 0.0
+            pz_left, _ = interface_fluxes(dataclasses.replace(fan, sides=zero_f0))
+            f0l, f0r = sides[FLUX, 0], sides[FLUX, 1]
+            recon = np.concatenate([0.5 * (f0l[:2] + f0r[:2]) + pz_left[:2], f0l[2:] + pz_left[2:]])
+            scale_f = np.abs(f_left) + np.abs(f0l) + np.abs(f0r) + 1.0
+            worst_f0 = max(worst_f0, float(np.max(np.abs(f_left - recon) / scale_f)))
     ok = (
         cond1_ok
         and ordering_ok
@@ -261,14 +269,14 @@ def test_mirror_bit_exactness(acceptance_record):
         params = params_for(ell)
         q_l = sample_states(params, 10_000 // 4, rng).conserved()
         q_r = sample_states(params, 10_000 // 4, rng).conserved()
-        pair, fan = fluxes(q_l, q_r, params)
+        (f_left, f_right), fan = fluxes(q_l, q_r, params)
         ml = Conserved(q_r.h, -q_r.hu, q_r.hsxx, q_r.hszz)
         mr = Conserved(q_l.h, -q_l.hu, q_l.hsxx, q_l.hszz)
-        mpair, mfan = fluxes(ml, mr, params)
+        (mf_left, mf_right), mfan = fluxes(ml, mr, params)
         sign = np.array([-1.0, 1.0, -1.0, -1.0])[:, None]
         flux_ok &= bool(
-            np.array_equal(mpair.f_left, sign * pair.f_right)
-            and np.array_equal(mpair.f_right, sign * pair.f_left)
+            np.array_equal(mf_left, sign * f_right)
+            and np.array_equal(mf_right, sign * f_left)
             and np.array_equal(np.asarray(mfan.s2), -np.asarray(fan.s2))
         )
 

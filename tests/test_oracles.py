@@ -16,7 +16,7 @@ from fenepsv.oracles import (
     sample_states,
     sw_dam_break_structure,
 )
-from fenepsv.riemann import cell_state, relaxation_speeds, star_states
+from fenepsv.riemann import H, cell_state, relaxation_speeds, side_pair, star_states
 
 P10 = PhysParams(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=10.0)
 
@@ -74,8 +74,8 @@ class TestRHOracle:
     def make_fan(self, rng, params=P10, n=200):
         q_l = sample_states(params, n, rng).conserved()
         q_r = sample_states(params, n, rng).conserved()
-        l, r = cell_state(q_l, params), cell_state(q_r, params)
-        return star_states(l, r, relaxation_speeds(l, r), params)
+        sides = side_pair(cell_state(q_l, params), cell_state(q_r, params))
+        return star_states(sides, relaxation_speeds(sides), params)
 
     def test_valid_fans_pass(self, rng):
         rep = rh_residuals(self.make_fan(rng))
@@ -85,17 +85,17 @@ class TestRHOracle:
 
     def test_detects_corrupted_energy(self, rng):
         fan = self.make_fan(rng, n=50)
-        fan.q_l_star.hE = fan.q_l_star.hE * (1.0 + 1e-6)
+        fan.hE[0] = fan.hE[0] * (1.0 + 1e-6)   # the left star state's
         assert rh_residuals(fan).max_residual() > 1e-8
 
     def test_detects_corrupted_depth(self, rng):
         fan = self.make_fan(rng, n=50)
-        fan.q_r_star.h = fan.q_r_star.h * (1.0 + 1e-7)
+        fan.star[H, 1] = fan.star[H, 1] * (1.0 + 1e-7)   # the right star state's
         assert rh_residuals(fan).max_residual() > 1e-9
 
     def test_detects_corrupted_speed(self, rng):
         fan = self.make_fan(rng, n=50)
-        fan.s2 = np.asarray(fan.s2) * (1.0 + 1e-7)
+        fan.s[1] = fan.s[1] * (1.0 + 1e-7)
         assert rh_residuals(fan).max_residual() > 1e-9
 
 

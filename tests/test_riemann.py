@@ -2,24 +2,50 @@
 
 import dataclasses
 
+import fan_reference
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fenepsv.model import Conserved, PhysParams, Primitive, dP_dh_frozen, free_energy, total_pressure
+import fenepsv.riemann as riemann_mod
+import fenepsv.timeloop as timeloop_mod
+from fenepsv.model import (
+    Conserved,
+    NonHyperbolicError,
+    PhysParams,
+    Primitive,
+    dP_dh_frozen,
+    free_energy,
+    total_pressure,
+)
 from fenepsv.oracles import rh_residuals, sample_states
 from fenepsv.riemann import (
+    ALPHA,
+    BETA,
+    EHAT,
+    FLUX,
+    H,
+    HU,
+    P,
+    PROJ,
+    U,
+    W1,
+    W2,
     StarStateError,
     cell_state,
     energy_flux,
     interface_fluxes,
-    project_state,
+    interface_sides,
     relaxation_speeds,
+    side_pair,
     star_states,
     subcharacteristic_monitor,
     w_bounds,
 )
+from fenepsv.timeloop import Grid, StepControl, SubcharacteristicViolation
+from test_timeloop import fluxes as stepped_fluxes
+from test_timeloop import force_runs, runs_outcome
 
 P10 = PhysParams(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=10.0)
 
@@ -30,29 +56,62 @@ PARAM_GRID = [
 ]
 
 
+def sides_of(q_l, q_r, params=P10):
+    return side_pair(cell_state(q_l, params), cell_state(q_r, params))
+
+
 def speeds(q_l, q_r, params=P10):
-    return relaxation_speeds(cell_state(q_l, params), cell_state(q_r, params))
+    """(c_l, c_r) as one (2, ...) array."""
+    return relaxation_speeds(sides_of(q_l, q_r, params))
 
 
-def fan_of(q_l, q_r, params=P10, sp=None):
-    l, r = cell_state(q_l, params), cell_state(q_r, params)
-    return star_states(l, r, relaxation_speeds(l, r) if sp is None else sp, params)
+def fan_of(q_l, q_r, params=P10, c=None):
+    sides = sides_of(q_l, q_r, params)
+    return star_states(sides, relaxation_speeds(sides) if c is None else c, params)
 
 
 def fluxes(q_l, q_r, params=P10):
+    """(f, fan): f[0] = f_left and f[1] = f_right."""
     fan = fan_of(q_l, q_r, params)
     return interface_fluxes(fan), fan
 
 
 def exact_flux(q, params=P10):
-    return cell_state(q, params).f
+    return cell_state(q, params)[FLUX]
 
 
 def zero_f0(fan):
     """The same fan with the sides' exact fluxes replaced by zero."""
-    left = dataclasses.replace(fan.left, f=np.zeros_like(fan.left.f))
-    right = dataclasses.replace(fan.right, f=np.zeros_like(fan.right.f))
-    return dataclasses.replace(fan, left=left, right=right)
+    sides = fan.sides.copy()
+    sides[FLUX] = 0.0
+    return dataclasses.replace(fan, sides=sides)
+
+
+def project(h, hu, w1, w2, zeta):
+    """A relaxed state projected back to conserved variables via the invariants."""
+    sxx = w1 * np.power(h, 2.0 * (zeta - 1.0))
+    szz = w2 * np.power(h, 2.0 * (1.0 - zeta))
+    return np.array([h, hu, h * sxx, h * szz])
+
+
+def fan_states(fan):
+    """The four fan states projected to conserved variables, in fan order:
+    the (4, 4, ...) array indexed [state, component]."""
+    outer = fan.sides[PROJ]
+    return np.stack((outer[:, 0], fan.star[:, 0], fan.star[:, 1], outer[:, 1]))
+
+
+def relaxed_states(fan):
+    """(h, hu, hpi, hE) of the four fan states, in fan order; the outer states
+    have hpi = h P and hE = h (u^2/2 + ehat)."""
+    sides, star = fan.sides, fan.star
+    outer = []
+    for k in (0, 1):
+        h = sides[H, k]
+        hE = h * (sides[U, k] ** 2 / 2.0 + sides[EHAT, k])
+        outer.append((h, sides[HU, k], h * sides[P, k], hE))
+    stars = [(star[H, k], star[HU, k], fan.hpi[k], fan.hE[k]) for k in (0, 1)]
+    return outer[0], stars[0], stars[1], outer[1]
 
 
 def mirror_conserved(q: Conserved) -> Conserved:
@@ -84,30 +143,35 @@ class TestSpeedIngredients:
 
     def test_alpha_beta_pinned(self):
         cells = cell_state(Primitive(1.0, 0.0, 1.0, 1.0).conserved(), P10)
-        assert float(cells.alpha) == 2.0
-        assert float(cells.beta) == pytest.approx(0.4659258262890683, rel=1e-14)
+        assert float(cells[ALPHA]) == 2.0
+        assert float(cells[BETA]) == pytest.approx(0.4659258262890683, rel=1e-14)
 
     def test_alpha_floor_two(self, rng):
         p = sample_states(P10, 500, rng)
-        assert np.all(cell_state(p.conserved(), P10).alpha >= 2.0)
+        assert np.all(cell_state(p.conserved(), P10)[ALPHA] >= 2.0)
 
     def test_alpha_inf_guard(self):
         # szz -> 0 sends w+ -> inf; the amplifier must fall back to its floor
         p = Primitive(1.0, 0.0, 1.0, 1e-300)
-        assert float(cell_state(p.conserved(), P10).alpha) == 2.0
+        assert float(cell_state(p.conserved(), P10)[ALPHA]) == 2.0
 
     def test_beta_positive(self, rng):
         p = sample_states(P10, 500, rng)
-        b = cell_state(p.conserved(), P10).beta
+        b = cell_state(p.conserved(), P10)[BETA]
         assert np.all(b > 0.0) and np.all(np.isfinite(b))
 
     def test_cell_state_slices_field_by_field(self, rng):
+        # Each column of the block is its cell's: the block of a slice of the
+        # cells is the slice of the block, and the interface sides are views.
         q = sample_states(P10, 50, rng).conserved()
         cells = cell_state(q, P10)
-        part = cells[3:9]
-        assert part.q.shape == (4, 6) and part.f.shape == (4, 6)
-        assert np.array_equal(part.h, q.h[3:9]) and np.array_equal(part.beta, cells.beta[3:9])
-        assert np.array_equal(part.f, cells.f[:, 3:9])
+        part = cell_state(Conserved.from_array(q.as_array()[:, 3:9]), P10)
+        assert part.shape == (cells.shape[0], 6)
+        assert part.tobytes() == cells[:, 3:9].copy().tobytes()
+        assert np.array_equal(part[H], q.h[3:9]) and np.array_equal(part[HU], q.hu[3:9])
+        sides = interface_sides(cells)
+        assert sides.shape == (cells.shape[0], 2, 49) and np.shares_memory(sides, cells)
+        assert np.array_equal(sides[:, 0], cells[:, :-1]) and np.array_equal(sides[:, 1], cells[:, 1:])
 
     def test_cell_flux_is_exact_flux_bitwise(self, rng):
         # Reference: the exact flux (hu, hu u + P, h sxx u, h szz u) written out.
@@ -116,62 +180,65 @@ class TestSpeedIngredients:
             p = q.primitive()
             P = total_pressure(p, params)
             want = np.stack([q.hu, q.hu * p.u + P, q.hsxx * p.u, q.hszz * p.u])
-            assert cell_state(q, params).f.tobytes() == want.tobytes()
+            assert cell_state(q, params)[FLUX].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("zeta", [0.0, 0.25, 0.5])
     def test_cell_projection_matches_per_side_projection(self, rng, zeta):
         # Reference: each side's outer fan state projected on its own.
         params = dataclasses.replace(P10, zeta=zeta)
         cells = cell_state(sample_states(params, 1000, rng).conserved(), params)
-        l, r = cells[:-1], cells[1:]
-        fan = star_states(l, r, relaxation_speeds(l, r), params)
-        for got, outer in ((cells.proj[:, :-1], fan.q_l), (cells.proj[:, 1:], fan.q_r)):
-            assert got.tobytes() == project_state(outer, zeta).as_array().tobytes()
+        sides = interface_sides(cells)
+        fan = star_states(sides, relaxation_speeds(sides), params)
+        for k, got in ((0, cells[PROJ, :-1]), (3, cells[PROJ, 1:])):
+            side = sides[:, k // 3]
+            want = project(side[H], side[HU], side[W1], side[W2], zeta)
+            assert got.tobytes() == want.tobytes() == fan_states(fan)[k].tobytes()
 
 
 class TestSpeeds:
     def test_at_rest_equal_states_yield_sound_speed(self):
         q = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
-        sp = speeds(q, q)
+        c_l, c_r = speeds(q, q)
         a = np.sqrt(dP_dh_frozen(q.primitive(), P10))
-        assert float(sp.c_l) == float(q.h * a)
-        assert float(sp.c_r) == float(q.h * a)
+        assert float(c_l) == float(q.h * a)
+        assert float(c_r) == float(q.h * a)
 
     def test_dam_break_pinned(self):
         ql = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
         qr = Primitive(0.1, 0.0, 1.0, 1.0).conserved()
-        sp = speeds(ql, qr)
-        assert float(sp.c_l) == pytest.approx(3.24037034920393, rel=1e-14)
-        assert float(sp.c_r) == pytest.approx(0.4168680878491373, rel=1e-14)
+        c_l, c_r = speeds(ql, qr)
+        assert float(c_l) == pytest.approx(3.24037034920393, rel=1e-14)
+        assert float(c_r) == pytest.approx(0.4168680878491373, rel=1e-14)
 
     def test_speeds_exceed_sound_baseline(self, rng):
         for params in PARAM_GRID[:4]:
             q_l = sample_states(params, 300, rng).conserved()
             q_r = sample_states(params, 300, rng).conserved()
-            sp = speeds(q_l, q_r, params)
+            c_l, c_r = speeds(q_l, q_r, params)
             pl, pr = q_l.primitive(), q_r.primitive()
-            assert np.all(sp.c_l >= q_l.h * np.sqrt(dP_dh_frozen(pl, params)) * (1 - 1e-14))
-            assert np.all(sp.c_r >= q_r.h * np.sqrt(dP_dh_frozen(pr, params)) * (1 - 1e-14))
+            assert np.all(c_l >= q_l.h * np.sqrt(dP_dh_frozen(pl, params)) * (1 - 1e-14))
+            assert np.all(c_r >= q_r.h * np.sqrt(dP_dh_frozen(pr, params)) * (1 - 1e-14))
 
 
 class TestStarStates:
     def test_equal_states_reproduce_input_bitwise(self):
         q = Primitive(1.7, -0.3, 0.8, 1.1).conserved()
         fan = fan_of(q, q)
-        for st_ in (fan.q_l_star, fan.q_r_star):
-            assert float(st_.h) == float(q.h)
-            assert float(st_.hu) == float(q.h * fan.s2)
-        assert float(fan.q_l_star.hpi) == float(fan.q_l.hpi)
-        assert float(fan.q_l_star.hE) == float(fan.q_l.hE)
+        q_l, q_l_star, q_r_star, _ = relaxed_states(fan)
+        for h, hu, _, _ in (q_l_star, q_r_star):
+            assert float(h) == float(q.h)
+            assert float(hu) == float(q.h * fan.s2)
+        assert float(q_l_star[2]) == float(q_l[2])   # hpi
+        assert float(q_l_star[3]) == float(q_l[3])   # hE
 
     def test_dam_break_star_pins(self):
         ql = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
         qr = Primitive(0.1, 0.0, 1.0, 1.0).conserved()
         fan = fan_of(ql, qr)
         assert float(fan.s2) == pytest.approx(1.3534802516153732, rel=1e-14)
-        assert float(fan.q_l_star.h) == pytest.approx(0.7053712954065195, rel=1e-14)
-        assert float(fan.q_r_star.h) == pytest.approx(0.1480775770896768, rel=1e-14)
-        pi_star = float(fan.q_l_star.hpi / fan.q_l_star.h)
+        assert float(fan.star[H, 0]) == pytest.approx(0.7053712954065195, rel=1e-14)
+        assert float(fan.star[H, 1]) == pytest.approx(0.1480775770896768, rel=1e-14)
+        pi_star = float(fan.hpi[0] / fan.star[H, 0])
         assert pi_star == pytest.approx(0.61422272443247, rel=1e-13)
 
     def test_ordering_and_positivity_battery(self, rng):
@@ -179,7 +246,7 @@ class TestStarStates:
             q_l = sample_states(params, 2000, rng).conserved()
             q_r = sample_states(params, 2000, rng).conserved()
             fan = fan_of(q_l, q_r, params)
-            assert np.all(fan.q_l_star.h > 0) and np.all(fan.q_r_star.h > 0)
+            assert np.all(fan.star[H, 0] > 0) and np.all(fan.star[H, 1] > 0)
             assert np.all(fan.s1 <= fan.s2) and np.all(fan.s2 <= fan.s3)
             # contact spacing equals the Lagrangian gap, strictly positive
             assert np.all(fan.s2 - fan.s1 > 0) and np.all(fan.s3 - fan.s2 > 0)
@@ -191,8 +258,12 @@ class TestStarStates:
             q_l = sample_states(params, 1500, rng).conserved()
             q_r = sample_states(params, 1500, rng).conserved()
             fan = fan_of(q_l, q_r, params)
-            for st_ in (fan.q_l_star, fan.q_r_star):
-                proj = project_state(st_, params.zeta).primitive()
+            sides = fan.sides
+            for k in (0, 1):
+                star = fan.star[:, k]
+                want = project(star[H], star[HU], sides[W1, k], sides[W2, k], params.zeta)
+                assert star.tobytes() == want.tobytes()
+                proj = Conserved.from_array(star).primitive()
                 assert bool(np.all(is_admissible(proj, params)))
 
     def test_rh_residuals_battery(self, rng):
@@ -205,8 +276,6 @@ class TestStarStates:
             assert rep.transport_gap == 0.0
 
     def test_insufficient_speeds_rejected(self):
-        from fenepsv.riemann import SpeedPair
-
         ql = Primitive(1.0, 8.0, 1.0, 1.0).conserved()
         qr = Primitive(0.01, -8.0, 1.0, 1.0).conserved()
         msg = (
@@ -214,7 +283,7 @@ class TestStarStates:
             r"c_l=1e-06, c_r=1e-06 \(1 offending entries\)$"
         )
         with pytest.raises(StarStateError, match=msg) as err:
-            fan_of(ql, qr, sp=SpeedPair(1e-6, 1e-6))
+            fan_of(ql, qr, c=np.array([1e-6, 1e-6]))
         assert "np." not in str(err.value)
 
     @given(
@@ -238,12 +307,13 @@ class TestEnergyFluxRegion:
         s1, s2, s3 = float(fan.s1), float(fan.s2), float(fan.s3)
 
         def at(xi):
-            return float(energy_flux(dataclasses.replace(fan, s1=s1 - xi, s2=s2 - xi, s3=s3 - xi)))
+            return float(energy_flux(dataclasses.replace(fan, s=fan.s - xi)))
 
         def g(st_):
-            return float(st_.hu / st_.h * (st_.hE + st_.hpi / st_.h))
+            h, hu, hpi, hE = st_
+            return float(hu / h * (hE + hpi / h))
 
-        g_l, g_ls, g_rs, g_r = (g(st_) for st_ in fan.states())
+        g_l, g_ls, g_rs, g_r = (g(st_) for st_ in relaxed_states(fan))
         assert len({g_l, g_ls, g_rs, g_r}) == 4
         assert at(s1 - 1.0) == g_l
         assert at(0.5 * (s1 + s2)) == g_ls
@@ -259,82 +329,83 @@ class TestFluxes:
     def test_equal_state_consistency_bitwise(self):
         for p in (Primitive(1.0, 0.0, 1.0, 1.0), Primitive(0.3, -2.0, 2.0, 0.5)):
             q = p.conserved()
-            pair, _ = fluxes(q, q)
+            (f_left, f_right), _ = fluxes(q, q)
             exact = exact_flux(q)
-            assert np.array_equal(pair.f_left, exact)
-            assert np.array_equal(pair.f_right, exact)
+            assert np.array_equal(f_left, exact)
+            assert np.array_equal(f_right, exact)
 
     def test_dam_break_flux_pins(self):
         ql = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
         qr = Primitive(0.1, 0.0, 1.0, 1.0).conserved()
-        pair, _ = fluxes(ql, qr)
+        (f_left, f_right), _ = fluxes(ql, qr)
         want_left = (0.9547061183890778, 1.9063986017684553, -1.353480251615373, 2.103141163932926)
         want_right = (0.9547061183890778, 1.9063986017684553, 1.6920680957191732, 0.972210023364402)
-        got_l = [float(v) for v in np.ravel(pair.f_left)]
-        got_r = [float(v) for v in np.ravel(pair.f_right)]
+        got_l = [float(v) for v in np.ravel(f_left)]
+        got_r = [float(v) for v in np.ravel(f_right)]
         assert got_l == pytest.approx(want_left, rel=1e-14)
         assert got_r == pytest.approx(want_right, rel=1e-14)
 
     def test_conservative_components_shared(self, rng):
         q_l = sample_states(P10, 1000, rng).conserved()
         q_r = sample_states(P10, 1000, rng).conserved()
-        pair, _ = fluxes(q_l, q_r)
-        assert np.array_equal(pair.f_left[:2], pair.f_right[:2])
+        (f_left, f_right), _ = fluxes(q_l, q_r)
+        assert np.array_equal(f_left[:2], f_right[:2])
 
     def test_left_supersonic_upwinds(self):
         # both states moving right much faster than every wave
         q_l = Primitive(1.0, 20.0, 1.0, 1.0).conserved()
         q_r = Primitive(1.1, 21.0, 1.2, 0.9).conserved()
-        pair, fan = fluxes(q_l, q_r)
+        (f_left, _), fan = fluxes(q_l, q_r)
         assert float(fan.s1) > 0
         exact_l = exact_flux(q_l)
         # nonconservative components upwind exactly; conservative to roundoff
-        assert np.array_equal(pair.f_left[2:], exact_l[2:])
-        assert np.allclose(pair.f_left, exact_l, rtol=1e-12)
+        assert np.array_equal(f_left[2:], exact_l[2:])
+        assert np.allclose(f_left, exact_l, rtol=1e-12)
 
     def test_f0_independence(self, rng):
         q_l = sample_states(P10, 1000, rng).conserved()
         q_r = sample_states(P10, 1000, rng).conserved()
         fan = fan_of(q_l, q_r)
-        pe = interface_fluxes(fan)
-        pz = interface_fluxes(zero_f0(fan))
+        pe_left, pe_right = interface_fluxes(fan)
+        pz_left, pz_right = interface_fluxes(zero_f0(fan))
         f0l = exact_flux(q_l)
         f0r = exact_flux(q_r)
-        scale = np.abs(pe.f_left) + np.abs(f0l) + np.abs(f0r) + 1.0
-        assert np.all(np.abs(pe.f_left[2:] - (f0l[2:] + pz.f_left[2:])) <= 1e-13 * scale[2:])
-        assert np.all(np.abs(pe.f_right[2:] - (f0r[2:] + pz.f_right[2:])) <= 1e-13 * scale[2:])
+        scale = np.abs(pe_left) + np.abs(f0l) + np.abs(f0r) + 1.0
+        assert np.all(np.abs(pe_left[2:] - (f0l[2:] + pz_left[2:])) <= 1e-13 * scale[2:])
+        assert np.all(np.abs(pe_right[2:] - (f0r[2:] + pz_right[2:])) <= 1e-13 * scale[2:])
         central_shift = 0.5 * (f0l[:2] + f0r[:2])
-        assert np.all(np.abs(pe.f_left[:2] - (central_shift + pz.f_left[:2])) <= 1e-13 * scale[:2])
+        assert np.all(np.abs(pe_left[:2] - (central_shift + pz_left[:2])) <= 1e-13 * scale[:2])
 
     def test_mirror_bit_exact_battery(self, rng):
         for params in (P10, PARAM_GRID[7]):
             q_l = sample_states(params, 3000, rng).conserved()
             q_r = sample_states(params, 3000, rng).conserved()
-            pair, fan = fluxes(q_l, q_r, params)
+            (f_left, f_right), fan = fluxes(q_l, q_r, params)
             # mirrored problem: swap sides, negate velocities
             ml = Conserved(q_r.h, -q_r.hu, q_r.hsxx, q_r.hszz)
             mr = Conserved(q_l.h, -q_l.hu, q_l.hsxx, q_l.hszz)
-            mpair, mfan = fluxes(ml, mr, params)
+            (mf_left, mf_right), mfan = fluxes(ml, mr, params)
             assert np.array_equal(np.asarray(mfan.s1), -np.asarray(fan.s3))
             assert np.array_equal(np.asarray(mfan.s2), -np.asarray(fan.s2))
             assert np.array_equal(np.asarray(mfan.s3), -np.asarray(fan.s1))
             sign = np.array([-1.0, 1.0, -1.0, -1.0])[:, None]
-            assert np.array_equal(mpair.f_left, sign * pair.f_right)
-            assert np.array_equal(mpair.f_right, sign * pair.f_left)
+            assert np.array_equal(mf_left, sign * f_right)
+            assert np.array_equal(mf_right, sign * f_left)
 
     def test_two_sided_pi_star_battery(self, rng):
         for params in PARAM_GRID[::3]:
             q_l = sample_states(params, 1500, rng).conserved()
             q_r = sample_states(params, 1500, rng).conserved()
-            sp = speeds(q_l, q_r, params)
-            fan = fan_of(q_l, q_r, params, sp)
+            c = speeds(q_l, q_r, params)
+            fan = fan_of(q_l, q_r, params, c)
+            c_l, c_r = c
             pl, pr = q_l.primitive(), q_r.primitive()
             pi_l = total_pressure(pl, params)
             pi_r = total_pressure(pr, params)
-            lhs = pi_l + sp.c_l * (pl.u - fan.s2)
-            rhs = pi_r + sp.c_r * (fan.s2 - pr.u)
+            lhs = pi_l + c_l * (pl.u - fan.s2)
+            rhs = pi_r + c_r * (fan.s2 - pr.u)
             scale = np.maximum.reduce(
-                [np.abs(pi_l), np.abs(pi_r), sp.c_l * np.abs(pl.u), sp.c_r * np.abs(pr.u)]
+                [np.abs(pi_l), np.abs(pi_r), c_l * np.abs(pl.u), c_r * np.abs(pr.u)]
             )
             assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale + 1e-300)
 
@@ -342,12 +413,12 @@ class TestFluxes:
 def concatenated_fluxes(fan):
     """`interface_fluxes` written with a temporary per operation and the two
     outputs joined by np.concatenate: the reference for its in-place form."""
-    proj = [st.as_array() for st in fan.proj]
+    proj = fan_states(fan)
     d1 = proj[1] - proj[0]
     d2 = proj[2] - proj[1]
     d3 = proj[3] - proj[2]
     s1, s2, s3 = fan.s1, fan.s2, fan.s3
-    f0_l, f0_r = fan.left.f, fan.right.f
+    f0_l, f0_r = fan.sides[FLUX, 0], fan.sides[FLUX, 1]
 
     central = 0.5 * (
         (f0_l[:2] + f0_r[:2]) - ((np.abs(s1) * d1[:2] + np.abs(s3) * d3[:2]) + np.abs(s2) * d2[:2])
@@ -359,15 +430,15 @@ def concatenated_fluxes(fan):
 
 
 class TestFluxAssembly:
-    """interface_fluxes fills fresh arrays in place, bit for bit the concatenated form."""
+    """interface_fluxes fills a fresh array in place, bit for bit the concatenated form."""
 
     @staticmethod
     def assert_reference_bits(fan):
-        pair = interface_fluxes(fan)
-        for got, want in zip((pair.f_left, pair.f_right), concatenated_fluxes(fan)):
+        f = interface_fluxes(fan)
+        for got, want in zip(f, concatenated_fluxes(fan)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        return pair
+        return f
 
     @staticmethod
     def mixed_states(params, n, rng):
@@ -393,20 +464,19 @@ class TestFluxAssembly:
             q_r = Primitive(*(float(a[k + 1]) for a in (p.h, p.u, p.sxx, p.szz))).conserved()
             for fan in (fan_of(q_l, q_r), fan_of(q_l, q_l)):
                 assert np.ndim(fan.s1) == 0
-                assert self.assert_reference_bits(fan).f_left.shape == (4,)
+                assert self.assert_reference_bits(fan)[0].shape == (4,)
                 self.assert_reference_bits(zero_f0(fan))
 
     def test_outputs_are_fresh_arrays(self, rng):
         fan = fan_of(*self.mixed_states(P10, 50, rng))
-        pair = interface_fluxes(fan)
-        inputs = [fan.left.f, fan.right.f, fan.s1, fan.s2, fan.s3]
-        inputs += [st.as_array() for st in fan.proj]
-        for out in (pair.f_left, pair.f_right):
-            assert out.flags.owndata and out.flags.writeable
+        f = interface_fluxes(fan)
+        inputs = [fan.s, fan.c, fan.sides, fan.star, fan.hpi, fan.hE]
+        assert f.flags.owndata and f.flags.writeable
+        for out in f:
             assert not any(np.shares_memory(out, a) for a in inputs)
-        assert not np.shares_memory(pair.f_left, pair.f_right)
+        assert not np.shares_memory(f[0], f[1])
         again = interface_fluxes(fan)
-        assert not np.shares_memory(again.f_left, pair.f_left)
+        assert not np.shares_memory(again, f)
 
 
 class TestEnergyAndMonitor:
@@ -423,8 +493,7 @@ class TestEnergyAndMonitor:
         for params in PARAM_GRID[:6]:
             q_l = sample_states(params, 1000, rng).conserved()
             q_r = sample_states(params, 1000, rng).conserved()
-            sp = speeds(q_l, q_r, params)
-            for q, c in ((q_l, sp.c_l), (q_r, sp.c_r)):
+            for q, c in zip((q_l, q_r), speeds(q_l, q_r, params)):
                 ratio = q.h**2 * dP_dh_frozen(q.primitive(), params) / c**2
                 assert np.all(ratio <= 1.0 + 1e-12)
 
@@ -436,15 +505,12 @@ class TestEnergyAndMonitor:
         assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
 
     def test_doubling_speeds_lowers_monitor(self):
-        from fenepsv.riemann import SpeedPair
-
         ql = Primitive(1.0, 5.0, 1.0, 1.0).conserved()
         qr = Primitive(0.01, -5.0, 1.0, 1.0).conserved()
-        sp = speeds(ql, qr)
-        fan = fan_of(ql, qr, sp=sp)
+        c = speeds(ql, qr)
+        fan = fan_of(ql, qr, c=c)
         r0 = float(np.max(subcharacteristic_monitor(fan, P10)))
-        sp2 = SpeedPair(2.0 * np.asarray(sp.c_l), 2.0 * np.asarray(sp.c_r))
-        fan2 = fan_of(ql, qr, sp=sp2)
+        fan2 = fan_of(ql, qr, c=2.0 * c)
         r2 = float(np.max(subcharacteristic_monitor(fan2, P10)))
         assert r2 < r0
 
@@ -452,3 +518,148 @@ class TestEnergyAndMonitor:
         q = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
         fan = fan_of(q, q)
         assert float(np.max(subcharacteristic_monitor(fan, P10))) == pytest.approx(1.0, rel=1e-14)
+
+
+def fuzzed_cells(params, n, rng):
+    """(4, n) admissible cells in runs of 1 to 4 equal cells, mixing resting,
+    supersonic (in runs of 2 to 5, whose inner fans sample an outer state),
+    near-bound and random states."""
+    columns = []
+    while len(columns) < n:
+        length = int(rng.integers(1, 5))
+        h = 10.0 ** rng.uniform(-1.0, 0.5)
+        trace, share = params.ell * rng.uniform(0.05, 0.9), rng.uniform(0.05, 0.95)
+        u = rng.uniform(-2.0, 2.0)
+        kind = rng.integers(4)
+        if kind == 0:     # resting
+            u = 0.0
+        elif kind == 1:   # supersonic
+            u = rng.choice((-40.0, 40.0)) * np.sqrt(params.g * h)
+            length += 1
+        elif kind == 2:   # near the extensibility bound
+            trace, share = params.ell * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0)), rng.uniform(0.001, 0.999)
+        col = [h, h * u, h * share * trace, h * (1.0 - share) * trace]
+        columns.extend([col] * length)
+    return Conserved.from_array(np.array(columns[:n]).T.copy())
+
+
+def both_fans(q_l, q_r, params, factor=1.0):
+    """The fan of the pairs (q_l, q_r) with speeds scaled by factor: the
+    arguments of `star_states` here and in the dataclass reference."""
+    sides = sides_of(q_l, q_r, params)
+    c = factor * relaxation_speeds(sides)
+    l, r = fan_reference.cell_state(q_l, params), fan_reference.cell_state(q_r, params)
+    return (sides, c, params), (l, r, fan_reference.SpeedPair(c[0], c[1]), params)
+
+
+def mirrored(q: Conserved) -> Conserved:
+    return Conserved(q.h, -q.hu, q.hsxx, q.hszz)
+
+
+def joined(*pairs):
+    """The pairs (q_l, q_r) of each argument side by side."""
+    return tuple(
+        Conserved.from_array(np.stack([p[k].as_array() for p in pairs], axis=-1)) for k in (0, 1)
+    )
+
+
+# Pairs whose fan fails with speeds scaled by `factor` (zeta, left, right, factor).
+STAR_DEPTH_PAIR = (0.5, (4.916334261664324, 5513.71380490387, 0.7078781839693354, 1.6194209250376184),
+                   (4.17503707257038, -9894.693908688507, 3.740652035942647, 4.24236461441509), 0.05)
+# Only the left star conformation leaves the admissible region here.
+LEFT_CONFORMATION_PAIR = (
+    0.0, (0.05052782509665583, -1301.0489554971584, 8.66119805870801, 1.0735033926260267),
+    (3.409518983315859, -2151.9067133044364, 0.47266443497352284, 6.31979325463572), 0.5,
+)
+CONFORMATION_PAIR = (0.5, (0.06843477383116864, -4.902608246917508, 2.270968198517138, 2.2308364666622365),
+                     (0.45760636463045185, 9910005.668687852, 6.123163686193537, 0.13018889297956243), 0.2)
+ORDERING_PAIR = (0.0, (9.485445107337489, 7.082344005146935e+84, 1.145650623801955, 0.31885361685223346),
+                 (10.52357994451008, 7.082344005146935e+84, 5.3716076127483525, 0.15874679637620812), 0.5)
+
+
+class TestAgainstDataclassFan:
+    """The fan on stacked arrays gives the bits, and raises the errors, of the
+    fan on one dataclass per state (`fan_reference`)."""
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_fuzzed_steps_are_bitwise_the_reference(self, zeta, strict, rng):
+        params = dataclasses.replace(P10, zeta=zeta)
+        for bc in ("transmissive", "periodic", "reflective") * 2:
+            q = fuzzed_cells(params, 160, rng)
+            grid = Grid.uniform(0.0, 1.0, q.h.size)
+            control = StepControl(bc=bc, strict_subchar=strict)
+            want = runs_outcome(fan_reference.reference_fluxes, q, grid, params, control)
+            for on in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    force_runs(mp, on)
+                    assert runs_outcome(stepped_fluxes, q, grid, params, control) == want, (bc, on)
+
+    @pytest.mark.parametrize("case", [STAR_DEPTH_PAIR, LEFT_CONFORMATION_PAIR, CONFORMATION_PAIR,
+                                      ORDERING_PAIR])
+    def test_star_state_errors_are_the_reference_errors(self, case):
+        # Each failing pair, its mirror (whose other star fails) and a sound
+        # pair, in both orders: the left stars are checked over every
+        # interface before the right ones, and only one side is counted.
+        zeta, pl, pr, factor = case
+        params = dataclasses.replace(P10, zeta=zeta)
+        bad = (Primitive(*pl).conserved(), Primitive(*pr).conserved())
+        mirror = (mirrored(bad[1]), mirrored(bad[0]))
+        sound = (Primitive(1.0, 0.0, 1.0, 1.0).conserved(), Primitive(0.5, 0.1, 1.2, 0.8).conserved())
+        for pairs in ((bad,), (mirror,), (mirror, sound, bad), (bad, sound, mirror, mirror)):
+            q_l, q_r = joined(*pairs)
+            with np.errstate(all="ignore"):
+                new, old = both_fans(q_l, q_r, params, factor)
+            want = runs_outcome(lambda: fan_reference.star_states(*old))
+            assert want[0] is StarStateError
+            assert runs_outcome(lambda: [star_states(*new).s]) == want
+
+    def test_pressure_mismatch_error_is_the_reference_error(self, monkeypatch, rng):
+        # The two one-sided star pressures agree to rounding on any finite
+        # data, so a negative tolerance makes the check fail.
+        q_l = sample_states(P10, 20, rng).conserved()
+        q_r = sample_states(P10, 20, rng).conserved()
+        new, old = both_fans(q_l, q_r, P10)
+        monkeypatch.setattr(riemann_mod, "STAR_PRESSURE_RTOL", -1.0)
+        monkeypatch.setattr(fan_reference, "STAR_PRESSURE_RTOL", -1.0)
+        want = runs_outcome(lambda: fan_reference.star_states(*old))
+        assert want[0] is StarStateError and "pressure mismatch" in want[1]
+        assert runs_outcome(lambda: [star_states(*new).s]) == want
+
+    def test_monitor_error_on_right_stars_is_the_reference_error(self, monkeypatch):
+        # dP/dh turned negative where the star depth is below 0.3: in a dam
+        # break that is the right star state of every interface only.
+        q_l = Primitive(np.ones(5), np.zeros(5), np.ones(5), np.ones(5)).conserved()
+        q_r = Primitive(np.full(5, 0.1), np.array([0.0, 0.0, 0.0, 0.5, 0.0]), np.ones(5), np.ones(5)).conserved()
+        new, old = both_fans(q_l, q_r, P10)
+        fans = star_states(*new), fan_reference.star_states(*old)
+        real = dP_dh_frozen
+
+        def shallow_fails(p, params, terms=None):
+            bad = p.h < 0.3
+            h, sxx, szz = (np.where(bad, v, x) for v, x in
+                           ((1e-6, p.h), (params.ell / 8.0, p.sxx), (-params.ell / 8.0, p.szz)))
+            return real(Primitive(h, p.u, sxx, szz), params)
+
+        for mod in (riemann_mod, fan_reference):
+            monkeypatch.setattr(mod, "dP_dh_frozen", shallow_fails)
+        want = runs_outcome(lambda: [fan_reference.subcharacteristic_monitor(fans[1], P10)])
+        assert want[0] is NonHyperbolicError and want[1].endswith("(5 offending entries)")
+        assert runs_outcome(lambda: [subcharacteristic_monitor(fans[0], P10)]) == want
+
+    def test_subcharacteristic_violation_is_the_reference_error(self, monkeypatch):
+        q = Primitive(np.where(np.arange(12) < 6, 1.0, 0.1), np.zeros(12), np.ones(12), np.ones(12))
+        args = (q.conserved(), Grid.uniform(0.0, 1.0, 12), P10, StepControl(strict_subchar=True))
+
+        def stuck(fan, params):   # above 1 where the left cell is shallow
+            h = fan.sides[H, 0] if hasattr(fan, "sides") else fan.left.h
+            return np.where(h < 0.5, 2.0, 0.5)
+
+        monkeypatch.setattr(timeloop_mod, "subcharacteristic_monitor", stuck)
+        monkeypatch.setattr(fan_reference, "subcharacteristic_monitor", stuck)
+        want = runs_outcome(fan_reference.reference_fluxes, *args)
+        assert want[0] is SubcharacteristicViolation
+        for on in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                force_runs(mp, on)
+                assert runs_outcome(stepped_fluxes, *args) == want

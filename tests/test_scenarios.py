@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import sys
 import types
 import xml.etree.ElementTree as ET
@@ -639,6 +640,48 @@ class TestCli:
         assert err.startswith("config error: ") and "Traceback" not in err
 
 
+class TestStepBudget:
+    """max_steps caps a run's steps; unset, it changes nothing."""
+
+    def test_run_stops_after_max_steps(self):
+        cfg = preset_dam_break(10.0, cells=32, t_end=0.1)
+        full = run(cfg)
+        capped = run(dataclasses.replace(cfg, max_steps=full.steps))
+        assert capped.steps == full.steps
+        assert capped.state.q.as_array().tobytes() == full.state.q.as_array().tobytes()
+        with pytest.raises(fenepsv.StepBudgetExceeded) as err:
+            run(dataclasses.replace(cfg, max_steps=3))
+        assert isinstance(err.value, SolverError)
+        assert re.fullmatch(
+            r"step budget of 3 steps spent before t_end=0\.1: step 3 ended at t=\S+ with dt=\S+",
+            str(err.value),
+        )
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, True, "3"])
+    def test_validation(self, bad):
+        cfg = preset_dam_break(10.0, cells=16)
+        assert dataclasses.replace(cfg, max_steps=1).validated().max_steps == 1
+        with pytest.raises(ConfigError, match="max_steps must be an integer >= 1 or unset"):
+            dataclasses.replace(cfg, max_steps=bad).validated()
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "2.5", "none"])
+    def test_bad_values_exit_2(self, raw, tmp_path, capsys):
+        p = write_cfg(tmp_path / "c.cfg", f"cells = 16\nmax_steps = {raw}\n")
+        assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
+    def test_solve_exits_3_and_records(self, tmp_path, capsys):
+        p = write_cfg(tmp_path / "c.cfg", "cells = 64\nmax_steps = 3\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", p, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "StepBudgetExceeded: step budget of 3 steps" in err and "Traceback" not in err
+        record = json.loads((out / "run.json").read_text())
+        assert record["status"] == "error" and record["config"]["max_steps"] == 3
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+
+
 class TestSolverErrors:
     def test_root_exports_every_solver_error(self):
         assert SOLVER_ERROR_NAMES == [
@@ -648,6 +691,7 @@ class TestSolverErrors:
             "SolverError",
             "SourceSolveFailure",
             "StarStateError",
+            "StepBudgetExceeded",
             "SubcharacteristicViolation",
             "TimeStepCollapse",
         ]

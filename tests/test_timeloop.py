@@ -35,13 +35,15 @@ from fenepsv.model import (
 )
 from fenepsv.oracles import newton_source_2x2, sample_states
 from fenepsv.riemann import (
-    SpeedPair,
+    H,
     StarStateError,
     _cell_state,
     _w_bounds,
     cell_state,
     interface_fluxes,
+    interface_sides,
     relaxation_speeds,
+    side_pair,
     star_states,
     w_bounds,
 )
@@ -204,8 +206,7 @@ class TestHomogeneous:
         qp = apply_boundary(q, "periodic")
         ql = Conserved(qp.h[:-1], qp.hu[:-1], qp.hsxx[:-1], qp.hszz[:-1])
         qr = Conserved(qp.h[1:], qp.hu[1:], qp.hsxx[1:], qp.hszz[1:])
-        sp = relaxation_speeds(cell_state(ql, params), cell_state(qr, params))
-        cl, cr = np.asarray(sp.c_l), np.asarray(sp.c_r)
+        cl, cr = relaxation_speeds(side_pair(cell_state(ql, params), cell_state(qr, params)))
         pl, pr = ql.primitive(), qr.primitive()
         pil = total_pressure(pl, params)
         pir = total_pressure(pr, params)
@@ -539,9 +540,8 @@ class TestFullStep:
         control = StepControl(bc="reflective")
         mass0 = float(np.sum(state.q.h * grid.dx))
         for _ in range(100):
-            cells = cell_state(apply_boundary(state.q, "reflective"), P10)
-            l, r = cells[:-1], cells[1:]
-            mass_flux = interface_fluxes(star_states(l, r, relaxation_speeds(l, r), P10)).f_left[0]
+            sides = interface_sides(cell_state(apply_boundary(state.q, "reflective"), P10))
+            mass_flux = interface_fluxes(star_states(sides, relaxation_speeds(sides), P10))[0, 0]
             assert (mass_flux[0], mass_flux[-1]) == (0.0, 0.0)
             state, _ = full_step(state, grid, P10, control)
         mass1 = float(np.sum(state.q.h * grid.dx))
@@ -679,9 +679,7 @@ class TestKernels:
         ):
             assert same_bits(kernel, guard)
         q = p.conserved()
-        unchecked, checked = _cell_state(q, q.primitive(), params), cell_state(q, params)
-        for name in ("P", "dPdh", "ehat", "hP", "hE", "alpha", "beta", "proj", "f"):
-            assert same_bits(getattr(unchecked, name), getattr(checked, name)), name
+        assert same_bits(_cell_state(q, q.primitive(), params), cell_state(q, params))
 
     @given(piecewise_cases(), st.sampled_from(("h", "sxx", "szz", "trace")), st.data())
     def test_guards_reject_inadmissible_states(self, case, how, data):
@@ -786,11 +784,12 @@ def runs_outcome(call, *args):
 
 
 def force_runs(mp, on=True):
-    """Patch the gates of `model._dense_runs` so that every array is evaluated
-    on its runs (on) or on every cell (not on)."""
+    """Patch the gates of `model._dense_runs` and `timeloop._fan_runs` so that
+    every array is evaluated on its runs (on) or on every cell (not on)."""
     if on:
         mp.setattr(model_mod, "RUNS_MIN_CELLS", 0)
         mp.setattr(model_mod, "RUNS_MAX_SHARE", 1.0)
+        mp.setattr(model_mod, "PAIR_RUNS_MAX_SHARE", 1.0)
     else:
         mp.setattr(model_mod, "RUNS_MIN_CELLS", sys.maxsize)
 
@@ -822,9 +821,8 @@ def source(q, dt, params):
 def slowed(factor):
     """`relaxation_speeds` with both speeds scaled by factor (< 1 breaks the fan)."""
 
-    def speeds(l, r):
-        sp = relaxation_speeds(l, r)
-        return SpeedPair(factor * sp.c_l, factor * sp.c_r)
+    def speeds(sides):
+        return factor * relaxation_speeds(sides)
 
     return speeds
 
@@ -847,7 +845,7 @@ class TestRuns:
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=8))
     def test_pair_runs_are_the_runs_of_interface_pairs(self, lengths):
-        left, right, span = _pair_runs(np.array(lengths))
+        (left, right), span = _pair_runs(np.array(lengths))
         run_of_cell = np.repeat(np.arange(len(lengths)), lengths)
         assert np.repeat(left, span).tolist() == run_of_cell[:-1].tolist()
         assert np.repeat(right, span).tolist() == run_of_cell[1:].tolist()
@@ -926,7 +924,7 @@ class TestRuns:
         ("relaxation_speeds", slowed(0.05), False, StarStateError, (6,)),
         ("relaxation_speeds", slowed(0.6), True, StarStateError, (6,)),
         # A monitor stuck above 1 where the left cell is shallow.
-        ("subcharacteristic_monitor", lambda fan, params: np.where(fan.left.h < 0.5, 2.0, 0.5),
+        ("subcharacteristic_monitor", lambda fan, params: np.where(fan.sides[H, 0] < 0.5, 2.0, 0.5),
          True, SubcharacteristicViolation, (7,)),
     ])
     def test_fan_errors_on_runs_are_those_of_every_interface(self, name, stage, strict, error,
@@ -964,10 +962,13 @@ class TestRuns:
     @pytest.mark.parametrize("cfg, on_runs", [
         (preset_smooth_wave(10.0, cells=4096, bc="transmissive"), False),
         (preset_dam_break(10.0, cells=4096), True),
+        ("one and six", "fan only"),
     ])
     def test_density_gate(self, cfg, on_runs, monkeypatch):
         # The smooth wave's only runs are its two ghost cells' copies of their
-        # neighbours; the dam break is two runs.
+        # neighbours; the dam break is two runs.  Runs of one cell and of six
+        # cells alternating are 2 cell runs per 7 cells, over the source's
+        # share, but 3 pair runs per 7 interfaces, under the fan's.
         sizes = []
 
         def spy(stage):
@@ -978,6 +979,17 @@ class TestRuns:
 
         monkeypatch.setattr(timeloop_mod, "_cell_state", spy(_cell_state))
         monkeypatch.setattr(timeloop_mod, "source_step", spy(source_step))
+        if on_runs == "fan only":
+            n = 4095
+            pieces = sample_states(P10, n // 7 * 2, np.random.default_rng(7)).conserved().as_array()
+            q = Conserved.from_array(np.repeat(pieces, [1, 6] * (n // 7), axis=1))
+            grid = Grid.uniform(0.0, 1.0, n)
+            full_step(SimState(0.0, q), grid, P10, StepControl(bc="periodic"))
+            assert model_mod.RUNS_MAX_SHARE < 2 / 7 and 3 / 7 < model_mod.PAIR_RUNS_MAX_SHARE
+            # The cell state of the padded cells' runs, the source of every cell.
+            runs = _column_runs(apply_boundary(q, "periodic").as_array())[0].size
+            assert sizes == [runs, n] and runs < n // 3
+            return
         grid = Grid(np.linspace(cfg.x_min, cfg.x_max, cfg.cells + 1))
         full_step(SimState(0.0, initial_condition(cfg, grid)), grid, cfg.params,
                   StepControl(bc=cfg.bc))
