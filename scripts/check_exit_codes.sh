@@ -39,6 +39,12 @@ printf 'cells = 16\nt_end = inf\n' >"$work/t_end_inf.cfg"
 # cells (every cell evaluated), and a dam break (evaluated on its runs).
 printf 'scenario = smooth-wave\nbc = transmissive\ncells = 4096\nt_end = 0.002\n' >"$work/smooth.cfg"
 printf 'cells = 4096\nt_end = 0.01\n' >"$work/dam.cfg"
+# The dam break on its runs with the other two boundary kinds (reflective
+# ghost cells never join their neighbours' runs, periodic ones here do not
+# either), and with the free-energy audit strict.
+printf 'cells = 4096\nt_end = 0.01\nbc = reflective\n' >"$work/dam_reflective.cfg"
+printf 'cells = 4096\nt_end = 0.01\nbc = periodic\n' >"$work/dam_periodic.cfg"
+printf 'cells = 4096\nt_end = 0.01\nstrict_dissipation = true\n' >"$work/dam_strict.cfg"
 # Strict subcharacteristic mode, which re-solves the fan with doubled speeds,
 # on every interface (256 cells) and on the runs of interface pairs (4096).
 printf 'cells = 256\nt_end = 0.02\nstrict_subchar = true\n' >"$work/strict_256.cfg"
@@ -55,6 +61,9 @@ expect 2 "$@" solve --config "$work/lambda_inf.cfg" --out "$work/lambda_inf"
 expect 2 "$@" solve --config "$work/t_end_inf.cfg" --out "$work/t_end_inf"
 expect 0 "$@" solve --config "$work/smooth.cfg" --out "$work/smooth"
 expect 0 "$@" solve --config "$work/dam.cfg" --out "$work/dam"
+expect 0 "$@" solve --config "$work/dam_reflective.cfg" --out "$work/dam_reflective"
+expect 0 "$@" solve --config "$work/dam_periodic.cfg" --out "$work/dam_periodic"
+expect 0 "$@" solve --config "$work/dam_strict.cfg" --out "$work/dam_strict"
 expect 0 "$@" solve --config "$work/strict_256.cfg" --out "$work/strict_256"
 expect 0 "$@" solve --config "$work/strict_4096.cfg" --out "$work/strict_4096"
 expect 3 "$@" solve --config "$work/budget.cfg" --out "$work/budget"

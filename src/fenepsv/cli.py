@@ -162,6 +162,8 @@ def _write_error_record(cfg: RunConfig, exc: SolverError) -> None:
             "error": f"{type(exc).__name__}: {exc}",
             "config": cfg.as_dict(),
         }
+        if exc.failure is not None:
+            payload["failure"] = exc.failure
         with open(path / "run.json", "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")

@@ -56,11 +56,14 @@ class SolverError(RuntimeError):
 
     `index` is the failing entry as a tuple of int and `values` maps field
     names to plain floats there; both are empty unless the error came from `at`.
+    `failure` is None, or the record of the failing step that
+    `scenarios.run` attaches (see there).
     """
 
     def __init__(self, message: str, index: tuple = (), values: dict | None = None):
         super().__init__(message)
         self.index, self.values = index, values or {}
+        self.failure = None
 
     @classmethod
     def at(cls, what: str, bad, worst=None, **fields):
@@ -184,58 +187,6 @@ def _column_runs(a: np.ndarray):
     (bits[:, 1:] != bits[:, :-1]).any(axis=0, out=edges[1:n])
     bounds = edges.nonzero()[0]
     return bounds[:-1], bounds[1:] - bounds[:-1]
-
-
-# The gates of the run path.  Finding the runs and repeating a stage's
-# outputs cost about as much as evaluating a stage on 500 to 1000 more
-# cells, so arrays of fewer than RUNS_MIN_CELLS cells see every cell.  The
-# per-cell stages (`_dense_runs`) take the runs where they number at most
-# RUNS_MAX_SHARE of the cells.  The fan's cost on runs follows the runs of
-# equal interface pairs, so it has its own gate (`timeloop._fan_runs`): at
-# most PAIR_RUNS_MAX_SHARE pair runs per interface, below the measured
-# break-even of one pair run per 1.8 to 2 interfaces (see README, numerical
-# notes).
-RUNS_MIN_CELLS = 1024
-RUNS_MAX_SHARE = 0.25
-PAIR_RUNS_MAX_SHARE = 0.5
-
-
-def _dense_runs(a: np.ndarray):
-    """`_column_runs(a)` when evaluating on them pays, else None.
-
-    It pays when a has at least RUNS_MIN_CELLS columns and at most
-    RUNS_MAX_SHARE of them start a run; both are read at call time.
-    """
-    n = a.shape[1]
-    if n < RUNS_MIN_CELLS:
-        return None
-    runs = _column_runs(a)
-    return runs if runs[0].size <= RUNS_MAX_SHARE * n else None
-
-
-def _on_runs(stage, q: Conserved, p: Primitive | None, *args):
-    """`stage(q, p, *args)` of a stage that is a pure function of each cell,
-    evaluated on the first cell of each run of equal cells of q.
-
-    p holds the primitive variables of q, or is None to have them computed
-    where needed.  Returns (result, lengths): with lengths None, the stage
-    ran on q itself, because q's runs are too few or too short to pay (see
-    `_dense_runs`); otherwise the result is that of the runs' first cells,
-    and repeating each of its per-cell arrays by `lengths` along the cell
-    axis gives the result on q, bit for bit.  A SolverError on the first
-    cells is raised again by the stage on q itself, so its text, index and
-    count name the cells of q.
-    """
-    a = q.as_array()
-    if (runs := _dense_runs(a)) is None:
-        return stage(q, q.primitive() if p is None else p, *args), None
-    starts, lengths = runs
-    firsts = Conserved.from_array(a[:, starts])
-    try:
-        return stage(firsts, firsts.primitive(), *args), lengths
-    except SolverError:
-        stage(q, q.primitive() if p is None else p, *args)
-        raise
 
 
 def _holds(ok) -> bool:

@@ -338,6 +338,25 @@ def _snapshot_name(t: float, used: set) -> str:
     return name
 
 
+def _failure_record(error: SolverError, state: SimState, step: int, dt, max_dt: float) -> dict:
+    """What a failed step needs to be replayed and read: its number, its
+    input's t, the dt of the step before it (None before the first), its
+    cap max_dt, the error's index and the cells k - 1 .. k + 1 of its input
+    around the index's last entry k.  The index names a cell, a padded cell
+    or an interface (which joins cells k - 1 and k), so those three cells
+    hold the failing entry in each case."""
+    record = {"step": step, "t": state.t, "dt": dt, "max_dt": max_dt, "index": list(error.index)}
+    if error.index:
+        k = error.index[-1]
+        p = state.q.primitive()
+        cells = slice(max(k - 1, 0), min(k + 2, p.h.size))
+        record["cells"] = {"first": cells.start, **{
+            name: [float(v) for v in values[cells]]
+            for name, values in zip(("h", "u", "sigma_xx", "sigma_zz"), (p.h, p.u, p.sxx, p.szz))
+        }}
+    return record
+
+
 def run(config: RunConfig) -> RunResult:
     """Integrate the configured scenario and write its artifacts.
 
@@ -346,6 +365,11 @@ def run(config: RunConfig) -> RunResult:
     shrinks below half the stable step.  A run that needs more than
     config.max_steps steps raises StepBudgetExceeded, naming the last step
     taken, its time and its dt.
+
+    A SolverError from a step leaves with its `failure` record (see
+    `_failure_record`); with an outdir, the step's input cells are written
+    to failure_q.npy, so that `full_step` on them, at the record's t, with
+    the config's control and the record's max_dt, raises the error again.
     """
     config = config.validated()
     t0 = time.perf_counter()
@@ -403,7 +427,14 @@ def run(config: RunConfig) -> RunResult:
                     )
                 remaining = t_next - state.t
                 control.max_dt = remaining   # run's own control: no copy per step
-                state, diag = full_step(state, grid, config.params, control)
+                try:
+                    state, diag = full_step(state, grid, config.params, control)
+                except SolverError as e:
+                    e.failure = _failure_record(e, state, steps + 1, diag.dt if steps else None,
+                                                remaining)
+                    if outdir is not None:
+                        np.save(outdir / "failure_q.npy", state.q.as_array())
+                    raise
                 if diag.dt == remaining:
                     state.t = t_next   # the step's own state keeps its carried free energy
                 steps += 1

@@ -10,6 +10,16 @@ discrete free-energy balance
 
 is checked cell by cell (a tolerance covers roundoff).  Violations are
 recorded in the step diagnostics; in strict mode they abort the run.
+
+Steps on runs.  On grids of piecewise-constant data the step runs in run
+space from start to end (`_step_on_runs`, behind the one gate of `_runs`):
+the state carries its runs of equal cells from the step that made it, the
+fan is solved once per run of equal interface pairs, only the edge cells
+(whose two interfaces lie in different pair runs) are transported, and the
+check, the source and the audit run once per piece of equal cells.  Only
+the new cells and their F are repeated to full size, for the output, the
+sums of the diagnostics and the next step.  The result is bit for bit that
+of the step on every cell (`_step_everywhere`), errors included.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model
 from .model import (
     Conserved,
     PhysParams,
@@ -28,7 +37,6 @@ from .model import (
     _dissipation_rate,
     _free_energy,
     _holds,
-    _on_runs,
     is_admissible,
     require_admissible,
 )
@@ -64,6 +72,15 @@ BOUNDARY_KINDS = ("transmissive", "reflective", "periodic")
 
 # Audit tolerance scale for the free-energy balance.
 DISSIPATION_RTOL = 1e-10
+
+# The gate of the step on runs (`_runs`).  Finding, padding and repeating the
+# runs cost about what stepping 500 to 1000 more cells costs, so grids of
+# fewer than RUNS_MIN_CELLS cells step every cell.  The step's cost on runs
+# follows the runs of equal interface pairs, so it takes them where they
+# number at most PAIR_RUNS_MAX_SHARE of the interfaces (see README,
+# numerical notes, for the measured break-even).
+RUNS_MIN_CELLS = 1024
+PAIR_RUNS_MAX_SHARE = 0.5
 
 
 class TimeStepCollapse(SolverError):
@@ -114,15 +131,19 @@ class SimState:
 
     A state returned by `full_step` also carries (params, F): the free energy
     of its cells, computed and checked by that step, which the next step
-    reuses as its F(q^n).  Its q array is read-only so that F cannot go stale;
-    its t may be set (`run` lands on output times so).  Any other state
-    (built by hand, or by `dataclasses.replace`) carries nothing, and
-    `full_step` checks it in full.
+    reuses as its F(q^n).  A state made by the step on runs carries its runs
+    of equal cells too, (starts, lengths) as `model._column_runs` gives
+    them, so the next step finds them without a scan.  Its q array is
+    read-only so that neither can go stale; its t may be set (`run` lands on
+    output times so).  Any other state (built by hand, or by
+    `dataclasses.replace`) carries nothing: `full_step` checks it in full
+    and, on a grid large enough for runs, scans it once.
     """
 
     t: float
     q: Conserved
     _carried_f: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _carried_runs: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -230,70 +251,42 @@ def _pair_runs(lengths):
     return sides[:, keep], span[keep]
 
 
-def _fan_runs(a: np.ndarray):
-    """The runs that the fan of the padded cells a is evaluated on, or None
-    when evaluating every interface costs less.
+def _runs(state: SimState, bc: str):
+    """The runs that `full_step` takes state on, or None where stepping every
+    cell costs less.
 
-    Returns (starts, sides, span): the first cell of each run of equal
-    cells and the `_pair_runs` of their lengths.  The runs pay when a has
-    at least `model.RUNS_MIN_CELLS` columns and at most
-    `model.PAIR_RUNS_MAX_SHARE` of its interfaces start a pair run; both
-    are read at call time.
+    Returns (values, sides, span): the runs of the padded cells of state.q,
+    found from its runs of equal cells (carried by the state, or found
+    here), as one column of values each, and the `_pair_runs` of their
+    lengths.  Each ghost cell is a run of its own unless it is
+    bitwise equal to its neighbour: a transmissive ghost always is, a
+    reflective one never (the sign of hu flips), a periodic one where the
+    two ends are equal.  The runs pay when q has at least RUNS_MIN_CELLS
+    cells and at most PAIR_RUNS_MAX_SHARE of its interfaces start a pair
+    run; both are read at call time.
     """
+    a = state.q.as_array()
     n = a.shape[1]
-    if n < model.RUNS_MIN_CELLS:
+    if n < RUNS_MIN_CELLS:
         return None
-    starts, lengths = _column_runs(a)
-    sides, span = _pair_runs(lengths)
-    return (starts, sides, span) if span.size <= model.PAIR_RUNS_MAX_SHARE * (n - 1) else None
+    starts, lengths = state._carried_runs or _column_runs(a)
+    # a lower bound of the pair runs, which the ghost cells can only raise
+    if starts.size - 1 + np.count_nonzero(lengths > 1) > PAIR_RUNS_MAX_SHARE * (n + 1):
+        return None
+    values = apply_boundary(Conserved.from_array(np.take(a, starts, axis=1)), bc).as_array()
+    first, _ = _column_runs(values)   # q's runs are maximal: only a ghost joins a neighbour
+    sides, span = _pair_runs(np.add.reduceat(np.concatenate(([1], lengths, [1])), first))
+    if span.size > PAIR_RUNS_MAX_SHARE * (n + 1):
+        return None
+    return np.take(values, first, axis=1), sides, span
 
 
-def _fluxes(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, dt=None):
-    """The fluxes at every interface of the padded cells of q, and the step.
-
-    q must be admissible (its padded cells are evaluated unchecked).  Solves
-    the fan at every interface (see `_fan`).  dt=None takes the CFL step,
-    shortened by control.max_dt to land on an output time (never below half
-    the CFL step unless the cap itself is smaller).
-
-    Where the padded cells' pair runs pay (`_fan_runs`), the cell state is
-    evaluated on each run's first cell, and the fan, fluxes, energy flux
-    and monitor on the first interface of each run of equal pairs: the
-    interface k joins padded cells k and k + 1, so a pair run starts where
-    a cell run starts at k or k + 1.  One `np.take` of the cell-state block
-    gathers both sides of those interfaces.  Repeating the outputs gives the
-    evaluation at every interface bit for bit, and the CFL step, a maximum
-    over the runs, needs no repeat.  A SolverError on the runs is raised
-    again by the evaluation at every interface, so its text, index and count
-    name the cells and interfaces of q.
-
-    Returns (f_left, f_right, g, ratio, dt, fan): the fluxes seen by the
-    cells left and right of each interface, the free-energy flux G and the
-    subcharacteristic ratio there, the step, and the fan that gave them (on
-    the first interfaces of the pair runs, where runs were taken).
-    """
-    padded = apply_boundary(q, control.bc)
-
-    def everywhere():
-        cells = _cell_state(padded, padded.primitive(), params)
-        return _fan(interface_sides(cells), grid.edges, params, control.strict_subchar)
-
-    a = padded.as_array()
-    if (runs := _fan_runs(a)) is None:
-        fan, ratio = everywhere()
-        lengths = None
-    else:
-        starts, sides, lengths = runs
-        firsts = Conserved.from_array(a[:, starts])
-        try:
-            cells = _cell_state(firsts, firsts.primitive(), params)
-            x = grid.edges[np.cumsum(lengths) - lengths]
-            fan, ratio = _fan(np.take(cells, sides, axis=1), x, params, control.strict_subchar)
-        except SolverError:
-            everywhere()
-            raise
-    del padded, a   # the padded cells are not read again
-
+def _fan_fluxes(sides, x, grid: Grid, params: PhysParams, control: StepControl, dt=None):
+    """The fan of the interfaces with `sides` at edges x (see `_fan`), its
+    fluxes and the step: the outputs of `_fluxes`.  dt=None takes the CFL
+    step, shortened by control.max_dt to land on an output time (never below
+    half the CFL step unless the cap itself is smaller)."""
+    fan, ratio = _fan(sides, x, params, control.strict_subchar)
     if dt is None:
         dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)
         if control.max_dt is not None and np.isfinite(control.max_dt):
@@ -303,18 +296,35 @@ def _fluxes(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, 
                 dt = 0.5 * control.max_dt
         elif not np.isfinite(dt):
             raise TimeStepCollapse("CFL produced a non-finite dt and no cap was given")
-
     f = interface_fluxes(fan)
-    g = energy_flux(fan)
-    if lengths is None:
-        return f[0], f[1], g, ratio, dt, fan
-    # Two blocks: the fluxes' dies with the update, before the source step.
-    # A block that G and the ratio held until the audit would be given back
-    # to the system at the step's end and faulted in again by the next step
-    # (about 350 page faults per step at 16384 cells, against about 20).
-    f = np.repeat(f.reshape(8, -1), lengths, axis=1)
-    g, ratio = np.repeat([g, ratio], lengths, axis=1)
-    return f[:4], f[4:], g, ratio, dt, fan
+    return f[0], f[1], energy_flux(fan), ratio, dt, fan
+
+
+def _fluxes(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, dt=None):
+    """The fluxes at every interface of the padded cells of q, and the step
+    (see `_fan_fluxes`).  q must be admissible (its padded cells are
+    evaluated unchecked).
+
+    Returns (f_left, f_right, g, ratio, dt, fan): the fluxes seen by the
+    cells left and right of each interface, the free-energy flux G and the
+    subcharacteristic ratio there, the step, and the fan that gave them.
+    """
+    padded = apply_boundary(q, control.bc)
+    cells = _cell_state(padded, padded.primitive(), params)
+    del padded   # the padded cells are not read again
+    return _fan_fluxes(interface_sides(cells), grid.edges, grid, params, control, dt)
+
+
+def _fluxes_on_runs(values, sides, bounds, grid: Grid, params: PhysParams, control: StepControl):
+    """`_fluxes` on runs: the cell state of the runs of padded cells with
+    `values` (admissible), and the fan and its fluxes on the runs of equal
+    interface pairs whose sides are `sides` and whose first interfaces are
+    `bounds`.  Returns the outputs of `_fluxes`, one per pair run; the CFL
+    step, a maximum, is that of every interface.
+    """
+    firsts = Conserved.from_array(values)
+    cells = _cell_state(firsts, firsts.primitive(), params)
+    return _fan_fluxes(np.take(cells, sides, axis=1), grid.edges[bounds], grid, params, control)
 
 
 def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, dt=None):
@@ -478,23 +488,6 @@ def _transported_source_step(q: Conserved, p: Primitive, dt: float, params: Phys
     return source_step(q, p, dt, params)
 
 
-def _relax_by_runs(q: Conserved, dt: float, params: PhysParams):
-    """The check of the transported cells q, their `source_step` and the
-    dissipation rate of its result, evaluated once per run of equal cells
-    (see `model._on_runs`); bit for bit the evaluation of every cell,
-    errors included.  Returns (relaxed cells, F, D).
-
-    On runs, each output is repeated into an array of its own, so a state
-    holding the relaxed cells holds no other output.
-    """
-    (q_new, p_new, f_new), lengths = _on_runs(_transported_source_step, q, None, dt, params)
-    d_new = _dissipation_rate(p_new, params)
-    if lengths is None:
-        return q_new, f_new, d_new
-    q_new = Conserved.from_array(np.repeat(q_new.as_array(), lengths, axis=1))
-    return q_new, np.repeat(f_new, lengths), np.repeat(d_new, lengths)
-
-
 def dissipation_residuals(f_old, f_new, g_flux, d_new, dt: float, dx):
     """Per-cell residual of the discrete free-energy inequality and its tolerance.
 
@@ -506,44 +499,26 @@ def dissipation_residuals(f_old, f_new, g_flux, d_new, dt: float, dx):
     return res, tol
 
 
-def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepControl | None = None):
-    """One audited step of the splitting scheme.
-
-    Returns (new_state, StepDiagnostics).  The time step is the CFL one,
-    possibly shortened by control.max_dt to land on an output time (never
-    below half the CFL step unless the cap itself is smaller).
-
-    The state is checked three times: the input (skipped when it carries
-    the free energy of the step that made it, see SimState), the cells after
-    transport, and the relaxed cells; everything else runs unchecked.  Where
-    the runs of equal cells pay (see `model._dense_runs`), the cell state
-    and the fan run once per run of equal cells and of equal interface
-    pairs (see `_fluxes`), and the check after transport and the source
-    once per run of the transported cells (see `_relax_by_runs`).  The
-    update, the audit and every sum see every cell.
-    """
-    control = control or StepControl()
-    carried = state._carried_f
-    if carried is not None and carried[0] == params:
-        f_old = carried[1]
-    else:
-        p_old = state.q.primitive()
-        require_admissible(p_old, params, "cell state")
-        f_old = _free_energy(p_old, params)
-    # The fan is held until the step ends.  Freed before the source step, its
-    # memory goes to the source step's outputs, the allocator hands the heap
-    # top back to the system when the step ends, and the next step faults it
-    # in again (on a 4096-cell periodic smooth wave, 228 page faults per step
-    # against 22, and a median run() time 35% longer).
-    q_half, dt, g_flux, ratio, fan = _transport(state.q, grid, params, control)
-    q_new, f_new, d_new = _relax_by_runs(q_half, dt, params)
-    res, tol = dissipation_residuals(f_old, f_new, g_flux, d_new, dt, grid.dx)
-    violations = int(np.count_nonzero(res > tol))
+def _audit(f_old, f_new, g_flux, d_new, dt: float, dx, control: StepControl, lengths=None):
+    """The free-energy audit of the cells, or of the pieces of `lengths` equal
+    cells each: (residuals, violations), a violation being a cell whose
+    residual is above its tolerance (see `dissipation_residuals`).  Raises
+    DissipationViolation on a violation with control.strict_dissipation."""
+    res, tol = dissipation_residuals(f_old, f_new, g_flux, d_new, dt, dx)
+    bad = res > tol
+    violations = int(np.count_nonzero(bad) if lengths is None else lengths[bad].sum())
     if violations and control.strict_dissipation:
         raise DissipationViolation.at(
-            "free-energy balance violated", res > tol, worst=res - tol, residual=res, tol=tol
+            "free-energy balance violated", bad, worst=res - tol, residual=res, tol=tol
         )
+    return res, violations
 
+
+def _stepped(state: SimState, grid: Grid, params: PhysParams, dt, q_new: Conserved, f_new,
+             res, violations: int, ratio, runs):
+    """The state that a step from state over dt made, relaxed cells q_new
+    with free energy f_new and runs of equal cells `runs` (or None), and the
+    step's diagnostics."""
     dx = grid.dx
     diag = StepDiagnostics(
         dt=float(dt),
@@ -557,4 +532,110 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     q_new.as_array().flags.writeable = False
     new_state = SimState(state.t + dt, q_new)
     new_state._carried_f = (params, f_new)
+    new_state._carried_runs = runs
     return new_state, diag
+
+
+def _step_everywhere(state: SimState, f_old, grid: Grid, params: PhysParams, control: StepControl):
+    """`full_step` evaluated on every cell and interface; f_old is F(state.q)."""
+    # The fan is held until the step ends.  Freed before the source step, its
+    # memory goes to the source step's outputs, the allocator hands the heap
+    # top back to the system when the step ends, and the next step faults it
+    # in again (on a 4096-cell periodic smooth wave, 228 page faults per step
+    # against 22, and a median run() time 35% longer).
+    q_half, dt, g_flux, ratio, fan = _transport(state.q, grid, params, control)
+    q_new, p_new, f_new = _transported_source_step(q_half, q_half.primitive(), dt, params)
+    d_new = _dissipation_rate(p_new, params)
+    res, violations = _audit(f_old, f_new, g_flux, d_new, dt, grid.dx, control)
+    return _stepped(state, grid, params, dt, q_new, f_new, res, violations, ratio, None)
+
+
+def _step_on_runs(state: SimState, f_old, runs, grid: Grid, params: PhysParams,
+                  control: StepControl):
+    """`_step_everywhere` evaluated on the `_runs` of state, bit for bit, or
+    None where a self pair's two fluxes differ.
+
+    The cell state runs on each run of the padded cells, and the fan and
+    its fluxes on the first interface of each run of equal interface pairs
+    (B, the padded interface k joining cells k - 1 and k).  A self pair
+    (both sides one cell run) has du = dpi = 0, so its star states are its
+    outer states and f_left equals f_right bit for bit: checked on every
+    self pair run of more than one interface, a cell with both interfaces
+    in one such run is moved by +0.0, which leaves it as it is.  Only the
+    edge cells B[1:] - 1, whose interfaces lie in two pair runs, are
+    updated.  Splitting the runs of q at the edge cells gives pieces that
+    each lie in one run of q, on which F(q) and the transported cells are
+    constant; the check after transport, the source, D and the audit run
+    once per piece (on a piece of more than one cell both interfaces carry
+    the same G, whose difference is +0.0 whatever dx), and the pieces whose
+    relaxed cells are equal merge into the runs of the new state.  Only its
+    cells and F are repeated to full size.
+    """
+    values, sides, span = runs
+    a = state.q.as_array()
+    bounds = np.cumsum(span) - span
+    f_left, f_right, g, ratio, dt, fan = _fluxes_on_runs(values, sides, bounds, grid, params,
+                                                         control)
+    self_pairs = span > 1
+    if np.subtract(*np.compress(self_pairs, (f_left, f_right), axis=2)).view(np.int64).any():
+        return None   # not +0.0 at some self pair: the edge-cell update alone would be wrong
+
+    # Pair run j holds the inner cells B[j] .. B[j+1] - 2, left as they are,
+    # and then the edge cell B[j+1] - 1: one piece each, the empty left out.
+    edges = bounds[1:] - 1
+    update = np.subtract(f_left[:, 1:], f_right[:, :-1])
+    update *= dt / grid.dx[edges]
+    pieces = np.ones(2 * span.size - 1, dtype=span.dtype)
+    pieces[::2] = span - 1
+    q_half = np.empty((4, pieces.size))
+    np.take(values, sides[0], axis=1, out=q_half[:, ::2])
+    np.subtract(np.take(a, edges, axis=1), update, out=q_half[:, 1::2])
+    pair_run = np.arange(pieces.size) // 2   # G at a piece's left end is its pair run's
+    keep = pieces > 0
+    pieces, q_half, pair_run = pieces[keep], np.compress(keep, q_half, axis=1), pair_run[keep]
+    cuts = np.cumsum(pieces) - pieces   # the first cell of each piece
+    q_half = Conserved.from_array(q_half)
+    q_new, p_new, f_new = _transported_source_step(q_half, q_half.primitive(), dt, params)
+    d_new = _dissipation_rate(p_new, params)
+    g_flux = g[np.append(pair_run, span.size - 1)]
+    res, violations = _audit(f_old[cuts], f_new, g_flux, d_new, dt, grid.dx[cuts], control,
+                             pieces)
+    first, _ = _column_runs(q_new.as_array())
+    runs = cuts[first], np.add.reduceat(pieces, first)
+    q_new = Conserved.from_array(np.repeat(q_new.as_array(), pieces, axis=1))
+    return _stepped(state, grid, params, dt, q_new, np.repeat(f_new, pieces), res, violations,
+                    ratio, runs)
+
+
+def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepControl | None = None):
+    """One audited step of the splitting scheme.
+
+    Returns (new_state, StepDiagnostics).  The time step is the CFL one,
+    possibly shortened by control.max_dt to land on an output time (never
+    below half the CFL step unless the cap itself is smaller).
+
+    The state is checked three times: the input (skipped when it carries
+    the free energy of the step that made it, see SimState), the cells after
+    transport, and the relaxed cells; everything else runs unchecked.  Where
+    the runs of equal cells pay (see `_runs`), the whole step runs on them
+    (see `_step_on_runs`), and the sums see every cell.  A SolverError on
+    the runs is raised again by the step on every cell, so its text, index
+    and count name the cells and interfaces of q.
+    """
+    control = control or StepControl()
+    carried = state._carried_f
+    if carried is not None and carried[0] == params:
+        f_old = carried[1]
+    else:
+        p_old = state.q.primitive()
+        require_admissible(p_old, params, "cell state")
+        f_old = _free_energy(p_old, params)
+    if (runs := _runs(state, control.bc)) is not None:
+        try:
+            stepped = _step_on_runs(state, f_old, runs, grid, params, control)
+        except SolverError:
+            _step_everywhere(state, f_old, grid, params, control)
+            raise
+        if stepped is not None:
+            return stepped
+    return _step_everywhere(state, f_old, grid, params, control)

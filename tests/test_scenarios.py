@@ -4,16 +4,20 @@ import dataclasses
 import json
 import re
 import sys
+import tempfile
 import types
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fenepsv
 from fenepsv.cli import build_config, main, parse_config_file
 import fenepsv.model as model_mod
-from fenepsv.model import AdmissibilityError, PhysParams, SolverError, equilibrium_sigma
+from fenepsv.model import AdmissibilityError, Conserved, PhysParams, SolverError, equilibrium_sigma
 from fenepsv.scenarios import (
     ConfigError,
     RunConfig,
@@ -33,7 +37,18 @@ from fenepsv.scenarios import (
     _snapshot_rows,
     write_snapshot_csv,
 )
-from fenepsv.timeloop import DissipationViolation, Grid, SourceSolveFailure
+import fenepsv.timeloop as timeloop_mod
+from fenepsv.riemann import H, HU
+from fenepsv.timeloop import (
+    DissipationViolation,
+    Grid,
+    SimState,
+    SourceSolveFailure,
+    StepControl,
+    SubcharacteristicViolation,
+    full_step,
+)
+from test_timeloop import force_runs
 
 # Every exception class of the package root but ConfigError: the solver's errors.
 SOLVER_ERROR_NAMES = sorted(
@@ -721,3 +736,118 @@ class TestSolverErrors:
         record = json.loads((out / "run.json").read_text())
         assert record["status"] == "error" and record["error"] == f"{name}: {err}"
         assert "Traceback" not in capsys.readouterr().err
+
+
+def stuck_monitor(fan, params):
+    """A subcharacteristic monitor stuck above 1 where the right cell is
+    shallow and moving: on a dam break, from the second step on."""
+    return np.where((fan.sides[H, 1] < 0.5) & (fan.sides[HU, 1] != 0), 2.0, 0.5)
+
+
+class TestFailureRecord:
+    """A failed run leaves what replays its failing step."""
+
+    def test_failing_step_replays_on_both_paths(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(timeloop_mod, "subcharacteristic_monitor", stuck_monitor)
+        cfg = preset_dam_break(10.0, cells=64, t_end=0.01, strict_subchar=True)
+        grid = Grid.uniform(cfg.x_min, cfg.x_max, cfg.cells)
+        for on in (True, False):
+            out = tmp_path / str(on)
+            with pytest.MonkeyPatch.context() as mp:
+                force_runs(mp, on)
+                with pytest.raises(SubcharacteristicViolation) as err:
+                    run(dataclasses.replace(cfg, outdir=str(out)))
+            failure = err.value.failure
+            assert failure["step"] == 2 and failure["dt"] == failure["max_dt"] == 0.001
+            assert failure["index"] == [32] and failure["cells"]["first"] == 31
+            assert len(failure["cells"]["h"]) == 3
+            q = np.load(out / "failure_q.npy")
+            control = StepControl(cfl=cfg.cfl, bc=cfg.bc, dt_min_factor=cfg.dt_min_factor,
+                                  strict_subchar=True, max_dt=failure["max_dt"])
+            for replay_on in (True, False):
+                with pytest.MonkeyPatch.context() as mp:
+                    force_runs(mp, replay_on)
+                    with pytest.raises(SubcharacteristicViolation) as again:
+                        full_step(SimState(failure["t"], Conserved.from_array(q)), grid,
+                                  cfg.params, control)
+                assert str(again.value) == str(err.value)
+                assert again.value.index == err.value.index
+
+    def test_error_run_json_holds_the_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(timeloop_mod, "subcharacteristic_monitor", stuck_monitor)
+        p = write_cfg(tmp_path / "c.cfg", "cells = 64\nt_end = 0.01\nstrict_subchar = true\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", p, "--out", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        record = json.loads((out / "run.json").read_text())
+        failure = record["failure"]
+        assert record["status"] == "error" and failure["step"] == 2 and failure["t"] == 0.001
+        assert failure["index"] == [32] and set(failure["cells"]) == {
+            "first", "h", "u", "sigma_xx", "sigma_zz"}
+        assert np.load(out / "failure_q.npy").shape == (4, 64)
+
+    def test_errors_outside_a_step_carry_no_failure(self):
+        with pytest.raises(fenepsv.StepBudgetExceeded) as err:
+            run(preset_dam_break(10.0, cells=16, max_steps=1))
+        assert err.value.failure is None
+
+
+@st.composite
+def small_configs(draw):
+    """Small dam-break and smooth-wave runs with random parameters, boundaries,
+    strict modes and a small step budget."""
+    ell = draw(st.floats(2.05, 1e3))
+    params = PhysParams(g=10.0, G=draw(st.floats(1e-3, 10.0)), lam=draw(st.floats(1e-4, 10.0)),
+                        zeta=draw(st.floats(0.0, 0.5)), ell=ell)
+    state = st.tuples(st.floats(1e-2, 1e2), st.floats(-5.0, 5.0), st.floats(1e-3, 0.99),
+                      st.floats(1e-2, 0.99))
+
+    def side():
+        h, u, frac, share = draw(state)
+        return (h, u, share * frac * ell, (1.0 - share) * frac * ell)
+
+    return RunConfig(
+        params=params, cells=draw(st.integers(1, 40)),
+        scenario=draw(st.sampled_from(("dam-break", "smooth-wave"))),
+        bc=draw(st.sampled_from(("transmissive", "reflective", "periodic"))),
+        left=side(), right=side(), jump_x=draw(st.floats(0.05, 0.95)),
+        t_end=draw(st.floats(1e-4, 0.05)), snapshots=draw(st.integers(1, 3)),
+        max_steps=draw(st.integers(1, 12)), strict_dissipation=draw(st.booleans()),
+        strict_subchar=draw(st.booleans()),
+    )
+
+
+def run_outcome(cfg, outdir):
+    """run(cfg) writing into outdir under raising floating-point traps: the
+    final state, which must be finite, or the typed error; and the bytes of
+    every file written, run.json without its wall time and outdir."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            result = run(dataclasses.replace(cfg, outdir=str(outdir)))
+    except SolverError as e:
+        outcome = (type(e), str(e), e.index, e.failure)
+    else:
+        q = result.state.q.as_array()
+        assert np.isfinite(q).all()
+        outcome = q.tobytes()
+    files = {}
+    for path in sorted(outdir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "run.json":
+            record = json.loads(data)
+            del record["summary"]["wall_time_s"], record["config"]["outdir"]
+            data = json.dumps(record, sort_keys=True)
+        files[path.name] = data
+    return outcome, files
+
+
+class TestRunFuzz:
+    @given(small_configs())
+    def test_runs_end_finite_or_typed_and_write_the_same_on_both_paths(self, cfg):
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for on in (True, False):
+                with pytest.MonkeyPatch.context() as mp:
+                    force_runs(mp, on)
+                    outcomes.append(run_outcome(cfg, Path(tmp) / str(on)))
+        assert outcomes[0] == outcomes[1]

@@ -22,7 +22,6 @@ from fenepsv.model import (
     _free_energy,
     _internal_energy,
     _normal_stress,
-    _on_runs,
     _total_pressure,
     _trace_gap,
     dissipation_rate,
@@ -47,7 +46,7 @@ from fenepsv.riemann import (
     star_states,
     w_bounds,
 )
-from fenepsv.scenarios import initial_condition, preset_dam_break, preset_smooth_wave
+from fenepsv.scenarios import initial_condition, preset_dam_break, preset_smooth_wave, run
 from fenepsv.timeloop import (
     Grid,
     SimState,
@@ -56,8 +55,9 @@ from fenepsv.timeloop import (
     SubcharacteristicViolation,
     TimeStepCollapse,
     _fluxes,
+    _fluxes_on_runs,
     _pair_runs,
-    _relax_by_runs,
+    _runs,
     apply_boundary,
     cfl_dt,
     full_step,
@@ -769,7 +769,7 @@ def run_cases(draw):
 
 def runs_outcome(call, *args):
     """The bytes of every array `call(*args)` returns, or its error's type, text
-    (which holds its values) and entry.
+    (which holds its values) and entry; a returned error counts as raised.
 
     States outside the admissible region divide by zero or take the power
     of a negative base on their way to the error, so the floating-point
@@ -780,18 +780,18 @@ def runs_outcome(call, *args):
             out = call(*args)
     except SolverError as e:
         return type(e), str(e), e.index
-    return [(a.shape, a.tobytes()) for a in out]
+    return [(type(a), str(a), a.index) if isinstance(a, SolverError) else (a.shape, a.tobytes())
+            for a in out]
 
 
 def force_runs(mp, on=True):
-    """Patch the gates of `model._dense_runs` and `timeloop._fan_runs` so that
-    every array is evaluated on its runs (on) or on every cell (not on)."""
+    """Patch the gate of `timeloop._runs` so that every state is stepped on
+    its runs (on) or on every cell (not on)."""
     if on:
-        mp.setattr(model_mod, "RUNS_MIN_CELLS", 0)
-        mp.setattr(model_mod, "RUNS_MAX_SHARE", 1.0)
-        mp.setattr(model_mod, "PAIR_RUNS_MAX_SHARE", 1.0)
+        mp.setattr(timeloop_mod, "RUNS_MIN_CELLS", 0)
+        mp.setattr(timeloop_mod, "PAIR_RUNS_MAX_SHARE", 1.0)
     else:
-        mp.setattr(model_mod, "RUNS_MIN_CELLS", sys.maxsize)
+        mp.setattr(timeloop_mod, "RUNS_MIN_CELLS", sys.maxsize)
 
 
 def with_runs(on, call, *args):
@@ -802,20 +802,38 @@ def with_runs(on, call, *args):
 
 
 def fluxes(q, grid, params, control):
-    *arrays, dt, _ = _fluxes(q, grid, params, control)
-    return [*arrays, np.float64(dt)]
+    """The outputs of `_fluxes` at every interface of q and the step.  Where
+    `_runs` takes q's runs, they are those of `_fluxes_on_runs` repeated to
+    every interface, and an error on the runs is raised again by `_fluxes`,
+    as `full_step` raises it again by the step on every cell."""
+    if (runs := _runs(SimState(0.0, q), control.bc)) is None:
+        *arrays, dt, _ = _fluxes(q, grid, params, control)
+        return [*arrays, np.float64(dt)]
+    values, sides, span = runs
+    try:
+        *arrays, dt, _ = _fluxes_on_runs(values, sides, np.cumsum(span) - span, grid, params,
+                                         control)
+    except SolverError:
+        _fluxes(q, grid, params, control)
+        raise
+    return [np.repeat(a, span, axis=-1) for a in arrays] + [np.float64(dt)]
 
 
-def relaxed(q, dt, params):
-    q_new, f_new, d_new = _relax_by_runs(q, dt, params)
-    return q_new.as_array(), f_new, d_new
-
-
-def source(q, dt, params):
-    # `source_step` alone through `_on_runs`; on runs the output is the runs', so
-    # only its errors compare with the evaluation on every cell.
-    (q_new, _, f_new), _ = _on_runs(source_step, q, None, dt, params)
-    return q_new.as_array(), f_new
+def stepped(q, grid, params, control, steps=3, f_old=None):
+    """Per full_step from the cells q: its time, cells, carried F and
+    diagnostics, then the error that stopped the steps, if any.  With f_old
+    the input carries it as its F, so that the input check is skipped."""
+    state, out = SimState(0.0, Conserved.from_array(q.copy())), []
+    if f_old is not None:
+        state._carried_f = (params, f_old)
+    try:
+        for _ in range(steps):
+            state, diag = full_step(state, grid, params, control)
+            out += [np.float64(state.t), state.q.as_array(), state._carried_f[1],
+                    np.array(dataclasses.astuple(diag), dtype=float)]
+    except SolverError as e:
+        out.append(e)
+    return out
 
 
 def slowed(factor):
@@ -828,9 +846,8 @@ def slowed(factor):
 
 
 class TestRuns:
-    """The per-cell stages and the fan evaluated once per run of equal cells or
-    of equal interface pairs are bit for bit, errors included, the evaluation
-    of every cell."""
+    """The step on runs of equal cells and of equal interface pairs is bit for
+    bit, errors included, the step on every cell."""
 
     def test_column_runs_compare_bit_patterns(self):
         a = np.array([[0.0, -0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 1.0, 1.0, np.nan, np.nan],
@@ -855,59 +872,78 @@ class TestRuns:
 
     @given(run_cases(), st.floats(1e-6, 1e2))
     def test_stages_on_runs_equal_stages_on_every_cell(self, case, r):
+        # The fluxes, and a step whose source sees a dt capped at r lam.
         params, q, bc, strict = case
-        q = Conserved.from_array(q)
-        grid = Grid.uniform(0.0, 1.0, q.h.size)
+        grid = Grid.uniform(0.0, 1.0, q.shape[1])
         control = StepControl(bc=bc, strict_subchar=strict)
-        dt = r * params.lam
-        for call, args in ((fluxes, (q, grid, params, control)), (relaxed, (q, dt, params))):
+        capped = StepControl(bc=bc, strict_subchar=strict, max_dt=r * params.lam)
+        for call, args in ((fluxes, (Conserved.from_array(q), grid, params, control)),
+                           (stepped, (q, grid, params, capped, 1))):
             assert with_runs(True, call, *args) == with_runs(False, call, *args)
 
     @given(run_cases())
     def test_steps_on_runs_equal_steps_on_every_cell(self, case):
         params, q, bc, strict = case
+        args = (q, Grid.uniform(0.0, 1.0, q.shape[1]), params,
+                StepControl(bc=bc, strict_subchar=strict), 4)
+        assert with_runs(True, stepped, *args) == with_runs(False, stepped, *args)
+
+    @given(run_cases())
+    def test_carried_runs_are_the_runs_of_the_cells(self, case):
+        params, q, bc, strict = case
         grid = Grid.uniform(0.0, 1.0, q.shape[1])
-        control = StepControl(bc=bc, strict_subchar=strict)
-        trails = []
-        for on in (True, False):
-            with pytest.MonkeyPatch.context() as mp:
-                force_runs(mp, on)
-                state, trail = SimState(0.0, Conserved.from_array(q.copy())), []
-                try:
-                    for _ in range(3):
-                        state, diag = full_step(state, grid, params, control)
-                        trail.append((state.t, state.q.as_array().tobytes(), diag))
-                except SolverError as e:
-                    trail.append((type(e), str(e), e.index))
-                trails.append(trail)
-        assert trails[0] == trails[1]
+        state = SimState(0.0, Conserved.from_array(q))
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            force_runs(mp)
+            try:
+                for _ in range(4):
+                    state, _ = full_step(state, grid, params,
+                                         StepControl(bc=bc, strict_subchar=strict))
+                    want = _column_runs(state.q.as_array())
+                    assert [a.tolist() for a in state._carried_runs] == [a.tolist() for a in want]
+            except SolverError:
+                pass
 
     @given(run_cases(), st.data())
     def test_errors_on_runs_name_cells(self, case, data):
         # A run of cells made non-hyperbolic (dP/dh < 0), and a run of traces
-        # above ell, which the check after transport rejects and on which the
-        # source solve fails: each error names the cell, and counts the cells,
-        # that the full evaluation names.
+        # above ell, which the cell state rejects: each error names the cell,
+        # and counts the cells, that the step on every cell names, in the
+        # fluxes and in a step whose input is taken as checked.  A run of
+        # three or more traces above 0.995 ell on which the source fails:
+        # its inner cells leave the transport as they are.
         params, q, bc, strict = case
         n = q.shape[1]
         lo = data.draw(st.integers(0, n - 1))
         bad = slice(lo, data.draw(st.integers(lo + 1, n)))
+        grid, control = Grid.uniform(0.0, 1.0, n), StepControl(bc=bc, strict_subchar=strict)
         spoiled = q.copy()
         spoiled[0, bad] = 1e-6
         spoiled[2, bad], spoiled[3, bad] = 1e-6 * params.ell / 8.0, -1e-6 * params.ell / 8.0
-        args = (Conserved.from_array(spoiled), Grid.uniform(0.0, 1.0, n), params,
-                StepControl(bc=bc, strict_subchar=strict))
-        want = with_runs(False, fluxes, *args)
-        assert want[0] is NonHyperbolicError
-        assert with_runs(True, fluxes, *args) == want
-
         stuck = q.copy()
         stuck[2, bad] = stuck[0, bad] * 1.1 * params.ell
-        args = (Conserved.from_array(stuck), 1e3 * params.lam, params)
-        for call, error in ((source, SourceSolveFailure), (relaxed, AdmissibilityError)):
-            want = with_runs(False, call, *args)
-            assert want[0] is error
-            assert with_runs(True, call, *args) == want
+        for cells, error in ((spoiled, NonHyperbolicError), (stuck, AdmissibilityError)):
+            for call, args in ((fluxes, (Conserved.from_array(cells), grid, params, control)),
+                               (stepped, (cells, grid, params, control, 1, np.zeros(n)))):
+                want = with_runs(False, call, *args)
+                assert (want if call is fluxes else want[-1])[0] is error
+                assert with_runs(True, call, *args) == want
+
+        def failing(sxx0, szz0, dt, params):
+            s0 = sxx0 + szz0
+            if not (s0 <= 0.995 * params.ell).all():
+                raise SourceSolveFailure.at("stuck", s0 > 0.995 * params.ell, worst=s0, s0=s0)
+            return relax_conformations(sxx0, szz0, dt, params)
+
+        lo = data.draw(st.integers(0, n))
+        near = np.repeat([[1.0], [0.0], [0.4995 * params.ell], [0.4995 * params.ell]], 3, axis=1)
+        cells = np.concatenate((q[:, :lo], near, q[:, lo:]), axis=1)
+        args = (cells, Grid.uniform(0.0, 1.0, n + 3), params, control, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timeloop_mod, "relax_conformations", failing)
+            want = with_runs(False, stepped, *args)
+            assert want[-1][0] is SourceSolveFailure
+            assert with_runs(True, stepped, *args) == want
 
     @given(run_cases(), st.sampled_from((1e-3, 0.05, 0.3, 0.6)))
     def test_fan_errors_on_runs_name_interfaces(self, case, factor):
@@ -917,6 +953,8 @@ class TestRuns:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(timeloop_mod, "relaxation_speeds", slowed(factor))
             assert with_runs(True, fluxes, *args) == with_runs(False, fluxes, *args)
+            step_args = (q, *args[1:], 2)
+            assert with_runs(True, stepped, *step_args) == with_runs(False, stepped, *step_args)
 
     @pytest.mark.parametrize("name, stage, strict, error, index", [
         # Slowed speeds: the star depth at the jump turns negative, or its
@@ -935,40 +973,57 @@ class TestRuns:
         want = with_runs(False, fluxes, *args)
         assert want[0] is error and want[2] == index
         assert with_runs(True, fluxes, *args) == want
+        step_args = (args[0].as_array(), *args[1:], 1)
+        assert with_runs(False, stepped, *step_args) == [want]
+        assert with_runs(True, stepped, *step_args) == [want]
 
     def test_small_arrays_and_distinct_cells_skip_the_runs(self):
-        seen = []
+        n = timeloop_mod.RUNS_MIN_CELLS
+        share = timeloop_mod.PAIR_RUNS_MAX_SHARE
 
-        def stage(q, p, *args):
-            seen.append(q)
-            return p
+        def runs(a, bc="transmissive"):
+            return _runs(SimState(0.0, Conserved.from_array(a)), bc)
 
-        n = model_mod.RUNS_MIN_CELLS
-        share = model_mod.RUNS_MAX_SHARE
-        small = Conserved.from_array(np.ones((4, n - 1)))
-        distinct = Conserved.from_array(np.arange(1.0, 4.0 * n + 1.0).reshape(4, n))
-        # runs one cell longer than the longest that the share gate refuses
-        short = int(np.ceil(1.0 / share)) - 1
-        sparse = Conserved.from_array(np.repeat(distinct.as_array()[:, : n // short + 1], short,
-                                                axis=1))
-        for q in (small, distinct, sparse):
-            assert _on_runs(stage, q, None)[1] is None and seen[-1] is q
-        p, lengths = _on_runs(stage, Conserved.from_array(np.ones((4, n))), None)
-        assert lengths.tolist() == [n] and seen[-1].as_array().shape == (4, 1)
-        assert p.h.tolist() == [1.0]
-        dense = np.repeat(distinct.as_array()[:, : n // (short + 1) + 1], short + 1, axis=1)
-        assert _on_runs(stage, Conserved.from_array(dense), None)[1] is not None
+        distinct = np.arange(1.0, 4.0 * n + 1.0).reshape(4, n)
+        # Runs of L equal cells have about 2 / L pair runs per interface (a
+        # self pair run and a join each): `short` cells per run are one too
+        # few for the gate, `short + 1` enough.
+        short = int(np.ceil(2.0 / share)) - 1
+        sparse = np.repeat(distinct[:, : n // short + 1], short, axis=1)
+        for a in (np.ones((4, n - 1)), distinct, sparse):
+            assert runs(a) is None
+        values, sides, span = runs(np.ones((4, n)))
+        assert values.tolist() == [[1.0]] * 4
+        assert sides.tolist() == [[0], [0]] and span.tolist() == [n + 1]
+        dense = np.repeat(distinct[:, : n // (short + 1) + 1], short + 1, axis=1)
+        assert runs(dense) is not None
+
+    def test_ghost_cells_join_equal_neighbours(self):
+        # Runs A B A B: a transmissive ghost copies its neighbour, a
+        # reflective one flips the sign of hu (-0.0 here), a periodic one
+        # copies the other end, which differs from its neighbour here and
+        # equals it in A B A.
+        n = 2 * timeloop_mod.RUNS_MIN_CELLS
+        a = np.repeat(np.array([[1.0, 0.0, 1.0, 1.0], [0.1, 0.0, 1.0, 1.0]] * 2).T, n // 4, axis=1)
+        for cells, bc, width in ((a, "transmissive", 4), (a, "reflective", 6),
+                                 (a, "periodic", 6), (a[:, : 3 * n // 4], "periodic", 3)):
+            values, sides, span = _runs(SimState(0.0, Conserved.from_array(cells)), bc)
+            assert values.shape == (4, width) and span.sum() == cells.shape[1] + 1, bc
+        merged = _runs(SimState(0.0, Conserved.from_array(a[:, : 3 * n // 4])), "periodic")[0]
+        assert merged[1].tolist() == [0.0] * 3 and not np.signbit(merged[1]).any()
 
     @pytest.mark.parametrize("cfg, on_runs", [
         (preset_smooth_wave(10.0, cells=4096, bc="transmissive"), False),
         (preset_dam_break(10.0, cells=4096), True),
-        ("one and six", "fan only"),
+        ("one and six", True),
     ])
     def test_density_gate(self, cfg, on_runs, monkeypatch):
         # The smooth wave's only runs are its two ghost cells' copies of their
         # neighbours; the dam break is two runs.  Runs of one cell and of six
-        # cells alternating are 2 cell runs per 7 cells, over the source's
-        # share, but 3 pair runs per 7 interfaces, under the fan's.
+        # cells alternating are 3 pair runs per 7 interfaces, under the
+        # gate: the cell state runs on the padded cells' runs, the source on
+        # the single cells, the edge cells of the long runs and their inner
+        # cells, 4 pieces per 7 cells.
         sizes = []
 
         def spy(stage):
@@ -979,16 +1034,15 @@ class TestRuns:
 
         monkeypatch.setattr(timeloop_mod, "_cell_state", spy(_cell_state))
         monkeypatch.setattr(timeloop_mod, "source_step", spy(source_step))
-        if on_runs == "fan only":
+        if cfg == "one and six":
             n = 4095
             pieces = sample_states(P10, n // 7 * 2, np.random.default_rng(7)).conserved().as_array()
             q = Conserved.from_array(np.repeat(pieces, [1, 6] * (n // 7), axis=1))
             grid = Grid.uniform(0.0, 1.0, n)
             full_step(SimState(0.0, q), grid, P10, StepControl(bc="periodic"))
-            assert model_mod.RUNS_MAX_SHARE < 2 / 7 and 3 / 7 < model_mod.PAIR_RUNS_MAX_SHARE
-            # The cell state of the padded cells' runs, the source of every cell.
+            assert 3 / 7 < timeloop_mod.PAIR_RUNS_MAX_SHARE
             runs = _column_runs(apply_boundary(q, "periodic").as_array())[0].size
-            assert sizes == [runs, n] and runs < n // 3
+            assert sizes == [runs, n // 7 * 4] and runs < n // 3
             return
         grid = Grid(np.linspace(cfg.x_min, cfg.x_max, cfg.cells + 1))
         full_step(SimState(0.0, initial_condition(cfg, grid)), grid, cfg.params,
@@ -998,23 +1052,71 @@ class TestRuns:
         else:
             assert sizes == [cfg.cells + 2, cfg.cells]
 
+    def test_one_scan_per_step_and_none_with_carried_runs(self, monkeypatch):
+        # A hand-built state is scanned once; the states the step on runs
+        # makes carry their runs, across run()'s landings on output times;
+        # a state without runs is scanned once per step.  Scans of the runs'
+        # own columns are not scans of the grid.
+        scans = []
+
+        def spy(a):
+            scans.append(a.shape[1])
+            return _column_runs(a)
+
+        monkeypatch.setattr(timeloop_mod, "_column_runs", spy)
+        cfg = dataclasses.replace(preset_dam_break(10.0, cells=4096), t_end=0.002, snapshots=4)
+        result = run(cfg)
+        assert result.steps > 4 and [k for k in scans if k >= cfg.cells] == [cfg.cells]
+        assert result.state._carried_runs is not None
+        smooth = preset_smooth_wave(10.0, cells=4096, bc="periodic")
+        grid = Grid(np.linspace(smooth.x_min, smooth.x_max, smooth.cells + 1))
+        state = SimState(0.0, initial_condition(smooth, grid))
+        scans.clear()
+        for _ in range(3):
+            state, _ = full_step(state, grid, smooth.params, StepControl(bc="periodic"))
+        assert state._carried_runs is None and scans == [smooth.cells] * 3
+
+    def test_runs_do_not_survive_replace(self):
+        cfg = preset_dam_break(10.0, cells=4096)
+        grid = Grid(np.linspace(cfg.x_min, cfg.x_max, cfg.cells + 1))
+        state, _ = full_step(SimState(0.0, initial_condition(cfg, grid)), grid, cfg.params)
+        assert state._carried_runs is not None
+        assert dataclasses.replace(state, t=1.0)._carried_runs is None
+
+    def test_unequal_self_pair_fluxes_step_every_cell(self, monkeypatch):
+        # interface_fluxes with f_left's depth row moved where the two sides
+        # are equal: the step on runs, which would leave the inner cells as
+        # they are, gives way to the step on every cell.
+        def skewed(fan):
+            f = interface_fluxes(fan)
+            f[0, 0, (fan.sides[:4, 0] == fan.sides[:4, 1]).all(axis=0)] += 1e-9
+            return f
+
+        args = (dam_break_state(16).q.as_array(), Grid.uniform(0.0, 1.0, 16), P10, StepControl(), 3)
+        plain = with_runs(False, stepped, *args)
+        monkeypatch.setattr(timeloop_mod, "interface_fluxes", skewed)
+        want = with_runs(False, stepped, *args)
+        assert want != plain
+        assert with_runs(True, stepped, *args) == want
+
     def test_relaxed_cells_own_their_array(self, monkeypatch):
         force_runs(monkeypatch)
-        state = dam_break_state(16)
-        q_new, f_new, d_new = _relax_by_runs(state.q, 0.01, P10)
-        assert q_new.as_array().base is None and q_new.as_array().shape == (4, 16)
-        assert f_new.base is None and d_new.base is None
+        state, _ = full_step(dam_break_state(16), Grid.uniform(0.0, 1.0, 16), P10)
+        assert state._carried_runs is not None
+        q_new, f_new = state.q.as_array(), state._carried_f[1]
+        assert q_new.base is None and q_new.shape == (4, 16) and f_new.base is None
 
     def test_source_postcondition_error_names_cells(self, monkeypatch):
         # An F that the relaxation raises: the check's worst entry and count are per cell.
         se = equilibrium_sigma(P10)
         monkeypatch.setattr(timeloop_mod, "_free_energy", lambda p, params: -(p.sxx - se) ** 2)
         sxx = np.repeat([1.0, 2.0, 1.0, 3.0], [3, 1, 2, 4])
-        q = Conserved.from_array(np.array([np.ones(10), np.zeros(10), sxx, np.full(10, 1.0)]))
-        want = with_runs(False, relaxed, q, 0.01, P10)
-        assert want[0] is SourceSolveFailure and want[2] == (6,)
-        assert want[1].endswith("(10 offending entries)")
-        assert with_runs(True, relaxed, q, 0.01, P10) == want
+        q = np.array([np.ones(10), np.zeros(10), sxx, np.full(10, 1.0)])
+        args = (q, Grid.uniform(0.0, 1.0, 10), P10, StepControl(), 1)
+        want = with_runs(False, stepped, *args)
+        assert want[0][0] is SourceSolveFailure and want[0][2] == (7,)
+        assert want[0][1].endswith("(10 offending entries)")
+        assert with_runs(True, stepped, *args) == want
 
 
 class TestCarry:
