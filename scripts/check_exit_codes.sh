@@ -35,21 +35,27 @@ printf 'frobnicate = 1\n' >"$work/unknown.cfg"
 printf 'cells = 16\nt_end = 0.01\ndt_min_factor = 1.0\n' >"$work/collapse.cfg"
 printf 'cells = 16\nlambda = inf\n' >"$work/lambda_inf.cfg"
 printf 'cells = 16\nt_end = inf\n' >"$work/t_end_inf.cfg"
-# Two clean solves: a smooth wave whose only runs of equal cells are its ghost
-# cells (every cell evaluated), and a dam break (evaluated on its runs).
+# Two clean solves: a smooth wave, which has no runs of equal cells (every
+# cell evaluated), and a dam break (evaluated on the compressed cells of its
+# runs).
 printf 'scenario = smooth-wave\nbc = transmissive\ncells = 4096\nt_end = 0.002\n' >"$work/smooth.cfg"
 printf 'cells = 4096\nt_end = 0.01\n' >"$work/dam.cfg"
-# The dam break on its runs with the other two boundary kinds (reflective
-# ghost cells never join their neighbours' runs, periodic ones here do not
-# either), and with the free-energy audit strict.
+# The dam break on its runs with the other two boundary kinds (the compressed
+# cells are padded with the ghost cells of the grid's end cells: a reflective
+# ghost flips the sign of hu, a periodic one copies the other end), and with
+# the free-energy audit strict.
 printf 'cells = 4096\nt_end = 0.01\nbc = reflective\n' >"$work/dam_reflective.cfg"
 printf 'cells = 4096\nt_end = 0.01\nbc = periodic\n' >"$work/dam_periodic.cfg"
 printf 'cells = 4096\nt_end = 0.01\nstrict_dissipation = true\n' >"$work/dam_strict.cfg"
 # Strict subcharacteristic mode, which re-solves the fan with doubled speeds,
-# on every interface (256 cells) and on the runs of interface pairs (4096).
+# on every interface (256 cells) and on the compressed cells (4096).
 printf 'cells = 256\nt_end = 0.02\nstrict_subchar = true\n' >"$work/strict_256.cfg"
 printf 'cells = 4096\nt_end = 0.005\nstrict_subchar = true\n' >"$work/strict_4096.cfg"
 printf 'cells = 64\nmax_steps = 3\n' >"$work/budget.cfg"
+# Conformations of 1e-300 on both sides of a strict dam break on the
+# compressed cells: the first step's free-energy residuals are NaN, which the
+# audit counts as violations (exit 4).
+printf 'cells = 4096\nstrict_dissipation = true\nleft_sxx = 1e-300\nleft_szz = 1e-300\nright_sxx = 1e-300\nright_szz = 1e-300\n' >"$work/nan_strict.cfg"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
@@ -69,6 +75,11 @@ expect 0 "$@" solve --config "$work/strict_4096.cfg" --out "$work/strict_4096"
 expect 3 "$@" solve --config "$work/budget.cfg" --out "$work/budget"
 if ! grep -q 'StepBudgetExceeded' "$work/budget/run.json"; then
     echo "FAIL: the run over its step budget wrote no error run.json" >&2
+    status=1
+fi
+expect 4 "$@" solve --config "$work/nan_strict.cfg" --out "$work/nan_strict"
+if ! grep -q 'DissipationViolation' "$work/nan_strict/run.json"; then
+    echo "FAIL: the run with NaN residuals wrote no DissipationViolation into run.json" >&2
     status=1
 fi
 expect 2 "$@" check --samples 0

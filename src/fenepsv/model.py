@@ -56,14 +56,16 @@ class SolverError(RuntimeError):
 
     `index` is the failing entry as a tuple of int and `values` maps field
     names to plain floats there; both are empty unless the error came from `at`.
-    `failure` is None, or the record of the failing step that
-    `scenarios.run` attaches (see there).
+    `step_dt` is None, or the dt of the failing step when the step had
+    chosen it before it failed (see `timeloop.full_step`).  `failure` is
+    None, or the record of the failing step that `scenarios.run` attaches
+    (see there).
     """
 
     def __init__(self, message: str, index: tuple = (), values: dict | None = None):
         super().__init__(message)
         self.index, self.values = index, values or {}
-        self.failure = None
+        self.step_dt = self.failure = None
 
     @classmethod
     def at(cls, what: str, bad, worst=None, **fields):

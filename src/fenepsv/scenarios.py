@@ -34,7 +34,6 @@ from .model import (
     is_admissible,
     require_admissible,
 )
-from .oracles import exact_sw_dam_break
 from .timeloop import (
     BOUNDARY_KINDS,
     Grid,
@@ -196,10 +195,6 @@ def _smooth_primitive(x, config: RunConfig):
     return Primitive(h, u, np.full_like(h, se), np.full_like(h, se))
 
 
-# 5-point Gauss-Legendre on [-1, 1]; cell averages of smooth data to ~1e-15
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
-
-
 def initial_condition(config: RunConfig, grid: Grid) -> Conserved:
     """Exact cell averages of the initial data, in conserved variables."""
     if config.scenario == "uniform":
@@ -213,10 +208,11 @@ def initial_condition(config: RunConfig, grid: Grid) -> Conserved:
         lo, hi = grid.edges[:-1], grid.edges[1:]
         wl = np.clip((config.jump_x - lo) / grid.dx, 0.0, 1.0)
         return Conserved.from_array(ql[:, None] * wl + qr[:, None] * (1.0 - wl))
-    # smooth-wave: conserved averages by Gauss quadrature per cell
+    # smooth-wave: conserved averages by 5-point Gauss-Legendre quadrature
+    # per cell, to ~1e-15 on smooth data
     lo = grid.edges[:-1]
     acc = 0.0
-    for xg, wg in zip(_GAUSS_X, _GAUSS_W):
+    for xg, wg in zip(*np.polynomial.legendre.leggauss(5)):
         xs = lo + 0.5 * grid.dx * (xg + 1.0)
         acc = acc + 0.5 * wg * _smooth_primitive(xs, config).conserved().as_array()
     return Conserved.from_array(acc)
@@ -341,11 +337,13 @@ def _snapshot_name(t: float, used: set) -> str:
 def _failure_record(error: SolverError, state: SimState, step: int, dt, max_dt: float) -> dict:
     """What a failed step needs to be replayed and read: its number, its
     input's t, the dt of the step before it (None before the first), its
-    cap max_dt, the error's index and the cells k - 1 .. k + 1 of its input
-    around the index's last entry k.  The index names a cell, a padded cell
-    or an interface (which joins cells k - 1 and k), so those three cells
-    hold the failing entry in each case."""
-    record = {"step": step, "t": state.t, "dt": dt, "max_dt": max_dt, "index": list(error.index)}
+    cap max_dt, its own dt step_dt (None when it failed before choosing it,
+    in the fan or the CFL step), the error's index and the cells
+    k - 1 .. k + 1 of its input around the index's last entry k.  The index
+    names a cell, a padded cell or an interface (which joins cells k - 1
+    and k), so those three cells hold the failing entry in each case."""
+    record = {"step": step, "t": state.t, "dt": dt, "max_dt": max_dt, "step_dt": error.step_dt,
+              "index": list(error.index)}
     if error.index:
         k = error.index[-1]
         p = state.q.primitive()
@@ -625,6 +623,8 @@ def convergence_study(config: RunConfig, levels, reference: str = "auto") -> Con
 
     errors = []
     if reference == "exact-sw":
+        from .oracles import exact_sw_dam_break   # the oracle battery loads only where it is used
+
         for res in runs:
             x = res.grid.centers - config.jump_x
             h_ref, _ = exact_sw_dam_break(

@@ -11,15 +11,14 @@ discrete free-energy balance
 is checked cell by cell (a tolerance covers roundoff).  Violations are
 recorded in the step diagnostics; in strict mode they abort the run.
 
-Steps on runs.  On grids of piecewise-constant data the step runs in run
-space from start to end (`_step_on_runs`, behind the one gate of `_runs`):
-the state carries its runs of equal cells from the step that made it, the
-fan is solved once per run of equal interface pairs, only the edge cells
-(whose two interfaces lie in different pair runs) are transported, and the
-check, the source and the audit run once per piece of equal cells.  Only
-the new cells and their F are repeated to full size, for the output, the
-sums of the diagnostics and the next step.  The result is bit for bit that
-of the step on every cell (`_step_everywhere`), errors included.
+Steps on runs.  A run of equal cells steps like three cells: its first cell,
+one inner cell and its last cell, since every inner cell meets the same
+(left, self, right) cells.  On grids of piecewise-constant data (behind the
+one gate of `_runs`), the step runs on these compressed cells, found from
+the runs that the state carries from the step that made it, and repeats only
+the new cells and their F to full size, for the output, the sums of the diagnostics and the
+next step.  The step on every cell and the step on compressed cells are one
+body (`_step_cells`), and their results are the same bits, errors included.
 """
 
 from __future__ import annotations
@@ -76,11 +75,11 @@ DISSIPATION_RTOL = 1e-10
 # The gate of the step on runs (`_runs`).  Finding, padding and repeating the
 # runs cost about what stepping 500 to 1000 more cells costs, so grids of
 # fewer than RUNS_MIN_CELLS cells step every cell.  The step's cost on runs
-# follows the runs of equal interface pairs, so it takes them where they
-# number at most PAIR_RUNS_MAX_SHARE of the interfaces (see README,
-# numerical notes, for the measured break-even).
+# follows its compressed cells, so it takes them where they number at most
+# COMPRESSED_MAX_SHARE per cell (see README, numerical notes, for the
+# measured break-even).
 RUNS_MIN_CELLS = 1024
-PAIR_RUNS_MAX_SHARE = 0.5
+COMPRESSED_MAX_SHARE = 0.5
 
 
 class TimeStepCollapse(SolverError):
@@ -234,59 +233,53 @@ def _fan(sides, x, params: PhysParams, strict_subchar: bool):
     return fan, ratio
 
 
-def _pair_runs(lengths):
-    """The runs of equal interface pairs of cells whose runs of equal cells
-    have `lengths`: (sides, span), sides the (2, m) array of the cell runs
-    left (sides[0]) and right (sides[1]) of each pair run, span its length.
+def _runs(state: SimState):
+    """The compressed cells that `full_step` takes state on, or None where
+    stepping every cell costs less.
 
-    Cell run i holds lengths[i] - 1 interfaces, all joining it to itself,
-    and the next interface joins it to run i + 1.
-    """
-    left = np.repeat(np.arange(lengths.size), 2)[:-1]
-    sides = np.stack((left, left))
-    sides[1, 1::2] += 1
-    span = np.ones(sides.shape[1], dtype=lengths.dtype)
-    span[::2] = lengths - 1
-    keep = span > 0
-    return sides[:, keep], span[keep]
-
-
-def _runs(state: SimState, bc: str):
-    """The runs that `full_step` takes state on, or None where stepping every
-    cell costs less.
-
-    Returns (values, sides, span): the runs of the padded cells of state.q,
-    found from its runs of equal cells (carried by the state, or found
-    here), as one column of values each, and the `_pair_runs` of their
-    lengths.  Each ghost cell is a run of its own unless it is
-    bitwise equal to its neighbour: a transmissive ghost always is, a
-    reflective one never (the sign of hu flips), a periodic one where the
-    two ends are equal.  The runs pay when q has at least RUNS_MIN_CELLS
-    cells and at most PAIR_RUNS_MAX_SHARE of its interfaces start a pair
-    run; both are read at call time.
+    Returns (rep, weight): from each run of equal cells of state.q (carried
+    by the state, or found here), its first cell, its second (runs of 3 or
+    more) and its last (runs of 2 or more), and the number of cells that
+    each stands for, itself and those up to the next one.  Every cell meets
+    the (left, self, right) cells of the one that stands for it, ghost cells
+    included, since `apply_boundary` pads the compressed cells with the same
+    end cells.  The runs pay when q has at least RUNS_MIN_CELLS cells and at
+    most COMPRESSED_MAX_SHARE compressed cells per cell; both are read at
+    call time.
     """
     a = state.q.as_array()
     n = a.shape[1]
     if n < RUNS_MIN_CELLS:
         return None
     starts, lengths = state._carried_runs or _column_runs(a)
-    # a lower bound of the pair runs, which the ghost cells can only raise
-    if starts.size - 1 + np.count_nonzero(lengths > 1) > PAIR_RUNS_MAX_SHARE * (n + 1):
+    # a run of L cells gives min(L, 3) compressed cells
+    if starts.size + np.count_nonzero(lengths > 1) + np.count_nonzero(lengths > 2) \
+            > COMPRESSED_MAX_SHARE * n:
         return None
-    values = apply_boundary(Conserved.from_array(np.take(a, starts, axis=1)), bc).as_array()
-    first, _ = _column_runs(values)   # q's runs are maximal: only a ghost joins a neighbour
-    sides, span = _pair_runs(np.add.reduceat(np.concatenate(([1], lengths, [1])), first))
-    if span.size > PAIR_RUNS_MAX_SHARE * (n + 1):
-        return None
-    return np.take(values, first, axis=1), sides, span
+    last = starts + lengths - 1
+    rep = np.stack((starts, np.minimum(starts + 1, last), last), axis=1).ravel()
+    new = np.ones(rep.size, dtype=bool)   # rep is nondecreasing: drop its repeats
+    np.not_equal(rep[1:], rep[:-1], out=new[1:])
+    rep = rep[new]
+    return rep, np.diff(rep, append=n)
 
 
-def _fan_fluxes(sides, x, grid: Grid, params: PhysParams, control: StepControl, dt=None):
-    """The fan of the interfaces with `sides` at edges x (see `_fan`), its
-    fluxes and the step: the outputs of `_fluxes`.  dt=None takes the CFL
-    step, shortened by control.max_dt to land on an output time (never below
-    half the CFL step unless the cap itself is smaller)."""
-    fan, ratio = _fan(sides, x, params, control.strict_subchar)
+def _fluxes(q: Conserved, x, grid: Grid, params: PhysParams, control: StepControl, dt=None):
+    """The fluxes at every interface of the padded cells of q, at edges x,
+    and the step.  q must be admissible (its padded cells are evaluated
+    unchecked).  dt=None takes the CFL step over grid.min_dx, shortened by
+    control.max_dt to land on an output time (never below half the CFL step
+    unless the cap itself is smaller).
+
+    Returns (f_left, f_right, g, ratio, dt, fan): the fluxes seen by the
+    cells left and right of each interface, the free-energy flux G and the
+    subcharacteristic ratio there (see `_fan`), the step, and the fan that
+    gave them.
+    """
+    padded = apply_boundary(q, control.bc)
+    cells = _cell_state(padded, padded.primitive(), params)
+    del padded   # the padded cells are not read again
+    fan, ratio = _fan(interface_sides(cells), x, params, control.strict_subchar)
     if dt is None:
         dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)
         if control.max_dt is not None and np.isfinite(control.max_dt):
@@ -300,48 +293,27 @@ def _fan_fluxes(sides, x, grid: Grid, params: PhysParams, control: StepControl, 
     return f[0], f[1], energy_flux(fan), ratio, dt, fan
 
 
-def _fluxes(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, dt=None):
-    """The fluxes at every interface of the padded cells of q, and the step
-    (see `_fan_fluxes`).  q must be admissible (its padded cells are
-    evaluated unchecked).
-
-    Returns (f_left, f_right, g, ratio, dt, fan): the fluxes seen by the
-    cells left and right of each interface, the free-energy flux G and the
-    subcharacteristic ratio there, the step, and the fan that gave them.
-    """
-    padded = apply_boundary(q, control.bc)
-    cells = _cell_state(padded, padded.primitive(), params)
-    del padded   # the padded cells are not read again
-    return _fan_fluxes(interface_sides(cells), grid.edges, grid, params, control, dt)
-
-
-def _fluxes_on_runs(values, sides, bounds, grid: Grid, params: PhysParams, control: StepControl):
-    """`_fluxes` on runs: the cell state of the runs of padded cells with
-    `values` (admissible), and the fan and its fluxes on the runs of equal
-    interface pairs whose sides are `sides` and whose first interfaces are
-    `bounds`.  Returns the outputs of `_fluxes`, one per pair run; the CFL
-    step, a maximum, is that of every interface.
-    """
-    firsts = Conserved.from_array(values)
-    cells = _cell_state(firsts, firsts.primitive(), params)
-    return _fan_fluxes(np.take(cells, sides, axis=1), grid.edges[bounds], grid, params, control)
-
-
-def _transport(q: Conserved, grid: Grid, params: PhysParams, control: StepControl, dt=None):
-    """Finite-volume transport of the cells of q over one step, unchecked.
+def _transport(q: Conserved, dx, x, grid: Grid, params: PhysParams, control: StepControl,
+               dt=None, weight=None):
+    """Finite-volume transport of the cells q of widths dx over one step,
+    unchecked.
 
     q must be admissible.  Applies the three-point update with the fluxes
-    of `_fluxes`: cell i sees f_left of its right interface and f_right of
-    its left interface.  The transported cells are not checked; the caller
-    checks them.
+    of `_fluxes` at edges x: cell i sees f_left of its right interface and
+    f_right of its left interface.  The transported cells are not checked;
+    the caller checks them.
 
     Returns (transported cells, dt, free-energy fluxes, subcharacteristic
-    ratios, fan).
+    ratios, fan).  With `weight` (see `_runs`), returns None where a cell of
+    weight above 1 sees a flux difference other than +0.0: only +0.0 moves
+    it by nothing whatever its dx.
     """
-    f_left, f_right, g, ratio, dt, fan = _fluxes(q, grid, params, control, dt)
+    f_left, f_right, g, ratio, dt, fan = _fluxes(q, x, grid, params, control, dt)
     # q - (dt/dx) (f_left[:, 1:] - f_right[:, :-1]), formed in one buffer
     update = np.subtract(f_left[:, 1:], f_right[:, :-1])
-    update *= dt / grid.dx
+    if weight is not None and update[:, weight > 1].view(np.int64).any():
+        return None
+    update *= dt / dx
     q_half = Conserved.from_array(np.subtract(q.as_array(), update, out=update))
     return q_half, dt, g, ratio, fan
 
@@ -354,7 +326,8 @@ def homogeneous_step(
     A transported cell outside the admissible region raises AdmissibilityError.
     """
     require_admissible(state.q.primitive(), params, "cell state")
-    q_half, *_ = _transport(state.q, grid, params, control or StepControl(), dt)
+    q_half, *_ = _transport(state.q, grid.dx, grid.edges, grid, params,
+                            control or StepControl(), dt)
     require_admissible(q_half.primitive(), params, "cell after transport")
     return SimState(state.t + dt, q_half)
 
@@ -481,13 +454,6 @@ def source_step(q: Conserved, p: Primitive, dt: float, params: PhysParams):
     return out, p_new, f_after
 
 
-def _transported_source_step(q: Conserved, p: Primitive, dt: float, params: PhysParams):
-    """`source_step` of transported cells, which it first checks: a cell
-    outside the admissible region raises AdmissibilityError."""
-    require_admissible(p, params, "cell after transport")
-    return source_step(q, p, dt, params)
-
-
 def dissipation_residuals(f_old, f_new, g_flux, d_new, dt: float, dx):
     """Per-cell residual of the discrete free-energy inequality and its tolerance.
 
@@ -499,14 +465,15 @@ def dissipation_residuals(f_old, f_new, g_flux, d_new, dt: float, dx):
     return res, tol
 
 
-def _audit(f_old, f_new, g_flux, d_new, dt: float, dx, control: StepControl, lengths=None):
-    """The free-energy audit of the cells, or of the pieces of `lengths` equal
-    cells each: (residuals, violations), a violation being a cell whose
-    residual is above its tolerance (see `dissipation_residuals`).  Raises
-    DissipationViolation on a violation with control.strict_dissipation."""
+def _audit(f_old, f_new, g_flux, d_new, dt: float, dx, control: StepControl, weight=None):
+    """The free-energy audit of the cells, each standing for `weight` cells
+    (1 without it): (residuals, violations), a violation being a cell whose
+    residual is not within its tolerance (see `dissipation_residuals`), a
+    NaN residual included.  Raises DissipationViolation on a violation with
+    control.strict_dissipation."""
     res, tol = dissipation_residuals(f_old, f_new, g_flux, d_new, dt, dx)
-    bad = res > tol
-    violations = int(np.count_nonzero(bad) if lengths is None else lengths[bad].sum())
+    bad = ~(res <= tol)
+    violations = int(np.count_nonzero(bad) if weight is None else weight[bad].sum())
     if violations and control.strict_dissipation:
         raise DissipationViolation.at(
             "free-energy balance violated", bad, worst=res - tol, residual=res, tol=tol
@@ -514,17 +481,54 @@ def _audit(f_old, f_new, g_flux, d_new, dt: float, dx, control: StepControl, len
     return res, violations
 
 
-def _stepped(state: SimState, grid: Grid, params: PhysParams, dt, q_new: Conserved, f_new,
-             res, violations: int, ratio, runs):
-    """The state that a step from state over dt made, relaxed cells q_new
-    with free energy f_new and runs of equal cells `runs` (or None), and the
-    step's diagnostics."""
-    dx = grid.dx
+def _step_cells(state: SimState, f_old, grid: Grid, params: PhysParams, control: StepControl,
+                runs=None):
+    """The step from state, whose cells have free energy f_old, and its
+    diagnostics: `full_step` on every cell, or, with the `_runs` (rep,
+    weight) of state, on the compressed cells rep alone, or None there
+    where a cell of weight above 1 sees a flux difference other than +0.0.
+
+    Each compressed cell meets the (left, self, right) cells of every cell
+    it stands for, so the fan, the fluxes, G, the ratios and the CFL step
+    (over grid.min_dx) are those of every cell bit for bit.  Only dx differs
+    within a run, and with a flux difference of +0.0 a cell of weight above
+    1 is moved by +0.0 and its G term is +0.0 for any dx.  The relaxed
+    cells and their F are repeated by weight; the new state's runs are
+    those of the compressed relaxed cells.
+    """
+    q, dx, x, weight = state.q, grid.dx, grid.edges, None
+    if runs is not None:
+        rep, weight = runs
+        q = Conserved.from_array(np.take(q.as_array(), rep, axis=1))
+        f_old, dx, x = f_old[rep], dx[rep], x[np.append(rep, grid.n)]
+    # The fan is held until the step ends.  Freed before the source step, its
+    # memory goes to the source step's outputs, the allocator hands the heap
+    # top back to the system when the step ends, and the next step faults it
+    # in again (on a 4096-cell periodic smooth wave, 228 page faults per step
+    # against 22, and a median run() time 35% longer).
+    if (transported := _transport(q, dx, x, grid, params, control, weight=weight)) is None:
+        return None
+    q_half, dt, g_flux, ratio, fan = transported
+    try:
+        p_half = q_half.primitive()
+        require_admissible(p_half, params, "cell after transport")
+        q_new, p_new, f_new = source_step(q_half, p_half, dt, params)
+        d_new = _dissipation_rate(p_new, params)
+        res, violations = _audit(f_old, f_new, g_flux, d_new, dt, dx, control, weight)
+    except SolverError as e:
+        e.step_dt = float(dt)
+        raise
+    new_runs = None
+    if runs is not None:
+        first, _ = _column_runs(q_new.as_array())
+        new_runs = rep[first], np.add.reduceat(weight, first)
+        q_new = Conserved.from_array(np.repeat(q_new.as_array(), weight, axis=1))
+        f_new = np.repeat(f_new, weight)
     diag = StepDiagnostics(
         dt=float(dt),
-        mass=float((q_new.h * dx).sum()),
-        momentum=float((q_new.hu * dx).sum()),
-        free_energy=float((f_new * dx).sum()),
+        mass=float((q_new.h * grid.dx).sum()),
+        momentum=float((q_new.hu * grid.dx).sum()),
+        free_energy=float((f_new * grid.dx).sum()),
         max_dissipation_residual=float(res.max()),
         dissipation_violations=violations,
         worst_subchar_ratio=float(ratio.max()),
@@ -532,79 +536,8 @@ def _stepped(state: SimState, grid: Grid, params: PhysParams, dt, q_new: Conserv
     q_new.as_array().flags.writeable = False
     new_state = SimState(state.t + dt, q_new)
     new_state._carried_f = (params, f_new)
-    new_state._carried_runs = runs
+    new_state._carried_runs = new_runs
     return new_state, diag
-
-
-def _step_everywhere(state: SimState, f_old, grid: Grid, params: PhysParams, control: StepControl):
-    """`full_step` evaluated on every cell and interface; f_old is F(state.q)."""
-    # The fan is held until the step ends.  Freed before the source step, its
-    # memory goes to the source step's outputs, the allocator hands the heap
-    # top back to the system when the step ends, and the next step faults it
-    # in again (on a 4096-cell periodic smooth wave, 228 page faults per step
-    # against 22, and a median run() time 35% longer).
-    q_half, dt, g_flux, ratio, fan = _transport(state.q, grid, params, control)
-    q_new, p_new, f_new = _transported_source_step(q_half, q_half.primitive(), dt, params)
-    d_new = _dissipation_rate(p_new, params)
-    res, violations = _audit(f_old, f_new, g_flux, d_new, dt, grid.dx, control)
-    return _stepped(state, grid, params, dt, q_new, f_new, res, violations, ratio, None)
-
-
-def _step_on_runs(state: SimState, f_old, runs, grid: Grid, params: PhysParams,
-                  control: StepControl):
-    """`_step_everywhere` evaluated on the `_runs` of state, bit for bit, or
-    None where a self pair's two fluxes differ.
-
-    The cell state runs on each run of the padded cells, and the fan and
-    its fluxes on the first interface of each run of equal interface pairs
-    (B, the padded interface k joining cells k - 1 and k).  A self pair
-    (both sides one cell run) has du = dpi = 0, so its star states are its
-    outer states and f_left equals f_right bit for bit: checked on every
-    self pair run of more than one interface, a cell with both interfaces
-    in one such run is moved by +0.0, which leaves it as it is.  Only the
-    edge cells B[1:] - 1, whose interfaces lie in two pair runs, are
-    updated.  Splitting the runs of q at the edge cells gives pieces that
-    each lie in one run of q, on which F(q) and the transported cells are
-    constant; the check after transport, the source, D and the audit run
-    once per piece (on a piece of more than one cell both interfaces carry
-    the same G, whose difference is +0.0 whatever dx), and the pieces whose
-    relaxed cells are equal merge into the runs of the new state.  Only its
-    cells and F are repeated to full size.
-    """
-    values, sides, span = runs
-    a = state.q.as_array()
-    bounds = np.cumsum(span) - span
-    f_left, f_right, g, ratio, dt, fan = _fluxes_on_runs(values, sides, bounds, grid, params,
-                                                         control)
-    self_pairs = span > 1
-    if np.subtract(*np.compress(self_pairs, (f_left, f_right), axis=2)).view(np.int64).any():
-        return None   # not +0.0 at some self pair: the edge-cell update alone would be wrong
-
-    # Pair run j holds the inner cells B[j] .. B[j+1] - 2, left as they are,
-    # and then the edge cell B[j+1] - 1: one piece each, the empty left out.
-    edges = bounds[1:] - 1
-    update = np.subtract(f_left[:, 1:], f_right[:, :-1])
-    update *= dt / grid.dx[edges]
-    pieces = np.ones(2 * span.size - 1, dtype=span.dtype)
-    pieces[::2] = span - 1
-    q_half = np.empty((4, pieces.size))
-    np.take(values, sides[0], axis=1, out=q_half[:, ::2])
-    np.subtract(np.take(a, edges, axis=1), update, out=q_half[:, 1::2])
-    pair_run = np.arange(pieces.size) // 2   # G at a piece's left end is its pair run's
-    keep = pieces > 0
-    pieces, q_half, pair_run = pieces[keep], np.compress(keep, q_half, axis=1), pair_run[keep]
-    cuts = np.cumsum(pieces) - pieces   # the first cell of each piece
-    q_half = Conserved.from_array(q_half)
-    q_new, p_new, f_new = _transported_source_step(q_half, q_half.primitive(), dt, params)
-    d_new = _dissipation_rate(p_new, params)
-    g_flux = g[np.append(pair_run, span.size - 1)]
-    res, violations = _audit(f_old[cuts], f_new, g_flux, d_new, dt, grid.dx[cuts], control,
-                             pieces)
-    first, _ = _column_runs(q_new.as_array())
-    runs = cuts[first], np.add.reduceat(pieces, first)
-    q_new = Conserved.from_array(np.repeat(q_new.as_array(), pieces, axis=1))
-    return _stepped(state, grid, params, dt, q_new, np.repeat(f_new, pieces), res, violations,
-                    ratio, runs)
 
 
 def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepControl | None = None):
@@ -617,10 +550,12 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     The state is checked three times: the input (skipped when it carries
     the free energy of the step that made it, see SimState), the cells after
     transport, and the relaxed cells; everything else runs unchecked.  Where
-    the runs of equal cells pay (see `_runs`), the whole step runs on them
-    (see `_step_on_runs`), and the sums see every cell.  A SolverError on
-    the runs is raised again by the step on every cell, so its text, index
-    and count name the cells and interfaces of q.
+    the runs of equal cells pay (see `_runs`), the step runs on the
+    compressed cells (see `_step_cells`), and the sums see every cell.  A
+    SolverError on the compressed cells is raised again by the step on
+    every cell, so its text, index and count name the cells and interfaces
+    of q.  A SolverError raised after the step chose its dt carries that dt
+    as `step_dt`.
     """
     control = control or StepControl()
     carried = state._carried_f
@@ -630,12 +565,12 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
         p_old = state.q.primitive()
         require_admissible(p_old, params, "cell state")
         f_old = _free_energy(p_old, params)
-    if (runs := _runs(state, control.bc)) is not None:
+    if (runs := _runs(state)) is not None:
         try:
-            stepped = _step_on_runs(state, f_old, runs, grid, params, control)
+            stepped = _step_cells(state, f_old, grid, params, control, runs)
         except SolverError:
-            _step_everywhere(state, f_old, grid, params, control)
+            _step_cells(state, f_old, grid, params, control)
             raise
         if stepped is not None:
             return stepped
-    return _step_everywhere(state, f_old, grid, params, control)
+    return _step_cells(state, f_old, grid, params, control)

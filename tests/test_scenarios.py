@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import types
@@ -47,6 +49,7 @@ from fenepsv.timeloop import (
     StepControl,
     SubcharacteristicViolation,
     full_step,
+    relax_conformations,
 )
 from test_timeloop import force_runs
 
@@ -655,6 +658,17 @@ class TestCli:
         assert err.startswith("config error: ") and "Traceback" not in err
 
 
+    def test_import_loads_neither_the_oracles_nor_numpy_polynomial(self):
+        # A fresh interpreter: the oracle battery and the quadrature nodes
+        # load where a check or a smooth wave needs them, not at import.
+        code = ("import sys, fenepsv, fenepsv.cli; "
+                "print([m for m in ('fenepsv.oracles', 'numpy.polynomial') if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=str(Path(fenepsv.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=60)
+        assert out.stdout == "[]\n"
+
+
 class TestStepBudget:
     """max_steps caps a run's steps; unset, it changes nothing."""
 
@@ -759,6 +773,7 @@ class TestFailureRecord:
                     run(dataclasses.replace(cfg, outdir=str(out)))
             failure = err.value.failure
             assert failure["step"] == 2 and failure["dt"] == failure["max_dt"] == 0.001
+            assert failure["step_dt"] is None   # the monitor fails before the CFL step
             assert failure["index"] == [32] and failure["cells"]["first"] == 31
             assert len(failure["cells"]["h"]) == 3
             q = np.load(out / "failure_q.npy")
@@ -782,9 +797,33 @@ class TestFailureRecord:
         record = json.loads((out / "run.json").read_text())
         failure = record["failure"]
         assert record["status"] == "error" and failure["step"] == 2 and failure["t"] == 0.001
+        assert failure["step_dt"] is None
         assert failure["index"] == [32] and set(failure["cells"]) == {
             "first", "h", "u", "sigma_xx", "sigma_zz"}
         assert np.load(out / "failure_q.npy").shape == (4, 64)
+
+    def test_source_failure_records_its_own_dt(self, monkeypatch):
+        # The source fails from the third step on: the record holds the dt
+        # that step chose as step_dt, and the second step's as dt.
+        dts = []
+
+        def failing(sxx0, szz0, dt, params):
+            dts.append(dt)
+            if len(dts) >= 3:
+                raise SourceSolveFailure.at("stuck", np.ones(np.shape(sxx0), bool), s0=sxx0)
+            return relax_conformations(sxx0, szz0, dt, params)
+
+        monkeypatch.setattr(timeloop_mod, "relax_conformations", failing)
+        cfg = preset_dam_break(10.0, cells=256, t_end=0.01, snapshots=1)
+        for on in (True, False):
+            dts.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                force_runs(mp, on)
+                with pytest.raises(SourceSolveFailure) as err:
+                    run(cfg)
+            failure = err.value.failure
+            assert failure["step"] == 3 and failure["dt"] == dts[1] != dts[2]
+            assert failure["step_dt"] == dts[2] == err.value.step_dt
 
     def test_errors_outside_a_step_carry_no_failure(self):
         with pytest.raises(fenepsv.StepBudgetExceeded) as err:

@@ -48,6 +48,7 @@ from fenepsv.riemann import (
 )
 from fenepsv.scenarios import initial_condition, preset_dam_break, preset_smooth_wave, run
 from fenepsv.timeloop import (
+    DissipationViolation,
     Grid,
     SimState,
     SourceSolveFailure,
@@ -55,8 +56,6 @@ from fenepsv.timeloop import (
     SubcharacteristicViolation,
     TimeStepCollapse,
     _fluxes,
-    _fluxes_on_runs,
-    _pair_runs,
     _runs,
     apply_boundary,
     cfl_dt,
@@ -498,6 +497,22 @@ class TestFullStep:
             total_violations += diag.dissipation_violations
         assert total_violations == 0
 
+    @pytest.mark.parametrize("cells", [256, 4096])
+    def test_nan_residuals_count_as_violations(self, cells):
+        # Conformations of 1e-300 on both sides of a dam break: every cell's
+        # first residual is NaN, on every cell (256) and on the compressed
+        # cells (4096), and a NaN residual is not within its tolerance.
+        cfg = dataclasses.replace(preset_dam_break(10.0, cells=cells),
+                                  left=(1.0, 0.0, 1e-300, 1e-300), right=(0.1, 0.0, 1e-300, 1e-300))
+        grid = Grid(np.linspace(cfg.x_min, cfg.x_max, cells + 1))
+        state = SimState(0.0, initial_condition(cfg, grid))
+        assert (_runs(state) is not None) == (cells >= timeloop_mod.RUNS_MIN_CELLS)
+        with np.errstate(all="ignore"):
+            _, diag = full_step(state, grid, cfg.params)
+            assert np.isnan(diag.max_dissipation_residual) and diag.dissipation_violations == cells
+            with pytest.raises(DissipationViolation, match=r"residual=nan.*\(%d offending" % cells):
+                full_step(state, grid, cfg.params, StepControl(strict_dissipation=True))
+
     def test_strict_dissipation_mode_passes_clean_run(self):
         grid = Grid.uniform(0.0, 1.0, 32)
         state = dam_break_state(32)
@@ -786,10 +801,10 @@ def runs_outcome(call, *args):
 
 def force_runs(mp, on=True):
     """Patch the gate of `timeloop._runs` so that every state is stepped on
-    its runs (on) or on every cell (not on)."""
+    its compressed cells (on) or on every cell (not on)."""
     if on:
         mp.setattr(timeloop_mod, "RUNS_MIN_CELLS", 0)
-        mp.setattr(timeloop_mod, "PAIR_RUNS_MAX_SHARE", 1.0)
+        mp.setattr(timeloop_mod, "COMPRESSED_MAX_SHARE", 1.0)
     else:
         mp.setattr(timeloop_mod, "RUNS_MIN_CELLS", sys.maxsize)
 
@@ -801,22 +816,29 @@ def with_runs(on, call, *args):
         return runs_outcome(call, *args)
 
 
+def compressed(q, runs):
+    """The cells of the (4, n) array q that the `_runs` (rep, weight) keep."""
+    return Conserved.from_array(q[:, runs[0]])
+
+
 def fluxes(q, grid, params, control):
     """The outputs of `_fluxes` at every interface of q and the step.  Where
-    `_runs` takes q's runs, they are those of `_fluxes_on_runs` repeated to
-    every interface, and an error on the runs is raised again by `_fluxes`,
-    as `full_step` raises it again by the step on every cell."""
-    if (runs := _runs(SimState(0.0, q), control.bc)) is None:
-        *arrays, dt, _ = _fluxes(q, grid, params, control)
+    `_runs` takes q's runs, they are those of `_fluxes` on the compressed
+    cells, the left end's interface once and each compressed cell's right
+    interface repeated by its weight, and an error on the compressed cells
+    is raised again by `_fluxes` on every cell, as `full_step` raises it
+    again by the step on every cell."""
+    if (runs := _runs(SimState(0.0, q))) is None:
+        *arrays, dt, _ = _fluxes(q, grid.edges, grid, params, control)
         return [*arrays, np.float64(dt)]
-    values, sides, span = runs
+    rep, weight = runs
     try:
-        *arrays, dt, _ = _fluxes_on_runs(values, sides, np.cumsum(span) - span, grid, params,
-                                         control)
+        *arrays, dt, _ = _fluxes(compressed(q.as_array(), runs),
+                                 grid.edges[np.append(rep, grid.n)], grid, params, control)
     except SolverError:
-        _fluxes(q, grid, params, control)
+        _fluxes(q, grid.edges, grid, params, control)
         raise
-    return [np.repeat(a, span, axis=-1) for a in arrays] + [np.float64(dt)]
+    return [np.repeat(a, np.append(1, weight), axis=-1) for a in arrays] + [np.float64(dt)]
 
 
 def stepped(q, grid, params, control, steps=3, f_old=None):
@@ -846,7 +868,7 @@ def slowed(factor):
 
 
 class TestRuns:
-    """The step on runs of equal cells and of equal interface pairs is bit for
+    """The step on the compressed cells of the runs of equal cells is bit for
     bit, errors included, the step on every cell."""
 
     def test_column_runs_compare_bit_patterns(self):
@@ -860,15 +882,27 @@ class TestRuns:
         starts, lengths = _column_runs(np.ones((4, 5)))
         assert starts.tolist() == [0] and lengths.tolist() == [5]
 
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8))
-    def test_pair_runs_are_the_runs_of_interface_pairs(self, lengths):
-        (left, right), span = _pair_runs(np.array(lengths))
-        run_of_cell = np.repeat(np.arange(len(lengths)), lengths)
-        assert np.repeat(left, span).tolist() == run_of_cell[:-1].tolist()
-        assert np.repeat(right, span).tolist() == run_of_cell[1:].tolist()
-        pairs = list(zip(left.tolist(), right.tolist()))
-        assert all(p != q for p, q in zip(pairs, pairs[1:]))   # maximal runs
-        assert (span > 0).all()
+    @given(run_cases())
+    def test_compressed_cells_meet_the_neighbours_of_their_cells(self, case):
+        # rep is each run's first, second and last cell; under each bc every
+        # cell's padded (left, self, right) cells are bitwise those of the
+        # compressed cell that stands for it.
+        _, q, _, _ = case
+        n = q.shape[1]
+        with pytest.MonkeyPatch.context() as mp:
+            force_runs(mp)
+            runs = rep, weight = _runs(SimState(0.0, Conserved.from_array(q)))
+        starts, lengths = _column_runs(q)
+        want = sorted({k for s, last in zip(starts.tolist(), (starts + lengths - 1).tolist())
+                       for k in (s, min(s + 1, last), last)})
+        assert rep.tolist() == want and rep[0] == 0 and rep[-1] == n - 1
+        assert (weight >= 1).all() and weight.sum() == n
+        owner = np.repeat(np.arange(rep.size), weight)
+        for bc in timeloop_mod.BOUNDARY_KINDS:
+            full = apply_boundary(Conserved.from_array(q), bc).as_array().view(np.int64)
+            comp = apply_boundary(compressed(q, runs), bc).as_array().view(np.int64)
+            for k in range(3):
+                assert (full[:, k : k + n] == comp[:, owner + k]).all(), (bc, k)
 
     @given(run_cases(), st.floats(1e-6, 1e2))
     def test_stages_on_runs_equal_stages_on_every_cell(self, case, r):
@@ -979,51 +1013,57 @@ class TestRuns:
 
     def test_small_arrays_and_distinct_cells_skip_the_runs(self):
         n = timeloop_mod.RUNS_MIN_CELLS
-        share = timeloop_mod.PAIR_RUNS_MAX_SHARE
+        share = timeloop_mod.COMPRESSED_MAX_SHARE
 
-        def runs(a, bc="transmissive"):
-            return _runs(SimState(0.0, Conserved.from_array(a)), bc)
+        def runs(a):
+            return _runs(SimState(0.0, Conserved.from_array(a)))
 
         distinct = np.arange(1.0, 4.0 * n + 1.0).reshape(4, n)
-        # Runs of L equal cells have about 2 / L pair runs per interface (a
-        # self pair run and a join each): `short` cells per run are one too
-        # few for the gate, `short + 1` enough.
-        short = int(np.ceil(2.0 / share)) - 1
+        # Runs of L >= 3 equal cells have 3 / L compressed cells per cell:
+        # `short` cells per run are one too few for the gate, `short + 1`
+        # enough.
+        short = int(np.ceil(3.0 / share)) - 1
         sparse = np.repeat(distinct[:, : n // short + 1], short, axis=1)
         for a in (np.ones((4, n - 1)), distinct, sparse):
             assert runs(a) is None
-        values, sides, span = runs(np.ones((4, n)))
-        assert values.tolist() == [[1.0]] * 4
-        assert sides.tolist() == [[0], [0]] and span.tolist() == [n + 1]
+        rep, weight = runs(np.ones((4, n)))
+        assert rep.tolist() == [0, 1, n - 1] and weight.tolist() == [1, n - 2, 1]
         dense = np.repeat(distinct[:, : n // (short + 1) + 1], short + 1, axis=1)
-        assert runs(dense) is not None
+        rep, weight = runs(dense)
+        assert rep.size == 3 * (n // (short + 1) + 1) <= share * dense.shape[1]
 
-    def test_ghost_cells_join_equal_neighbours(self):
+    def test_ghost_cells_of_compressed_cells_are_those_of_every_cell(self):
         # Runs A B A B: a transmissive ghost copies its neighbour, a
         # reflective one flips the sign of hu (-0.0 here), a periodic one
         # copies the other end, which differs from its neighbour here and
-        # equals it in A B A.
+        # equals it in A B A.  The compressed cells, three per run whatever
+        # the bc, pad to the same ghost cells bit for bit, and their steps
+        # are those of every cell.
         n = 2 * timeloop_mod.RUNS_MIN_CELLS
-        a = np.repeat(np.array([[1.0, 0.0, 1.0, 1.0], [0.1, 0.0, 1.0, 1.0]] * 2).T, n // 4, axis=1)
-        for cells, bc, width in ((a, "transmissive", 4), (a, "reflective", 6),
-                                 (a, "periodic", 6), (a[:, : 3 * n // 4], "periodic", 3)):
-            values, sides, span = _runs(SimState(0.0, Conserved.from_array(cells)), bc)
-            assert values.shape == (4, width) and span.sum() == cells.shape[1] + 1, bc
-        merged = _runs(SimState(0.0, Conserved.from_array(a[:, : 3 * n // 4])), "periodic")[0]
-        assert merged[1].tolist() == [0.0] * 3 and not np.signbit(merged[1]).any()
+        a = np.repeat(np.array([[1.0, 0.0, 1.0, 1.0], [0.1, 0.0, 0.1, 0.1]] * 2).T, n // 4, axis=1)
+        for cells, bc in ((a, "transmissive"), (a, "reflective"), (a, "periodic"),
+                          (a[:, : 3 * n // 4], "periodic")):
+            runs = _runs(SimState(0.0, Conserved.from_array(cells)))
+            assert runs[0].size == 3 * cells.shape[1] // (n // 4), bc
+            ghosts = [apply_boundary(q, bc).as_array()[:, [0, -1]]
+                      for q in (Conserved.from_array(cells), compressed(cells, runs))]
+            assert ghosts[0].tobytes() == ghosts[1].tobytes(), bc
+            assert np.signbit(ghosts[1][1]).all() == (bc == "reflective"), bc
+            args = (cells, Grid.uniform(0.0, 1.0, cells.shape[1]), P10, StepControl(bc=bc), 2)
+            assert with_runs(True, stepped, *args) == with_runs(False, stepped, *args), bc
 
     @pytest.mark.parametrize("cfg, on_runs", [
         (preset_smooth_wave(10.0, cells=4096, bc="transmissive"), False),
         (preset_dam_break(10.0, cells=4096), True),
-        ("one and six", True),
+        ("one and seven", True),
+        ("one and six", False),
     ])
     def test_density_gate(self, cfg, on_runs, monkeypatch):
-        # The smooth wave's only runs are its two ghost cells' copies of their
-        # neighbours; the dam break is two runs.  Runs of one cell and of six
-        # cells alternating are 3 pair runs per 7 interfaces, under the
-        # gate: the cell state runs on the padded cells' runs, the source on
-        # the single cells, the edge cells of the long runs and their inner
-        # cells, 4 pieces per 7 cells.
+        # The smooth wave has no runs; the dam break is a few.  Runs of one
+        # cell and of seven cells alternating are 4 compressed cells per 8,
+        # under the gate; of one and six, 4 per 7, over it.  On the
+        # compressed cells, the cell state runs on them padded and the
+        # source on them.
         sizes = []
 
         def spy(stage):
@@ -1034,21 +1074,22 @@ class TestRuns:
 
         monkeypatch.setattr(timeloop_mod, "_cell_state", spy(_cell_state))
         monkeypatch.setattr(timeloop_mod, "source_step", spy(source_step))
-        if cfg == "one and six":
-            n = 4095
-            pieces = sample_states(P10, n // 7 * 2, np.random.default_rng(7)).conserved().as_array()
-            q = Conserved.from_array(np.repeat(pieces, [1, 6] * (n // 7), axis=1))
-            grid = Grid.uniform(0.0, 1.0, n)
-            full_step(SimState(0.0, q), grid, P10, StepControl(bc="periodic"))
-            assert 3 / 7 < timeloop_mod.PAIR_RUNS_MAX_SHARE
-            runs = _column_runs(apply_boundary(q, "periodic").as_array())[0].size
-            assert sizes == [runs, n // 7 * 4] and runs < n // 3
+        if isinstance(cfg, str):
+            assert 4 / 8 <= timeloop_mod.COMPRESSED_MAX_SHARE < 4 / 7
+            cfg = (1, 7) if cfg == "one and seven" else (1, 6)
+            pair = sum(cfg)
+            n = 4096 // pair * pair
+            pieces = sample_states(P10, n // pair * 2, np.random.default_rng(7)).conserved().as_array()
+            q = Conserved.from_array(np.repeat(pieces, cfg * (n // pair), axis=1))
+            full_step(SimState(0.0, q), Grid.uniform(0.0, 1.0, n), P10, StepControl(bc="periodic"))
+            m = n // pair * 4 if on_runs else n
+            assert sizes == [m + 2, m]
             return
         grid = Grid(np.linspace(cfg.x_min, cfg.x_max, cfg.cells + 1))
         full_step(SimState(0.0, initial_condition(cfg, grid)), grid, cfg.params,
                   StepControl(bc=cfg.bc))
         if on_runs:
-            assert sizes[0] == 2 and sizes[1] < 100
+            assert sizes[0] == sizes[1] + 2 and sizes[1] < 10
         else:
             assert sizes == [cfg.cells + 2, cfg.cells]
 
@@ -1085,14 +1126,16 @@ class TestRuns:
 
     def test_unequal_self_pair_fluxes_step_every_cell(self, monkeypatch):
         # interface_fluxes with f_left's depth row moved where the two sides
-        # are equal: the step on runs, which would leave the inner cells as
-        # they are, gives way to the step on every cell.
+        # are equal, on cells of unequal widths: the step on compressed
+        # cells, which would move every inner cell of a run by its stand-in's
+        # dx, gives way to the step on every cell.
         def skewed(fan):
             f = interface_fluxes(fan)
             f[0, 0, (fan.sides[:4, 0] == fan.sides[:4, 1]).all(axis=0)] += 1e-9
             return f
 
-        args = (dam_break_state(16).q.as_array(), Grid.uniform(0.0, 1.0, 16), P10, StepControl(), 3)
+        grid = Grid(np.linspace(0.0, 1.0, 17) ** 1.5)
+        args = (dam_break_state(16).q.as_array(), grid, P10, StepControl(), 3)
         plain = with_runs(False, stepped, *args)
         monkeypatch.setattr(timeloop_mod, "interface_fluxes", skewed)
         want = with_runs(False, stepped, *args)
