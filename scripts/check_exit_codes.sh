@@ -52,6 +52,11 @@ printf 'cells = 4096\nt_end = 0.01\nstrict_dissipation = true\n' >"$work/dam_str
 printf 'cells = 256\nt_end = 0.02\nstrict_subchar = true\n' >"$work/strict_256.cfg"
 printf 'cells = 4096\nt_end = 0.005\nstrict_subchar = true\n' >"$work/strict_4096.cfg"
 printf 'cells = 64\nmax_steps = 3\n' >"$work/budget.cfg"
+# Runs whose t_end is out of reach, with no max_steps: a dam break on a domain
+# 1e-300 wide, and a t_end of 1e300.  Each projects more steps than the run's
+# step limit after its first step (exit 3).
+printf 'cells = 64\nx_max = 1e-300\njump_x = 5e-301\n' >"$work/tiny_domain.cfg"
+printf 'cells = 16\nt_end = 1e300\n' >"$work/far_t_end.cfg"
 # Conformations of 1e-300 on both sides of a strict dam break on the
 # compressed cells: the first step's free-energy residuals are NaN, which the
 # audit counts as violations (exit 4).
@@ -77,6 +82,13 @@ if ! grep -q 'StepBudgetExceeded' "$work/budget/run.json"; then
     echo "FAIL: the run over its step budget wrote no error run.json" >&2
     status=1
 fi
+for case in tiny_domain far_t_end; do
+    expect 3 "$@" solve --config "$work/$case.cfg" --out "$work/$case"
+    if ! grep -q 'StepBudgetExceeded' "$work/$case/run.json"; then
+        echo "FAIL: the run with t_end out of reach ($case) wrote no error run.json" >&2
+        status=1
+    fi
+done
 expect 4 "$@" solve --config "$work/nan_strict.cfg" --out "$work/nan_strict"
 if ! grep -q 'DissipationViolation' "$work/nan_strict/run.json"; then
     echo "FAIL: the run with NaN residuals wrote no DissipationViolation into run.json" >&2

@@ -10,7 +10,7 @@ types behind the command line's exit codes 2 to 4; every solver error derives
 from `SolverError`.  Everything else lives in its layer's module.
 """
 
-from .model import AdmissibilityError, Conserved, NonHyperbolicError, PhysParams, Primitive
+from .model import AdmissibilityError, NonHyperbolicError, PhysParams, Primitive, primitive
 from .model import SolverError
 from .riemann import StarStateError
 from .scenarios import (

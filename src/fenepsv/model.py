@@ -22,8 +22,10 @@ is strictly convex in the conserved variables (h, hu, h sxx, h szz), has its
 elastic part minimized at the equilibrium conformation sxx = szz = ell/(ell+2),
 and decays under the relaxation source at rate `dissipation_rate` (always <= 0).
 
-All functions below operate elementwise: fields may be Python floats or
-numpy arrays of matching shape.
+A conserved state is one float array of shape (4, ...) whose rows H, HU,
+HSXX and HSZZ hold (h, hu, h sxx, h szz); `Primitive.conserved` and
+`primitive` convert between the two.  All functions below operate
+elementwise: fields may be Python floats or numpy arrays of matching shape.
 """
 
 from __future__ import annotations
@@ -33,9 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "H",
+    "HU",
+    "HSXX",
+    "HSZZ",
     "PhysParams",
     "Primitive",
-    "Conserved",
+    "primitive",
     "SolverError",
     "AdmissibilityError",
     "NonHyperbolicError",
@@ -124,6 +130,10 @@ class PhysParams:
             raise ValueError(f"ell must exceed 2, got {self.ell}")
 
 
+# Rows of a conserved state (h, hu, h sxx, h szz), bijective with Primitive for h > 0.
+H, HU, HSXX, HSZZ = 0, 1, 2, 3
+
+
 @dataclass
 class Primitive:
     """Primitive state (h, u, sxx, szz). Fields are floats or same-shape arrays."""
@@ -133,48 +143,17 @@ class Primitive:
     sxx: np.ndarray | float
     szz: np.ndarray | float
 
-    def conserved(self) -> "Conserved":
-        return Conserved(self.h, self.h * self.u, self.h * self.sxx, self.h * self.szz)
+    def conserved(self) -> np.ndarray:
+        """The conserved state: a fresh (4, ...) float array, the fields broadcast."""
+        return np.array(np.broadcast_arrays(self.h, self.h * self.u, self.h * self.sxx,
+                                            self.h * self.szz), dtype=float)
 
 
-class Conserved:
-    """Conserved state (h, hu, h sxx, h szz); bijective with Primitive for h > 0.
-
-    Held as one float array of shape (4, ...); the components are views of
-    its rows, and `as_array`/`from_array` share it without copying.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, h, hu, hsxx, hszz):
-        self._a = np.array(np.broadcast_arrays(h, hu, hsxx, hszz), dtype=float)
-
-    h = property(lambda self: self._a[0])
-    hu = property(lambda self: self._a[1])
-    hsxx = property(lambda self: self._a[2])
-    hszz = property(lambda self: self._a[3])
-
-    def primitive(self) -> Primitive:
-        """The primitive state; u, sxx and szz are the rows of one array."""
-        u, sxx, szz = self._a[1:] / self._a[0]
-        return Primitive(self._a[0], u, sxx, szz)
-
-    def as_array(self) -> np.ndarray:
-        """The (4, ...) component array itself (not a copy)."""
-        return self._a
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "Conserved":
-        """Wrap a (4, ...) array without copying it."""
-        q = cls.__new__(cls)
-        q._a = a
-        return q
-
-    def copy(self) -> "Conserved":
-        return Conserved.from_array(self._a.copy())
-
-    def __repr__(self) -> str:
-        return f"Conserved(h={self.h!r}, hu={self.hu!r}, hsxx={self.hsxx!r}, hszz={self.hszz!r})"
+def primitive(q: np.ndarray) -> Primitive:
+    """The primitive state of the conserved state q; h is the row q[H] itself,
+    and u, sxx and szz are the rows of one array."""
+    u, sxx, szz = q[HU:] / q[H]
+    return Primitive(q[H], u, sxx, szz)
 
 
 def _column_runs(a: np.ndarray):

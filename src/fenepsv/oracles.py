@@ -17,7 +17,6 @@ import numpy as np
 
 from . import riemann
 from .model import (
-    Conserved,
     PhysParams,
     Primitive,
     dP_dh_frozen,
@@ -25,6 +24,7 @@ from .model import (
     free_energy,
     is_admissible,
     normal_stress,
+    primitive,
     total_pressure,
 )
 from .timeloop import relax_conformations
@@ -353,8 +353,7 @@ def convexity_sampler(params: PhysParams, samples: int, rng: np.random.Generator
     """
     p1 = sample_states(params, samples, rng)
     p2 = sample_states(params, samples, rng)
-    q_mid = Conserved.from_array(0.5 * (p1.conserved().as_array() + p2.conserved().as_array()))
-    p_mid = q_mid.primitive()
+    p_mid = primitive(0.5 * (p1.conserved() + p2.conserved()))
     if not np.all(is_admissible(p_mid, params)):
         raise OracleError("midpoint left the admissible region; sampler is broken")
     f1 = free_energy(p1, params)
@@ -431,7 +430,7 @@ def _random_pairs(params: PhysParams, n: int, rng: np.random.Generator):
     return q_l, q_r
 
 
-def _fan_under_test(q_l: Conserved, q_r: Conserved, params: PhysParams):
+def _fan_under_test(q_l: np.ndarray, q_r: np.ndarray, params: PhysParams):
     """Speeds (c_l, c_r) and fan of the production solver for the pairs (q_l, q_r)."""
     sides = riemann.side_pair(riemann.cell_state(q_l, params), riemann.cell_state(q_r, params))
     c = riemann.relaxation_speeds(sides)
@@ -508,7 +507,7 @@ def _check_fan_battery(seed: int, samples: int) -> OracleReport:
     for params in _PARAM_GRID:
         q_l, q_r = _random_pairs(params, samples, rng)
         (c_l, c_r), fan = _fan_under_test(q_l, q_r, params)
-        pl, pr = q_l.primitive(), q_r.primitive()
+        pl, pr = primitive(q_l), primitive(q_r)
         pi_l = total_pressure(pl, params)
         pi_r = total_pressure(pr, params)
         lhs = pi_l + c_l * (pl.u - fan.s2)

@@ -19,19 +19,21 @@ Left/right flux expressions are evaluated in symmetrized floating-point form
 so that mirrored data produce bitwise mirrored fluxes and the conservative
 components telescope exactly.
 
-Data layout.  `cell_state` evaluates every per-cell input of the fan once,
-into one (CELL_ROWS, n) float block whose rows are named by the module
-constants below.  The two sides of a set of interfaces are one (CELL_ROWS,
-2, m) array, `sides`, whose index 0 along axis 1 is the left cell and 1 the
-right one: a strided view of neighbouring cells (`interface_sides`), a
-gather of the block (`np.take`, on runs of equal interface pairs), or two
-blocks stacked (`side_pair`).  Each one-sided formula of the fan is
-evaluated once on the (2, m) rows of both sides; the other side is the
-same row reversed along that axis, and each element sees the operations,
-in the order, of the formula written per side.  The speeds are a (2, m)
-array and the fan (`WaveFan`) keeps its wave speeds and star states as
-arrays of the same kind; no object is built per state, per side or per
-flux.
+Data layout.  A conserved state is the (4, ...) float array of `model`,
+whose rows that module names H, HU, HSXX and HSZZ.  `cell_state` evaluates
+every per-cell input of the fan once, into one (CELL_ROWS, n) float block
+whose rows are named by the module constants below; its first four rows,
+like the star states of the fan, are conserved states.  The two sides of a
+set of interfaces are one (CELL_ROWS, 2, m) array, `sides`, whose index 0
+along axis 1 is the left cell and 1 the right one: a strided view of
+neighbouring cells (`interface_sides`), a gather of the block (`np.take`,
+on runs of equal interface pairs), or two blocks stacked (`side_pair`).
+Each one-sided formula of the fan is evaluated once on the (2, m) rows of
+both sides; the other side is the same row reversed along that axis, and
+each element sees the operations, in the order, of the formula written per
+side.  The speeds are a (2, m) array and the fan (`WaveFan`) keeps its wave
+speeds and star states as arrays of the same kind; no object is built per
+state, per side or per flux.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    Conserved,
+    H,
+    HSXX,
+    HSZZ,
+    HU,
     PhysParams,
     Primitive,
     SolverError,
@@ -49,6 +54,7 @@ from .model import (
     _holds,
     _stress_terms,
     dP_dh_frozen,
+    primitive,
     require_admissible,
 )
 
@@ -73,9 +79,9 @@ STAR_PRESSURE_RTOL = 1e-10
 
 # Rows of the cell-state block.  Rows 0-3 (PROJ) are the cell as an outer fan
 # state, projected to conserved variables through (w1, w2): h and hu as they
-# are, h sxx and h szz recomputed from w1 and w2.  The same indices name the
-# components of every conserved state of the fan.
-H, HU, HSXX, HSZZ = 0, 1, 2, 3
+# are, h sxx and h szz recomputed from w1 and w2.  They are indexed, as every
+# conserved state of the fan is, by the conserved rows H, HU, HSXX and HSZZ
+# of `model`.
 PROJ = slice(0, 4)
 # u and the total pressure P, next to each other so that the fan reads both
 # at once.
@@ -147,7 +153,7 @@ def _w_bounds(p: Primitive, params: PhysParams):
     return w_minus, w_plus
 
 
-def cell_state(q: Conserved, params: PhysParams) -> np.ndarray:
+def cell_state(q: np.ndarray, params: PhysParams) -> np.ndarray:
     """The fan inputs of every cell of q, evaluated once: the (CELL_ROWS, ...)
     block whose rows the module constants name.
 
@@ -157,14 +163,14 @@ def cell_state(q: Conserved, params: PhysParams) -> np.ndarray:
     the floor 2 applies); beta = V/(1-V) with V = w-^(1/(2(1-zeta))) in (0,1)
     guards expansions.  Raises AdmissibilityError if a cell lies outside U.
     """
-    p = q.primitive()
+    p = primitive(q)
     require_admissible(p, params, "w_bounds argument")
     return _cell_state(q, p, params)
 
 
-def _cell_state(q: Conserved, p: Primitive, params: PhysParams) -> np.ndarray:
+def _cell_state(q: np.ndarray, p: Primitive, params: PhysParams) -> np.ndarray:
     """`cell_state` of admissible cells q with primitive variables
-    p = q.primitive(), unchecked."""
+    p = primitive(q), unchecked."""
     shape = getattr(p.h, "shape", ())
     cells = np.empty((CELL_ROWS,) + (shape or (1,)))   # a row of a 0-d state is a view too
     h, u, zeta = p.h, p.u, params.zeta
@@ -187,7 +193,7 @@ def _cell_state(q: Conserved, p: Primitive, params: PhysParams) -> np.ndarray:
     up, down = np.power(h, 2.0 * (1.0 - zeta)), np.power(h, 2.0 * (zeta - 1.0))
     np.multiply(p.sxx, up, out=cells[W1])
     np.multiply(p.szz, down, out=cells[W2])
-    a = q.as_array().reshape((4,) + cells.shape[1:])
+    a = q.reshape((4,) + cells.shape[1:])
     cells[:HSXX] = a[:HSXX]
     np.multiply(cells[W1], down, out=cells[HSXX])
     np.multiply(cells[W2], up, out=cells[HSZZ])
@@ -415,9 +421,7 @@ def subcharacteristic_monitor(fan: WaveFan, params: PhysParams):
     failure is raised before the right one's.
     """
     c2 = fan.c**2
-    h = fan.star[H]
-    u, sxx, szz = fan.star[HU:] / h   # as Conserved.primitive
-    p = Primitive(h, u, sxx, szz)
+    p = primitive(fan.star)
     try:
         dPdh = dP_dh_frozen(p, params)
     except SolverError:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
-    Conserved,
+    H,
     PhysParams,
     Primitive,
     SolverError,
@@ -32,6 +32,7 @@ from .model import (
     _trace_gap,
     equilibrium_sigma,
     is_admissible,
+    primitive,
     require_admissible,
 )
 from .timeloop import (
@@ -63,13 +64,19 @@ SNAPSHOT_COLUMNS = ("x", "h", "u", "sigma_xx", "sigma_zz", "N", "stretch", "free
 
 SCENARIOS = ("dam-break", "uniform", "smooth-wave")
 
+# The most steps a run may project: once steps + (t_end - t)/dt exceeds it
+# after a step, `run` raises StepBudgetExceeded.  A 16384-cell dam break to
+# t = 0.1 takes about 19k steps.
+RUN_STEP_LIMIT = 10**8
+
 
 class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
 class StepBudgetExceeded(SolverError):
-    """The run needed more steps than its configured max_steps."""
+    """The run needed more steps than its configured max_steps, or projected
+    more than RUN_STEP_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -195,34 +202,32 @@ def _smooth_primitive(x, config: RunConfig):
     return Primitive(h, u, np.full_like(h, se), np.full_like(h, se))
 
 
-def initial_condition(config: RunConfig, grid: Grid) -> Conserved:
-    """Exact cell averages of the initial data, in conserved variables."""
+def initial_condition(config: RunConfig, grid: Grid) -> np.ndarray:
+    """Exact cell averages of the initial data: the (4, n) conserved state."""
     if config.scenario == "uniform":
-        p = Primitive(*map(float, config.left))
-        q = p.conserved()
-        one = np.ones(grid.n)
-        return Conserved(q.h * one, q.hu * one, q.hsxx * one, q.hszz * one)
+        q = Primitive(*map(float, config.left)).conserved()
+        return q[:, None] * np.ones(grid.n)
     if config.scenario == "dam-break":
-        ql = Primitive(*map(float, config.left)).conserved().as_array()
-        qr = Primitive(*map(float, config.right)).conserved().as_array()
-        lo, hi = grid.edges[:-1], grid.edges[1:]
+        ql = Primitive(*map(float, config.left)).conserved()
+        qr = Primitive(*map(float, config.right)).conserved()
+        lo = grid.edges[:-1]
         wl = np.clip((config.jump_x - lo) / grid.dx, 0.0, 1.0)
-        return Conserved.from_array(ql[:, None] * wl + qr[:, None] * (1.0 - wl))
+        return ql[:, None] * wl + qr[:, None] * (1.0 - wl)
     # smooth-wave: conserved averages by 5-point Gauss-Legendre quadrature
     # per cell, to ~1e-15 on smooth data
     lo = grid.edges[:-1]
     acc = 0.0
     for xg, wg in zip(*np.polynomial.legendre.leggauss(5)):
         xs = lo + 0.5 * grid.dx * (xg + 1.0)
-        acc = acc + 0.5 * wg * _smooth_primitive(xs, config).conserved().as_array()
-    return Conserved.from_array(acc)
+        acc = acc + 0.5 * wg * _smooth_primitive(xs, config).conserved()
+    return acc
 
 
 @dataclass
 class RunResult:
     config: RunConfig
     grid: Grid
-    initial: Conserved
+    initial: np.ndarray
     state: SimState
     steps: int
     min_dt: float
@@ -233,11 +238,11 @@ class RunResult:
     wall_time: float
 
     def final_primitive(self) -> Primitive:
-        return self.state.q.primitive()
+        return primitive(self.state.q)
 
     def summary(self) -> dict:
-        mass0 = float(np.sum(self.initial.h * self.grid.dx))
-        mass1 = float(np.sum(self.state.q.h * self.grid.dx))
+        mass0 = float(np.sum(self.initial[H] * self.grid.dx))
+        mass1 = float(np.sum(self.state.q[H] * self.grid.dx))
         return {
             "status": "ok",
             "steps": self.steps,
@@ -252,9 +257,9 @@ class RunResult:
         }
 
 
-def _snapshot_rows(grid: Grid, q: Conserved, params: PhysParams):
+def _snapshot_rows(grid: Grid, q: np.ndarray, params: PhysParams):
     """The snapshot columns of q, checked once and then evaluated unchecked."""
-    p = q.primitive()
+    p = primitive(q)
     require_admissible(p, params, "snapshot state")
     cols = (
         grid.centers,
@@ -298,7 +303,7 @@ def _grid_text(centers: bytes) -> tuple:
 _ROWS_PER_WRITE = 512
 
 
-def write_snapshot_csv(path: Path, grid: Grid, q: Conserved, params: PhysParams) -> None:
+def write_snapshot_csv(path: Path, grid: Grid, q: np.ndarray, params: PhysParams) -> None:
     x, *cols = _snapshot_rows(grid, q, params)
     x_text = _grid_text(np.ascontiguousarray(x, dtype=np.float64).tobytes())
     rows = map(operator.add, x_text, _format_runs(cols, _ROW_TAIL))
@@ -346,7 +351,7 @@ def _failure_record(error: SolverError, state: SimState, step: int, dt, max_dt: 
               "index": list(error.index)}
     if error.index:
         k = error.index[-1]
-        p = state.q.primitive()
+        p = primitive(state.q)
         cells = slice(max(k - 1, 0), min(k + 2, p.h.size))
         record["cells"] = {"first": cells.start, **{
             name: [float(v) for v in values[cells]]
@@ -362,7 +367,11 @@ def run(config: RunConfig) -> RunResult:
     interval, or halved when within a factor two of it, so no step ever
     shrinks below half the stable step.  A run that needs more than
     config.max_steps steps raises StepBudgetExceeded, naming the last step
-    taken, its time and its dt.
+    taken, its time and its dt.  So does a run whose step count, the steps
+    taken plus (t_end - t)/dt after a step, comes out above RUN_STEP_LIMIT:
+    one whose dt is so small against t_end that it cannot finish.  A step
+    landing on an output time is at least half a CFL step, or the whole
+    remaining interval, so no landing trips it.
 
     A SolverError from a step leaves with its `failure` record (see
     `_failure_record`); with an outdir, the step's input cells are written
@@ -431,7 +440,7 @@ def run(config: RunConfig) -> RunResult:
                     e.failure = _failure_record(e, state, steps + 1, diag.dt if steps else None,
                                                 remaining)
                     if outdir is not None:
-                        np.save(outdir / "failure_q.npy", state.q.as_array())
+                        np.save(outdir / "failure_q.npy", state.q)
                     raise
                 if diag.dt == remaining:
                     state.t = t_next   # the step's own state keeps its carried free energy
@@ -441,6 +450,12 @@ def run(config: RunConfig) -> RunResult:
                 worst_subchar = max(worst_subchar, diag.worst_subchar_ratio)
                 if diag_file is not None:
                     diag_file.write(_diagnostics_row(steps, state.t, diag))
+                if (RUN_STEP_LIMIT - steps) * diag.dt < config.t_end - state.t:
+                    raise StepBudgetExceeded(
+                        f"t_end={config.t_end!r} out of reach: step {steps} ended at "
+                        f"t={state.t!r} with dt={diag.dt!r}, which projects more than "
+                        f"{RUN_STEP_LIMIT} steps"
+                    )
             emit(t_next)
 
     wall = time.perf_counter() - t0
@@ -531,9 +546,10 @@ def _panel_svg(
     return out
 
 
-def write_svg_summary(path: Path, grid: Grid, q_init: Conserved, q_final: Conserved, params: PhysParams) -> None:
+def write_svg_summary(path: Path, grid: Grid, q_init: np.ndarray, q_final: np.ndarray,
+                      params: PhysParams) -> None:
     """2x2 panel plot (h, u, sigma_xx, sigma_zz), final state over initial."""
-    p0, p1 = q_init.primitive(), q_final.primitive()
+    p0, p1 = primitive(q_init), primitive(q_final)
     shape = (grid.n,)
     series = {
         "h": (p0.h, p1.h),
@@ -630,13 +646,13 @@ def convergence_study(config: RunConfig, levels, reference: str = "auto") -> Con
             h_ref, _ = exact_sw_dam_break(
                 config.left[0], config.right[0], config.params.g, x, config.t_end
             )
-            errors.append(float(np.sum(np.abs(res.state.q.h - h_ref) * res.grid.dx)))
+            errors.append(float(np.sum(np.abs(res.state.q[H] - h_ref) * res.grid.dx)))
         used_levels = levels
     else:
-        h_fine = np.asarray(runs[-1].state.q.h)
+        h_fine = runs[-1].state.q[H]
         for res in runs[:-1]:
             h_ref = _block_average(h_fine, res.grid.n)
-            errors.append(float(np.sum(np.abs(res.state.q.h - h_ref) * res.grid.dx)))
+            errors.append(float(np.sum(np.abs(res.state.q[H] - h_ref) * res.grid.dx)))
         used_levels = levels[:-1]
 
     orders = [

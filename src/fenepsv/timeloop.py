@@ -11,6 +11,12 @@ discrete free-energy balance
 is checked cell by cell (a tolerance covers roundoff).  Violations are
 recorded in the step diagnostics; in strict mode they abort the run.
 
+A state (`SimState`) is its time and its cells, the (4, n) float array of
+conserved variables whose rows `model` names.  `full_step` is the only
+function that advances a state; the public stage functions (`apply_boundary`,
+`cfl_dt`, `source_step`, `relax_conformations`, `dissipation_residuals`)
+are pieces of it.
+
 Steps on runs.  A run of equal cells steps like three cells: its first cell,
 one inner cell and its last cell, since every inner cell meets the same
 (left, self, right) cells.  On grids of piecewise-constant data (behind the
@@ -28,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    Conserved,
+    H,
+    HU,
     PhysParams,
     Primitive,
     SolverError,
@@ -37,6 +44,7 @@ from .model import (
     _free_energy,
     _holds,
     is_admissible,
+    primitive,
     require_admissible,
 )
 from .riemann import (
@@ -60,7 +68,6 @@ __all__ = [
     "DissipationViolation",
     "apply_boundary",
     "cfl_dt",
-    "homogeneous_step",
     "relax_conformations",
     "source_step",
     "full_step",
@@ -126,7 +133,8 @@ class Grid:
 
 @dataclass
 class SimState:
-    """Solution snapshot: time and conserved fields over the grid.
+    """Solution snapshot: the time t and the conserved state q over the grid,
+    a (4, n) float array whose rows `model` names.
 
     A state returned by `full_step` also carries (params, F): the free energy
     of its cells, computed and checked by that step, which the next step
@@ -140,7 +148,7 @@ class SimState:
     """
 
     t: float
-    q: Conserved
+    q: np.ndarray
     _carried_f: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _carried_runs: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -174,20 +182,19 @@ class StepDiagnostics:
     worst_subchar_ratio: float
 
 
-def apply_boundary(q: Conserved, bc: str) -> Conserved:
-    """Pad the cell array with one ghost cell per side."""
-    a = q.as_array()
+def apply_boundary(q: np.ndarray, bc: str) -> np.ndarray:
+    """Pad the (4, n) cell array q with one ghost cell per side."""
     if bc == "transmissive":
-        left, right = a[:, :1].copy(), a[:, -1:].copy()
+        left, right = q[:, :1].copy(), q[:, -1:].copy()
     elif bc == "reflective":
-        left, right = a[:, :1].copy(), a[:, -1:].copy()
-        left[1] = -left[1]
-        right[1] = -right[1]
+        left, right = q[:, :1].copy(), q[:, -1:].copy()
+        left[HU] = -left[HU]
+        right[HU] = -right[HU]
     elif bc == "periodic":
-        left, right = a[:, -1:].copy(), a[:, :1].copy()
+        left, right = q[:, -1:].copy(), q[:, :1].copy()
     else:
         raise ValueError(f"bc must be one of {BOUNDARY_KINDS}, got {bc!r}")
-    return Conserved.from_array(np.concatenate([left, a, right], axis=1))
+    return np.concatenate([left, q, right], axis=1)
 
 
 def cfl_dt(grid: Grid, fan, cfl: float, dt_min_factor: float = 1e-12) -> float:
@@ -247,11 +254,10 @@ def _runs(state: SimState):
     most COMPRESSED_MAX_SHARE compressed cells per cell; both are read at
     call time.
     """
-    a = state.q.as_array()
-    n = a.shape[1]
+    n = state.q.shape[1]
     if n < RUNS_MIN_CELLS:
         return None
-    starts, lengths = state._carried_runs or _column_runs(a)
+    starts, lengths = state._carried_runs or _column_runs(state.q)
     # a run of L cells gives min(L, 3) compressed cells
     if starts.size + np.count_nonzero(lengths > 1) + np.count_nonzero(lengths > 2) \
             > COMPRESSED_MAX_SHARE * n:
@@ -264,10 +270,10 @@ def _runs(state: SimState):
     return rep, np.diff(rep, append=n)
 
 
-def _fluxes(q: Conserved, x, grid: Grid, params: PhysParams, control: StepControl, dt=None):
+def _fluxes(q: np.ndarray, x, grid: Grid, params: PhysParams, control: StepControl):
     """The fluxes at every interface of the padded cells of q, at edges x,
     and the step.  q must be admissible (its padded cells are evaluated
-    unchecked).  dt=None takes the CFL step over grid.min_dx, shortened by
+    unchecked).  The step is the CFL one over grid.min_dx, shortened by
     control.max_dt to land on an output time (never below half the CFL step
     unless the cap itself is smaller).
 
@@ -277,59 +283,19 @@ def _fluxes(q: Conserved, x, grid: Grid, params: PhysParams, control: StepContro
     gave them.
     """
     padded = apply_boundary(q, control.bc)
-    cells = _cell_state(padded, padded.primitive(), params)
+    cells = _cell_state(padded, primitive(padded), params)
     del padded   # the padded cells are not read again
     fan, ratio = _fan(interface_sides(cells), x, params, control.strict_subchar)
-    if dt is None:
-        dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)
-        if control.max_dt is not None and np.isfinite(control.max_dt):
-            if dt >= control.max_dt:
-                dt = control.max_dt
-            elif dt >= 0.5 * control.max_dt:
-                dt = 0.5 * control.max_dt
-        elif not np.isfinite(dt):
-            raise TimeStepCollapse("CFL produced a non-finite dt and no cap was given")
+    dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)
+    if control.max_dt is not None and np.isfinite(control.max_dt):
+        if dt >= control.max_dt:
+            dt = control.max_dt
+        elif dt >= 0.5 * control.max_dt:
+            dt = 0.5 * control.max_dt
+    elif not np.isfinite(dt):
+        raise TimeStepCollapse("CFL produced a non-finite dt and no cap was given")
     f = interface_fluxes(fan)
     return f[0], f[1], energy_flux(fan), ratio, dt, fan
-
-
-def _transport(q: Conserved, dx, x, grid: Grid, params: PhysParams, control: StepControl,
-               dt=None, weight=None):
-    """Finite-volume transport of the cells q of widths dx over one step,
-    unchecked.
-
-    q must be admissible.  Applies the three-point update with the fluxes
-    of `_fluxes` at edges x: cell i sees f_left of its right interface and
-    f_right of its left interface.  The transported cells are not checked;
-    the caller checks them.
-
-    Returns (transported cells, dt, free-energy fluxes, subcharacteristic
-    ratios, fan).  With `weight` (see `_runs`), returns None where a cell of
-    weight above 1 sees a flux difference other than +0.0: only +0.0 moves
-    it by nothing whatever its dx.
-    """
-    f_left, f_right, g, ratio, dt, fan = _fluxes(q, x, grid, params, control, dt)
-    # q - (dt/dx) (f_left[:, 1:] - f_right[:, :-1]), formed in one buffer
-    update = np.subtract(f_left[:, 1:], f_right[:, :-1])
-    if weight is not None and update[:, weight > 1].view(np.int64).any():
-        return None
-    update *= dt / dx
-    q_half = Conserved.from_array(np.subtract(q.as_array(), update, out=update))
-    return q_half, dt, g, ratio, fan
-
-
-def homogeneous_step(
-    state: SimState, grid: Grid, params: PhysParams, dt: float, control: StepControl | None = None
-) -> SimState:
-    """Transport-only update over dt (no relaxation source).
-
-    A transported cell outside the admissible region raises AdmissibilityError.
-    """
-    require_admissible(state.q.primitive(), params, "cell state")
-    q_half, *_ = _transport(state.q, grid.dx, grid.edges, grid, params,
-                            control or StepControl(), dt)
-    require_admissible(q_half.primitive(), params, "cell after transport")
-    return SimState(state.t + dt, q_half)
 
 
 def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
@@ -426,7 +392,7 @@ def relax_conformations(sxx0, szz0, dt: float, params: PhysParams):
     return sxx, szz
 
 
-def source_step(q: Conserved, p: Primitive, dt: float, params: PhysParams):
+def source_step(q: np.ndarray, p: Primitive, dt: float, params: PhysParams):
     """Apply the implicit relaxation source; depth and momentum untouched.
 
     q must be admissible and p hold its primitive variables (the step checks
@@ -436,8 +402,8 @@ def source_step(q: Conserved, p: Primitive, dt: float, params: PhysParams):
     free energy, (q, p, F).
     """
     sxx, szz = relax_conformations(p.sxx, p.szz, dt, params)
-    out = Conserved.from_array(np.array([q.h, q.hu, q.h * sxx, q.h * szz]))
-    p_new = out.primitive()
+    out = np.array([q[H], q[HU], q[H] * sxx, q[H] * szz])
+    p_new = primitive(out)
     ok = is_admissible(p_new, params)
     if not _holds(ok):
         raise SourceSolveFailure.at(
@@ -499,18 +465,25 @@ def _step_cells(state: SimState, f_old, grid: Grid, params: PhysParams, control:
     q, dx, x, weight = state.q, grid.dx, grid.edges, None
     if runs is not None:
         rep, weight = runs
-        q = Conserved.from_array(np.take(q.as_array(), rep, axis=1))
+        q = np.take(q, rep, axis=1)
         f_old, dx, x = f_old[rep], dx[rep], x[np.append(rep, grid.n)]
     # The fan is held until the step ends.  Freed before the source step, its
     # memory goes to the source step's outputs, the allocator hands the heap
     # top back to the system when the step ends, and the next step faults it
     # in again (on a 4096-cell periodic smooth wave, 228 page faults per step
     # against 22, and a median run() time 35% longer).
-    if (transported := _transport(q, dx, x, grid, params, control, weight=weight)) is None:
+    f_left, f_right, g_flux, ratio, dt, fan = _fluxes(q, x, grid, params, control)
+    # The transport, q - (dt/dx) (f_left[:, 1:] - f_right[:, :-1]) formed in
+    # one buffer: cell i sees f_left of its right interface and f_right of its
+    # left one.
+    update = np.subtract(f_left[:, 1:], f_right[:, :-1])
+    if weight is not None and update[:, weight > 1].view(np.int64).any():
         return None
-    q_half, dt, g_flux, ratio, fan = transported
+    update *= dt / dx
+    q_half = np.subtract(q, update, out=update)
+    del f_left, f_right   # freed before the source step, unlike the fan
     try:
-        p_half = q_half.primitive()
+        p_half = primitive(q_half)
         require_admissible(p_half, params, "cell after transport")
         q_new, p_new, f_new = source_step(q_half, p_half, dt, params)
         d_new = _dissipation_rate(p_new, params)
@@ -520,20 +493,20 @@ def _step_cells(state: SimState, f_old, grid: Grid, params: PhysParams, control:
         raise
     new_runs = None
     if runs is not None:
-        first, _ = _column_runs(q_new.as_array())
+        first, _ = _column_runs(q_new)
         new_runs = rep[first], np.add.reduceat(weight, first)
-        q_new = Conserved.from_array(np.repeat(q_new.as_array(), weight, axis=1))
+        q_new = np.repeat(q_new, weight, axis=1)
         f_new = np.repeat(f_new, weight)
     diag = StepDiagnostics(
         dt=float(dt),
-        mass=float((q_new.h * grid.dx).sum()),
-        momentum=float((q_new.hu * grid.dx).sum()),
+        mass=float((q_new[H] * grid.dx).sum()),
+        momentum=float((q_new[HU] * grid.dx).sum()),
         free_energy=float((f_new * grid.dx).sum()),
         max_dissipation_residual=float(res.max()),
         dissipation_violations=violations,
         worst_subchar_ratio=float(ratio.max()),
     )
-    q_new.as_array().flags.writeable = False
+    q_new.flags.writeable = False
     new_state = SimState(state.t + dt, q_new)
     new_state._carried_f = (params, f_new)
     new_state._carried_runs = new_runs
@@ -562,7 +535,7 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     if carried is not None and carried[0] == params:
         f_old = carried[1]
     else:
-        p_old = state.q.primitive()
+        p_old = primitive(state.q)
         require_admissible(p_old, params, "cell state")
         f_old = _free_energy(p_old, params)
     if (runs := _runs(state)) is not None:

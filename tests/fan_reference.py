@@ -13,13 +13,17 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from fenepsv.model import (
-    Conserved,
+    H,
+    HSXX,
+    HSZZ,
+    HU,
     PhysParams,
     Primitive,
     _internal_energy,
     _total_pressure,
     _trace_gap,
     dP_dh_frozen,
+    primitive,
     require_admissible,
 )
 from fenepsv.riemann import StarStateError, _w_bounds
@@ -143,7 +147,7 @@ class FluxPair:
     f_right: np.ndarray
 
 
-def cell_state(q: Conserved, params: PhysParams) -> CellState:
+def cell_state(q: np.ndarray, params: PhysParams) -> CellState:
     """Evaluate the fan inputs of every cell of q once (see CellState).
 
     The amplifiers come from the admissible compression range (w-, w+):
@@ -152,12 +156,12 @@ def cell_state(q: Conserved, params: PhysParams) -> CellState:
     the floor 2 applies); beta = V/(1-V) with V = w-^(1/(2(1-zeta))) in (0,1)
     guards expansions.  Raises AdmissibilityError if a cell lies outside U.
     """
-    p = q.primitive()
+    p = primitive(q)
     require_admissible(p, params, "w_bounds argument")
     return _cell_state(q, p, params)
 
 
-def _cell_state(q: Conserved, p: Primitive, params: PhysParams) -> CellState:
+def _cell_state(q: np.ndarray, p: Primitive, params: PhysParams) -> CellState:
     """`cell_state` of admissible cells q with primitive variables p, unchecked."""
     w_minus, w_plus = _w_bounds(p, params)
     expo = 1.0 / (2.0 * (1.0 - params.zeta))
@@ -172,20 +176,20 @@ def _cell_state(q: Conserved, p: Primitive, params: PhysParams) -> CellState:
     P = _total_pressure(p, params, _trace_gap(p, params))
     ehat = _internal_energy(p, params)
     return CellState(
-        q=q.as_array(),
+        q=q,
         u=p.u,
         P=P,
         dPdh=dPdh,
         a=np.sqrt(dPdh),
         ehat=ehat,
-        hP=q.h * P,
-        hE=q.h * (p.u**2 / 2.0 + ehat),
+        hP=q[H] * P,
+        hE=q[H] * (p.u**2 / 2.0 + ehat),
         w1=w1,
         w2=w2,
         alpha=alpha,
         beta=V / (1.0 - V),
-        proj=_project(q.h, q.hu, w1, w2, params.zeta).as_array(),
-        f=np.stack([q.hu, q.hu * p.u + P, q.hsxx * p.u, q.hszz * p.u]),
+        proj=_project(q[H], q[HU], w1, w2, params.zeta),
+        f=np.stack([q[HU], q[HU] * p.u + P, q[HSXX] * p.u, q[HSZZ] * p.u]),
     )
 
 
@@ -277,13 +281,13 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
         *states,
         left=l,
         right=r,
-        proj=(Conserved.from_array(l.proj), *stars, Conserved.from_array(r.proj)),
+        proj=(l.proj, *stars, r.proj),
     )
 
     # Projected star conformations must stay strictly inside the admissible region.
     for proj in fan.proj[1:3]:
-        trace = (proj.hsxx + proj.hszz) / proj.h
-        ok = (proj.hsxx > 0) & (proj.hszz > 0) & (trace < params.ell)
+        trace = (proj[HSXX] + proj[HSZZ]) / proj[H]
+        ok = (proj[HSXX] > 0) & (proj[HSZZ] > 0) & (trace < params.ell)
         if not ok.all():
             raise StarStateError.at("inadmissible star conformation", ~ok, c_l=cl, c_r=cr)
 
@@ -302,13 +306,13 @@ def star_states(l: CellState, r: CellState, sp: SpeedPair, params: PhysParams) -
     return fan
 
 
-def _project(h, hu, w1, w2, zeta: float) -> Conserved:
+def _project(h, hu, w1, w2, zeta: float) -> np.ndarray:
     sxx = w1 * np.power(h, 2.0 * (zeta - 1.0))
     szz = w2 * np.power(h, 2.0 * (1.0 - zeta))
-    return Conserved.from_array(np.array([h, hu, h * sxx, h * szz]))
+    return np.array([h, hu, h * sxx, h * szz])
 
 
-def project_state(rs: RelaxedState, zeta: float) -> Conserved:
+def project_state(rs: RelaxedState, zeta: float) -> np.ndarray:
     """Project a relaxed state back to conserved variables via the invariants."""
     return _project(rs.h, rs.hu, rs.w1, rs.w2, zeta)
 
@@ -331,7 +335,7 @@ def interface_fluxes(fan: WaveFan) -> FluxPair:
     Both outputs are fresh arrays, each sum accumulated in place in the
     association order written above.
     """
-    proj = [st.as_array() for st in fan.proj]
+    proj = fan.proj
     s1, s2, s3 = fan.s1, fan.s2, fan.s3
     f0_l, f0_r = fan.left.f, fan.right.f
     f_left, f_right = np.empty_like(proj[1]), np.empty_like(proj[1])
@@ -395,7 +399,7 @@ def subcharacteristic_monitor(fan: WaveFan, params: PhysParams):
         fan.left.h**2 * fan.left.dPdh / cl**2, fan.right.h**2 * fan.right.dPdh / cr**2
     )
     for proj, c in ((fan.proj[1], cl), (fan.proj[2], cr)):
-        p = proj.primitive()
+        p = primitive(proj)
         worst = np.maximum(worst, p.h**2 * dP_dh_frozen(p, params) / c**2)
     return worst
 
@@ -424,11 +428,11 @@ def reference_fan(l, r, x, params: PhysParams, strict_subchar: bool):
     return fan, ratio
 
 
-def reference_fluxes(q: Conserved, grid, params: PhysParams, control):
+def reference_fluxes(q: np.ndarray, grid, params: PhysParams, control):
     """(f_left, f_right, G, ratio, dt) at every interface of the padded
     cells of the admissible q, dt the CFL step (control.max_dt unset)."""
     padded = apply_boundary(q, control.bc)
-    cells = _cell_state(padded, padded.primitive(), params)
+    cells = _cell_state(padded, primitive(padded), params)
     fan, ratio = reference_fan(cells[:-1], cells[1:], grid.edges, params, control.strict_subchar)
     s_max = float(np.maximum(np.abs(fan.s1), np.abs(fan.s3)).max())
     min_dx = float(grid.dx.min())

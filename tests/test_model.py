@@ -6,8 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fenepsv.model import (
+    H,
+    HSXX,
+    HSZZ,
+    HU,
     AdmissibilityError,
-    Conserved,
     NonHyperbolicError,
     PhysParams,
     Primitive,
@@ -19,6 +22,7 @@ from fenepsv.model import (
     internal_energy,
     is_admissible,
     normal_stress,
+    primitive,
     require_admissible,
     total_pressure,
 )
@@ -66,30 +70,38 @@ class TestContainers:
     def test_round_trip_scalar(self):
         p = Primitive(2.0, -1.5, 0.3, 0.7)
         q = p.conserved()
-        assert q.h == 2.0 and q.hu == -3.0 and q.hsxx == 0.6 and q.hszz == 1.4
-        back = q.primitive()
+        assert q[H] == 2.0 and q[HU] == -3.0 and q[HSXX] == 0.6 and q[HSZZ] == 1.4
+        back = primitive(q)
         assert np.isclose(back.u, p.u, rtol=1e-15)
         assert np.isclose(back.sxx, p.sxx, rtol=1e-15)
 
     @given(admissible())
     def test_round_trip_property(self, p):
-        back = p.conserved().primitive()
+        back = primitive(p.conserved())
         for a, b in ((back.h, p.h), (back.u, p.u), (back.sxx, p.sxx), (back.szz, p.szz)):
             assert np.isclose(a, b, rtol=1e-14, atol=1e-300)
 
     def test_array_round_trip(self, rng):
-        p = sample_states(P10, 64, rng)
-        q = p.conserved()
-        arr = q.as_array()
-        assert arr.shape == (4, 64)
-        q2 = Conserved.from_array(arr)
-        assert np.array_equal(q2.h, q.h) and np.array_equal(q2.hszz, q.hszz)
+        # `primitive` inverts `Primitive.conserved` on 0-d, 1-d and 2-d states.
+        s = sample_states(P10, 64, rng)
+        for shape in ((), (64,), (8, 8)):
+            p = Primitive(*(np.reshape(v, shape) if shape else float(v[0])
+                            for v in (s.h, s.u, s.sxx, s.szz)))
+            q = p.conserved()
+            assert q.shape == (4,) + shape and q.dtype == np.float64
+            back = primitive(q)
+            assert np.array_equal(back.h, p.h) and np.array_equal(q[HSZZ], p.h * p.szz)
+            for a, b in ((back.u, p.u), (back.sxx, p.sxx), (back.szz, p.szz)):
+                assert np.shape(a) == shape and np.allclose(a, b, rtol=1e-14, atol=0.0)
 
     def test_copy_is_independent(self):
-        q = Primitive(np.ones(3), np.zeros(3), np.ones(3), np.ones(3)).conserved()
+        p = Primitive(np.ones(3), np.zeros(3), np.ones(3), np.ones(3))
+        q = p.conserved()
         c = q.copy()
-        c.h[0] = 7.0
-        assert q.h[0] == 1.0
+        c[H, 0] = 7.0
+        assert q[H, 0] == 1.0
+        q[H, 1] = 5.0   # `conserved` returns a fresh array: p.h is not a view into it
+        assert p.h[1] == 1.0
 
 
 class TestAdmissibility:
@@ -229,9 +241,8 @@ class TestFreeEnergy:
 
     @given(admissible(), admissible())
     def test_midpoint_convexity(self, p1, p2):
-        q1, q2 = p1.conserved(), p2.conserved()
-        qm = Conserved.from_array(0.5 * (q1.as_array() + q2.as_array()))
+        qm = 0.5 * (p1.conserved() + p2.conserved())
         f1 = float(free_energy(p1, P10))
         f2 = float(free_energy(p2, P10))
-        fm = float(free_energy(qm.primitive(), P10))
+        fm = float(free_energy(primitive(qm), P10))
         assert fm <= 0.5 * (f1 + f2) + 1e-12 * (abs(f1) + abs(f2))

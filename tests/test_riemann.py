@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 import fenepsv.riemann as riemann_mod
 import fenepsv.timeloop as timeloop_mod
 from fenepsv.model import (
-    Conserved,
+    H,
+    HSXX,
+    HSZZ,
+    HU,
     NonHyperbolicError,
     PhysParams,
     Primitive,
     dP_dh_frozen,
     free_energy,
+    primitive,
     total_pressure,
 )
 from fenepsv.oracles import rh_residuals, sample_states
@@ -25,8 +29,6 @@ from fenepsv.riemann import (
     BETA,
     EHAT,
     FLUX,
-    H,
-    HU,
     P,
     PROJ,
     U,
@@ -114,11 +116,11 @@ def relaxed_states(fan):
     return outer[0], stars[0], stars[1], outer[1]
 
 
-def mirror_conserved(q: Conserved) -> Conserved:
+def mirror_conserved(q: np.ndarray) -> np.ndarray:
     def rev(a):
         return np.flip(np.asarray(a, dtype=float), axis=-1) if np.ndim(a) else np.asarray(a)
 
-    return Conserved(rev(q.h), -rev(q.hu), rev(q.hsxx), rev(q.hszz))
+    return np.array([rev(q[H]), -rev(q[HU]), rev(q[HSXX]), rev(q[HSZZ])])
 
 
 class TestSpeedIngredients:
@@ -165,10 +167,10 @@ class TestSpeedIngredients:
         # cells is the slice of the block, and the interface sides are views.
         q = sample_states(P10, 50, rng).conserved()
         cells = cell_state(q, P10)
-        part = cell_state(Conserved.from_array(q.as_array()[:, 3:9]), P10)
+        part = cell_state(q[:, 3:9], P10)
         assert part.shape == (cells.shape[0], 6)
         assert part.tobytes() == cells[:, 3:9].copy().tobytes()
-        assert np.array_equal(part[H], q.h[3:9]) and np.array_equal(part[HU], q.hu[3:9])
+        assert np.array_equal(part[H], q[H, 3:9]) and np.array_equal(part[HU], q[HU, 3:9])
         sides = interface_sides(cells)
         assert sides.shape == (cells.shape[0], 2, 49) and np.shares_memory(sides, cells)
         assert np.array_equal(sides[:, 0], cells[:, :-1]) and np.array_equal(sides[:, 1], cells[:, 1:])
@@ -177,9 +179,9 @@ class TestSpeedIngredients:
         # Reference: the exact flux (hu, hu u + P, h sxx u, h szz u) written out.
         for params in (P10, PARAM_GRID[7]):
             q = sample_states(params, 500, rng).conserved()
-            p = q.primitive()
+            p = primitive(q)
             P = total_pressure(p, params)
-            want = np.stack([q.hu, q.hu * p.u + P, q.hsxx * p.u, q.hszz * p.u])
+            want = np.stack([q[HU], q[HU] * p.u + P, q[HSXX] * p.u, q[HSZZ] * p.u])
             assert cell_state(q, params)[FLUX].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("zeta", [0.0, 0.25, 0.5])
@@ -199,9 +201,9 @@ class TestSpeeds:
     def test_at_rest_equal_states_yield_sound_speed(self):
         q = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
         c_l, c_r = speeds(q, q)
-        a = np.sqrt(dP_dh_frozen(q.primitive(), P10))
-        assert float(c_l) == float(q.h * a)
-        assert float(c_r) == float(q.h * a)
+        a = np.sqrt(dP_dh_frozen(primitive(q), P10))
+        assert float(c_l) == float(q[H] * a)
+        assert float(c_r) == float(q[H] * a)
 
     def test_dam_break_pinned(self):
         ql = Primitive(1.0, 0.0, 1.0, 1.0).conserved()
@@ -215,9 +217,9 @@ class TestSpeeds:
             q_l = sample_states(params, 300, rng).conserved()
             q_r = sample_states(params, 300, rng).conserved()
             c_l, c_r = speeds(q_l, q_r, params)
-            pl, pr = q_l.primitive(), q_r.primitive()
-            assert np.all(c_l >= q_l.h * np.sqrt(dP_dh_frozen(pl, params)) * (1 - 1e-14))
-            assert np.all(c_r >= q_r.h * np.sqrt(dP_dh_frozen(pr, params)) * (1 - 1e-14))
+            pl, pr = primitive(q_l), primitive(q_r)
+            assert np.all(c_l >= q_l[H] * np.sqrt(dP_dh_frozen(pl, params)) * (1 - 1e-14))
+            assert np.all(c_r >= q_r[H] * np.sqrt(dP_dh_frozen(pr, params)) * (1 - 1e-14))
 
 
 class TestStarStates:
@@ -226,8 +228,8 @@ class TestStarStates:
         fan = fan_of(q, q)
         q_l, q_l_star, q_r_star, _ = relaxed_states(fan)
         for h, hu, _, _ in (q_l_star, q_r_star):
-            assert float(h) == float(q.h)
-            assert float(hu) == float(q.h * fan.s2)
+            assert float(h) == float(q[H])
+            assert float(hu) == float(q[H] * fan.s2)
         assert float(q_l_star[2]) == float(q_l[2])   # hpi
         assert float(q_l_star[3]) == float(q_l[3])   # hE
 
@@ -263,7 +265,7 @@ class TestStarStates:
                 star = fan.star[:, k]
                 want = project(star[H], star[HU], sides[W1, k], sides[W2, k], params.zeta)
                 assert star.tobytes() == want.tobytes()
-                proj = Conserved.from_array(star).primitive()
+                proj = primitive(star)
                 assert bool(np.all(is_admissible(proj, params)))
 
     def test_rh_residuals_battery(self, rng):
@@ -382,8 +384,8 @@ class TestFluxes:
             q_r = sample_states(params, 3000, rng).conserved()
             (f_left, f_right), fan = fluxes(q_l, q_r, params)
             # mirrored problem: swap sides, negate velocities
-            ml = Conserved(q_r.h, -q_r.hu, q_r.hsxx, q_r.hszz)
-            mr = Conserved(q_l.h, -q_l.hu, q_l.hsxx, q_l.hszz)
+            ml = np.array([q_r[H], -q_r[HU], q_r[HSXX], q_r[HSZZ]])
+            mr = np.array([q_l[H], -q_l[HU], q_l[HSXX], q_l[HSZZ]])
             (mf_left, mf_right), mfan = fluxes(ml, mr, params)
             assert np.array_equal(np.asarray(mfan.s1), -np.asarray(fan.s3))
             assert np.array_equal(np.asarray(mfan.s2), -np.asarray(fan.s2))
@@ -399,7 +401,7 @@ class TestFluxes:
             c = speeds(q_l, q_r, params)
             fan = fan_of(q_l, q_r, params, c)
             c_l, c_r = c
-            pl, pr = q_l.primitive(), q_r.primitive()
+            pl, pr = primitive(q_l), primitive(q_r)
             pi_l = total_pressure(pl, params)
             pi_r = total_pressure(pr, params)
             lhs = pi_l + c_l * (pl.u - fan.s2)
@@ -443,13 +445,13 @@ class TestFluxAssembly:
     @staticmethod
     def mixed_states(params, n, rng):
         # Random states, with equal-state, resting and supersonic interfaces mixed in.
-        q_l = sample_states(params, n, rng).conserved().as_array().copy()
-        q_r = sample_states(params, n, rng).conserved().as_array().copy()
+        q_l = sample_states(params, n, rng).conserved()
+        q_r = sample_states(params, n, rng).conserved()
         q_r[:, ::7] = q_l[:, ::7]
         q_l[1, 1::5] = q_r[1, 1::5] = 0.0
         q_l[1, 2::9] = 40.0 * q_l[0, 2::9]
         q_r[1, 2::9] = 41.0 * q_r[0, 2::9]
-        return Conserved.from_array(q_l), Conserved.from_array(q_r)
+        return q_l, q_r
 
     def test_fuzzed_fans(self, rng):
         for params in PARAM_GRID:
@@ -494,7 +496,7 @@ class TestEnergyAndMonitor:
             q_l = sample_states(params, 1000, rng).conserved()
             q_r = sample_states(params, 1000, rng).conserved()
             for q, c in zip((q_l, q_r), speeds(q_l, q_r, params)):
-                ratio = q.h**2 * dP_dh_frozen(q.primitive(), params) / c**2
+                ratio = q[H]**2 * dP_dh_frozen(primitive(q), params) / c**2
                 assert np.all(ratio <= 1.0 + 1e-12)
 
     def test_monitor_finite_on_random_pairs(self, rng):
@@ -540,7 +542,7 @@ def fuzzed_cells(params, n, rng):
             trace, share = params.ell * (1.0 - 10.0 ** rng.uniform(-9.0, -3.0)), rng.uniform(0.001, 0.999)
         col = [h, h * u, h * share * trace, h * (1.0 - share) * trace]
         columns.extend([col] * length)
-    return Conserved.from_array(np.array(columns[:n]).T.copy())
+    return np.array(columns[:n]).T.copy()
 
 
 def both_fans(q_l, q_r, params, factor=1.0):
@@ -552,15 +554,13 @@ def both_fans(q_l, q_r, params, factor=1.0):
     return (sides, c, params), (l, r, fan_reference.SpeedPair(c[0], c[1]), params)
 
 
-def mirrored(q: Conserved) -> Conserved:
-    return Conserved(q.h, -q.hu, q.hsxx, q.hszz)
+def mirrored(q: np.ndarray) -> np.ndarray:
+    return np.array([q[H], -q[HU], q[HSXX], q[HSZZ]])
 
 
 def joined(*pairs):
     """The pairs (q_l, q_r) of each argument side by side."""
-    return tuple(
-        Conserved.from_array(np.stack([p[k].as_array() for p in pairs], axis=-1)) for k in (0, 1)
-    )
+    return tuple(np.stack([p[k] for p in pairs], axis=-1) for k in (0, 1))
 
 
 # Pairs whose fan fails with speeds scaled by `factor` (zeta, left, right, factor).
@@ -587,7 +587,7 @@ class TestAgainstDataclassFan:
         params = dataclasses.replace(P10, zeta=zeta)
         for bc in ("transmissive", "periodic", "reflective") * 2:
             q = fuzzed_cells(params, 160, rng)
-            grid = Grid.uniform(0.0, 1.0, q.h.size)
+            grid = Grid.uniform(0.0, 1.0, q.shape[1])
             control = StepControl(bc=bc, strict_subchar=strict)
             want = runs_outcome(fan_reference.reference_fluxes, q, grid, params, control)
             for on in (False, True):

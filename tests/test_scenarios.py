@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import fenepsv
 from fenepsv.cli import build_config, main, parse_config_file
 import fenepsv.model as model_mod
-from fenepsv.model import AdmissibilityError, Conserved, PhysParams, SolverError, equilibrium_sigma
+from fenepsv.model import H, HSXX, HSZZ, HU, AdmissibilityError, PhysParams, SolverError, equilibrium_sigma
 from fenepsv.scenarios import (
     ConfigError,
     RunConfig,
@@ -40,7 +40,6 @@ from fenepsv.scenarios import (
     write_snapshot_csv,
 )
 import fenepsv.timeloop as timeloop_mod
-from fenepsv.riemann import H, HU
 from fenepsv.timeloop import (
     DissipationViolation,
     Grid,
@@ -113,23 +112,23 @@ class TestInitialCondition:
         cfg = preset_dam_break(10.0, cells=64)
         grid = Grid.uniform(0.0, 1.0, 64)
         q = initial_condition(cfg, grid)
-        assert np.all(q.h[:32] == 1.0) and np.all(q.h[32:] == 0.1)
-        assert np.all(q.hu == 0.0)
-        assert np.all(q.hsxx[:32] == 1.0) and np.allclose(q.hsxx[32:], 0.1)
+        assert np.all(q[H, :32] == 1.0) and np.all(q[H, 32:] == 0.1)
+        assert np.all(q[HU] == 0.0)
+        assert np.all(q[HSXX, :32] == 1.0) and np.allclose(q[HSXX, 32:], 0.1)
 
     def test_dam_break_split_cell_exact_average(self):
         # 10 cells on [0,1], jump at 0.43: cell 4 holds 30% left, 70% right
         cfg = dataclasses.replace(preset_dam_break(10.0), cells=10, jump_x=0.43).validated()
         grid = Grid.uniform(0.0, 1.0, 10)
         q = initial_condition(cfg, grid)
-        assert q.h[4] == pytest.approx(0.3 * 1.0 + 0.7 * 0.1, rel=1e-14)
-        assert np.all(q.h[:4] == 1.0) and np.all(q.h[5:] == 0.1)
+        assert q[H, 4] == pytest.approx(0.3 * 1.0 + 0.7 * 0.1, rel=1e-14)
+        assert np.all(q[H, :4] == 1.0) and np.all(q[H, 5:] == 0.1)
 
     def test_uniform_fills_domain(self):
         cfg = preset_uniform(10.0, cells=7)
         grid = Grid.uniform(0.0, 1.0, 7)
         q = initial_condition(cfg, grid)
-        assert q.h.shape == (7,) and np.all(q.h == 1.0)
+        assert q[H].shape == (7,) and np.all(q[H] == 1.0)
 
     def test_smooth_wave_cell_averages(self):
         # Gauss quadrature of sin over a cell, compared to the exact integral
@@ -140,7 +139,14 @@ class TestInitialCondition:
         exact = 1.0 + 0.1 * (np.cos(2 * np.pi * lo) - np.cos(2 * np.pi * hi)) / (
             2 * np.pi * grid.dx
         )
-        assert np.allclose(q.h, exact, rtol=1e-13)
+        assert np.allclose(q[H], exact, rtol=1e-13)
+
+    @pytest.mark.parametrize("preset", [preset_dam_break, preset_uniform, preset_smooth_wave])
+    def test_is_an_owned_float_array(self, preset):
+        cfg = preset(10.0, cells=16)
+        q = initial_condition(cfg, Grid.uniform(cfg.x_min, cfg.x_max, 16))
+        assert type(q) is np.ndarray and q.shape == (4, 16) and q.dtype == np.float64
+        assert q.flags.c_contiguous and q.flags.owndata and q.flags.writeable
 
 
 class TestRunDriver:
@@ -160,7 +166,7 @@ class TestRunDriver:
         header = path.read_text().splitlines()[0]
         assert header == ",".join(SNAPSHOT_COLUMNS)
         data = np.genfromtxt(path, delimiter=",", names=True)
-        assert np.array_equal(data["h"], np.asarray(res.state.q.h))
+        assert np.array_equal(data["h"], res.state.q[H])
         assert np.array_equal(data["x"], res.grid.centers)
         p = res.final_primitive()
         assert np.array_equal(data["stretch"], np.asarray(p.sxx + p.szz))
@@ -195,8 +201,8 @@ class TestRunDriver:
         cfg = preset_uniform(10.0, cells=16, t_end=0.05)
         res = run(cfg)
         q0, q1 = res.initial, res.state.q
-        assert np.array_equal(q1.h, q0.h) and np.array_equal(q1.hu, q0.hu)
-        assert np.max(np.abs(q1.hsxx - q0.hsxx)) <= 1e-12
+        assert np.array_equal(q1[H], q0[H]) and np.array_equal(q1[HU], q0[HU])
+        assert np.max(np.abs(q1[HSXX] - q0[HSXX])) <= 1e-12
 
     def test_final_time_exact(self):
         res = run(preset_dam_break(10.0, cells=32, t_end=0.02))
@@ -379,7 +385,7 @@ class TestColumnFormat:
         assert calls == {"is_admissible": 1, "require_admissible": 1, "free_energy": 0,
                          "normal_stress": 0}
         bad = q.copy()
-        bad.hszz[3] = -1.0
+        bad[HSZZ, 3] = -1.0
         with pytest.raises(AdmissibilityError) as err:
             write_snapshot_csv(tmp_path / "bad.csv", grid, bad, cfg.params)
         assert err.value.index == (3,)
@@ -669,15 +675,52 @@ class TestCli:
         assert out.stdout == "[]\n"
 
 
+# Runs whose t_end is out of reach: a dam break on a domain 1e-300 wide, and
+# a t_end of 1e300.
+UNREACHABLE = {
+    "tiny_domain": "cells = 64\nx_max = 1e-300\njump_x = 5e-301\n",
+    "far_t_end": "cells = 16\nt_end = 1e300\n",
+}
+
+
 class TestStepBudget:
-    """max_steps caps a run's steps; unset, it changes nothing."""
+    """max_steps caps a run's steps; unset, it changes nothing.  A run that
+    projects more than RUN_STEP_LIMIT steps ends typed."""
+
+    @pytest.mark.parametrize("name", UNREACHABLE)
+    def test_unreachable_t_end_ends_typed(self, name, tmp_path, capsys):
+        p = write_cfg(tmp_path / "c.cfg", UNREACHABLE[name])
+        with pytest.raises(fenepsv.StepBudgetExceeded) as err:
+            run(build_config(parse_config_file(p), {}))
+        assert isinstance(err.value, SolverError)
+        assert re.fullmatch(r"t_end=\S+ out of reach: step 1 ended at t=\S+ with dt=\S+, "
+                            r"which projects more than 100000000 steps", str(err.value))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", p, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "StepBudgetExceeded: t_end=" in err and "Traceback" not in err
+        record = json.loads((out / "run.json").read_text())
+        assert record["status"] == "error" and record["error"].startswith("StepBudgetExceeded: ")
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 1
+
+    @pytest.mark.parametrize("snapshots", [10, 1000])
+    def test_landing_steps_do_not_trip_the_projection(self, snapshots, monkeypatch):
+        import fenepsv.scenarios as scenarios_mod
+
+        cfg = preset_dam_break(10.0, cells=32, t_end=0.1, snapshots=snapshots)
+        full = run(cfg)
+        monkeypatch.setattr(scenarios_mod, "RUN_STEP_LIMIT", 2 * full.steps)
+        assert run(cfg).state.q.tobytes() == full.state.q.tobytes()
+        monkeypatch.setattr(scenarios_mod, "RUN_STEP_LIMIT", full.steps // 2)
+        with pytest.raises(fenepsv.StepBudgetExceeded, match="out of reach"):
+            run(cfg)
 
     def test_run_stops_after_max_steps(self):
         cfg = preset_dam_break(10.0, cells=32, t_end=0.1)
         full = run(cfg)
         capped = run(dataclasses.replace(cfg, max_steps=full.steps))
         assert capped.steps == full.steps
-        assert capped.state.q.as_array().tobytes() == full.state.q.as_array().tobytes()
+        assert capped.state.q.tobytes() == full.state.q.tobytes()
         with pytest.raises(fenepsv.StepBudgetExceeded) as err:
             run(dataclasses.replace(cfg, max_steps=3))
         assert isinstance(err.value, SolverError)
@@ -783,8 +826,7 @@ class TestFailureRecord:
                 with pytest.MonkeyPatch.context() as mp:
                     force_runs(mp, replay_on)
                     with pytest.raises(SubcharacteristicViolation) as again:
-                        full_step(SimState(failure["t"], Conserved.from_array(q)), grid,
-                                  cfg.params, control)
+                        full_step(SimState(failure["t"], q), grid, cfg.params, control)
                 assert str(again.value) == str(err.value)
                 assert again.value.index == err.value.index
 
@@ -866,7 +908,7 @@ def run_outcome(cfg, outdir):
     except SolverError as e:
         outcome = (type(e), str(e), e.index, e.failure)
     else:
-        q = result.state.q.as_array()
+        q = result.state.q
         assert np.isfinite(q).all()
         outcome = q.tobytes()
     files = {}
