@@ -61,6 +61,13 @@ printf 'cells = 16\nt_end = 1e300\n' >"$work/far_t_end.cfg"
 # compressed cells: the first step's free-energy residuals are NaN, which the
 # audit counts as violations (exit 4).
 printf 'cells = 4096\nstrict_dissipation = true\nleft_sxx = 1e-300\nleft_szz = 1e-300\nright_sxx = 1e-300\nright_szz = 1e-300\n' >"$work/nan_strict.cfg"
+# A grid-refinement study of a lake at rest: every error is 0, so no order is
+# defined (exit 0, "-" in the table).  Levels that do not increase are a
+# config error (exit 2).
+printf 'scenario = uniform\ncells = 16\n' >"$work/uniform.cfg"
+# A right depth of 1e-300: the fan's star depths come out non-positive, which
+# the fan's own checks report as a StarStateError (exit 3).
+printf 'cells = 64\nright_h = 1e-300\n' >"$work/fan_fail.cfg"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
@@ -92,6 +99,13 @@ done
 expect 4 "$@" solve --config "$work/nan_strict.cfg" --out "$work/nan_strict"
 if ! grep -q 'DissipationViolation' "$work/nan_strict/run.json"; then
     echo "FAIL: the run with NaN residuals wrote no DissipationViolation into run.json" >&2
+    status=1
+fi
+expect 0 "$@" converge --config "$work/uniform.cfg" --levels 16,32,64
+expect 2 "$@" converge --config "$work/uniform.cfg" --levels 64,32
+expect 3 "$@" solve --config "$work/fan_fail.cfg" --out "$work/fan_fail"
+if ! grep -q 'StarStateError' "$work/fan_fail/run.json"; then
+    echo "FAIL: the run whose fan failed wrote no StarStateError into run.json" >&2
     status=1
 fi
 expect 2 "$@" check --samples 0

@@ -26,8 +26,7 @@ whose rows are named by the module constants below; its first four rows,
 like the star states of the fan, are conserved states.  The two sides of a
 set of interfaces are one (CELL_ROWS, 2, m) array, `sides`, whose index 0
 along axis 1 is the left cell and 1 the right one: a strided view of
-neighbouring cells (`interface_sides`), a gather of the block (`np.take`,
-on runs of equal interface pairs), or two blocks stacked (`side_pair`).
+neighbouring cells (`interface_sides`) or two blocks stacked (`side_pair`).
 Each one-sided formula of the fan is evaluated once on the (2, m) rows of
 both sides; the other side is the same row reversed along that axis, and
 each element sees the operations, in the order, of the formula written per
@@ -74,8 +73,6 @@ __all__ = [
 
 # Relative floor keeping the relaxation speeds away from zero in degenerate data.
 SPEED_FLOOR = 1e-14
-# Relative tolerance of the check that both one-sided star pressures agree.
-STAR_PRESSURE_RTOL = 1e-10
 
 # Rows of the cell-state block.  Rows 0-3 (PROJ) are the cell as an outer fan
 # state, projected to conserved variables through (w1, w2): h and hu as they
@@ -176,13 +173,9 @@ def _cell_state(q: np.ndarray, p: Primitive, params: PhysParams) -> np.ndarray:
     h, u, zeta = p.h, p.u, params.zeta
     w_minus, w_plus = _w_bounds(p, params)
     expo = 1.0 / (2.0 * (1.0 - zeta))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         W = np.power(w_plus, expo)
-    if np.count_nonzero(inf := np.isinf(W)):
-        W = np.where(inf, 2.0, W / np.where(inf, 2.0, W - 1.0))
-    else:
-        W = W / (W - 1.0)
-    np.maximum(2.0, W, out=cells[ALPHA])
+        np.fmax(2.0, W / (W - 1.0), out=cells[ALPHA])   # W = inf gives NaN, so 2
     V = np.power(w_minus, expo)
     np.divide(V, 1.0 - V, out=cells[BETA])
     terms = s, _, _, N = _stress_terms(p, params)   # rejects a non-positive trace gap
@@ -266,7 +259,10 @@ def star_states(sides: np.ndarray, c: np.ndarray, params: PhysParams) -> WaveFan
     the extensibility bound, or the wave speeds come out unordered; with
     speeds from `relaxation_speeds` (or any enlargement) none of that can
     happen in exact arithmetic.  A check fails on the left star states
-    before the right ones, and names the failing interface.
+    before the right ones, and names the failing interface.  The one-sided
+    star pressures pi_l + c_l (u_l - u*) and pi_r - c_r (u_r - u*) are
+    equal by the choice of u*; that identity is checked by the oracle
+    battery (`fenepsv check`) and the tests, not here.
     """
     h = sides[H].copy()   # contiguous copies of the rows read most
     up = sides[U : P + 1].copy()
@@ -328,19 +324,6 @@ def star_states(sides: np.ndarray, c: np.ndarray, params: PhysParams) -> WaveFan
     np.add(u[1], ch[1], out=s[2, ...])
     if not _holds(ok := s[1:] >= s[:-1]):
         raise StarStateError.at("unordered wave speeds", ~(ok[0] & ok[1]), c_l=cl, c_r=cr)
-
-    # Single-valued star pressure: both one-sided expressions must agree.
-    t = u - u_star
-    t *= c   # [c_l (u_l - u*), c_r (u_r - u*)]
-    res = (pi[0] + t[0]) - (pi[1] - t[1])
-    scale = np.abs(up)
-    scale[0] *= c
-    scale = np.maximum(scale[0], scale[1])
-    scale = np.maximum(scale[0], scale[1])   # max(|pi_l|, |pi_r|, c_l |u_l|, c_r |u_r|)
-    scale *= STAR_PRESSURE_RTOL
-    scale += 1e-300
-    if not _holds(ok := np.abs(res) <= scale):
-        raise StarStateError.at("two-sided star pressure mismatch", ~ok, c_l=cl, c_r=cr)
 
     return WaveFan(s, c, sides, star, hpi, hE)
 

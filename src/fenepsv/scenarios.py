@@ -596,7 +596,8 @@ class ConvergenceResult:
     def table(self) -> str:
         lines = ["cells    L1(h) error      order"]
         for i, (n, e) in enumerate(zip(self.levels, self.errors)):
-            o = f"{self.orders[i - 1]:.3f}" if i > 0 and i - 1 < len(self.orders) else "-"
+            o = self.orders[i - 1] if 0 < i <= len(self.orders) else None
+            o = "-" if o is None else f"{o:.3f}"
             lines.append(f"{n:<8d} {e:.6e}   {o}")
         return "\n".join(lines)
 
@@ -612,9 +613,11 @@ def convergence_study(config: RunConfig, levels, reference: str = "auto") -> Con
     Each level must divide the next.  reference='exact-sw' compares against
     the exact dam-break solution (valid when G=0 and both sides start at
     rest); 'self' compares each level against the block-averaged finest run;
-    'auto' picks 'exact-sw' when valid, else 'self'.
+    'auto' picks 'exact-sw' when valid, else 'self'.  The order between two
+    levels is None unless both errors are positive (a lake at rest, or
+    t_end = 0, has none to measure).
     """
-    levels = sorted(int(n) for n in levels)
+    levels = [int(n) for n in levels]
     if len(levels) < 2 or levels[0] < 1:
         raise ConfigError(f"need at least two grid levels, each >= 1; got {levels}")
     for a, b in zip(levels, levels[1:]):
@@ -656,7 +659,7 @@ def convergence_study(config: RunConfig, levels, reference: str = "auto") -> Con
         used_levels = levels[:-1]
 
     orders = [
-        float(np.log2(errors[i] / errors[i + 1]) / np.log2(used_levels[i + 1] / used_levels[i]))
-        for i in range(len(errors) - 1)
+        float(np.log2(e0 / e1) / np.log2(n1 / n0)) if e0 > 0 and e1 > 0 else None
+        for e0, e1, n0, n1 in zip(errors, errors[1:], used_levels, used_levels[1:])
     ]
     return ConvergenceResult(list(used_levels), errors, orders, reference)

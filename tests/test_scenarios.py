@@ -401,6 +401,8 @@ class TestConvergence:
             convergence_study(cfg, [64, 96])
         with pytest.raises(ConfigError):
             convergence_study(cfg, [64, 128], reference="bogus")
+        with pytest.raises(ConfigError, match="got 64 then 32"):
+            convergence_study(cfg, [64, 32])
 
     def test_self_convergence_smooth(self):
         cfg = preset_smooth_wave(10.0, t_end=0.01)
@@ -417,6 +419,15 @@ class TestConvergence:
         res = convergence_study(cfg, [32, 64])
         assert res.reference == "exact-sw"
         assert len(res.errors) == 2 and res.errors[1] < res.errors[0]
+
+    @pytest.mark.parametrize("cfg", [preset_uniform(10.0, t_end=0.01),
+                                     preset_dam_break(10.0, t_end=0.0)])
+    def test_zero_errors_have_no_order(self, cfg):
+        # A lake at rest stays exactly at rest, and t_end = 0 takes no step:
+        # every error is 0, so no order is defined.
+        res = convergence_study(cfg, [16, 32, 64])
+        assert res.errors == [0.0, 0.0] and res.orders == [None]
+        assert [line.split()[-1] for line in res.table().splitlines()[1:]] == ["-", "-"]
 
 
 def write_cfg(path, text):
@@ -635,6 +646,15 @@ class TestCli:
     def test_converge_bad_levels(self, tmp_path, capsys):
         p = write_cfg(tmp_path / "c.cfg", "cells = 16\n")
         assert main(["converge", "--config", p, "--levels", "16,twenty"]) == 2
+        assert main(["converge", "--config", p, "--levels", "64,32"]) == 2
+
+    @pytest.mark.parametrize("text", ["scenario = uniform\n", "t_end = 0\n"])
+    def test_converge_zero_errors_exit_0(self, text, tmp_path, capsys):
+        p = write_cfg(tmp_path / "c.cfg", text)
+        assert main(["converge", "--config", p, "--levels", "16,32,64"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-2:] == ["16       0.000000e+00   -", "32       0.000000e+00   -"]
+        assert "Traceback" not in err
 
     def test_check_json(self, capsys):
         assert main(["check", "--samples", "50", "--json"]) == 0
