@@ -35,6 +35,10 @@ printf 'frobnicate = 1\n' >"$work/unknown.cfg"
 printf 'cells = 16\nt_end = 0.01\ndt_min_factor = 1.0\n' >"$work/collapse.cfg"
 printf 'cells = 16\nlambda = inf\n' >"$work/lambda_inf.cfg"
 printf 'cells = 16\nt_end = inf\n' >"$work/t_end_inf.cfg"
+# Finite bounds whose cell width overflows to inf, or underflows to 0 at 4096
+# cells: config errors (exit 2).
+printf 'x_min = -1e308\nx_max = 1e308\njump_x = 0\n' >"$work/width_inf.cfg"
+printf 'x_max = 1e-320\ncells = 4096\njump_x = 5e-321\n' >"$work/width_zero.cfg"
 # Two clean solves: a smooth wave, which has no runs of equal cells (every
 # cell evaluated), and a dam break (evaluated on the compressed cells of its
 # runs).
@@ -77,6 +81,8 @@ if ! grep -q '"status": "error"' "$work/collapse/run.json"; then
 fi
 expect 2 "$@" solve --config "$work/lambda_inf.cfg" --out "$work/lambda_inf"
 expect 2 "$@" solve --config "$work/t_end_inf.cfg" --out "$work/t_end_inf"
+expect 2 "$@" solve --config "$work/width_inf.cfg" --out "$work/width_inf"
+expect 2 "$@" solve --config "$work/width_zero.cfg" --out "$work/width_zero"
 expect 0 "$@" solve --config "$work/smooth.cfg" --out "$work/smooth"
 expect 0 "$@" solve --config "$work/dam.cfg" --out "$work/dam"
 expect 0 "$@" solve --config "$work/dam_reflective.cfg" --out "$work/dam_reflective"

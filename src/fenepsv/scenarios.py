@@ -115,10 +115,10 @@ class RunConfig:
         for name in ("x_min", "x_max", "t_end", "jump_x", "dt_min_factor"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.x_max > self.x_min:
-            raise ConfigError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
-        if self.cells < 1:
-            raise ConfigError(f"cells must be >= 1, got {self.cells}")
+        try:   # x_max > x_min, cells >= 1 and a representable cell width
+            Grid.uniform(self.x_min, self.x_max, self.cells)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         if not self.t_end >= 0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if not 0.0 < self.cfl <= 0.5:

@@ -19,12 +19,13 @@ are pieces of it.
 
 Steps on runs.  A run of equal cells steps like three cells: its first cell,
 one inner cell and its last cell, since every inner cell meets the same
-(left, self, right) cells.  On grids of piecewise-constant data (behind the
-one gate of `_runs`), the step runs on these compressed cells, found from
-the runs that the state carries from the step that made it, and repeats only
-the new cells and their F to full size, for the output, the sums of the diagnostics and the
-next step.  The step on every cell and the step on compressed cells are one
-body (`_step_cells`), and their results are the same bits, errors included.
+(left, self, right) cells and every cell of a `Grid` has the one width dx.
+On grids of piecewise-constant data (behind the one gate of `_runs`), the
+step runs on these compressed cells, found from the runs that the state
+carries from the step that made it, and repeats only the new cells and their
+F to full size, for the output, the sums of the diagnostics and the next
+step.  The step on every cell and the step on compressed cells are one body
+(`_step_cells`), and their results are the same bits, errors included.
 """
 
 from __future__ import annotations
@@ -107,28 +108,30 @@ class DissipationViolation(SolverError):
 
 @dataclass
 class Grid:
-    """1D finite-volume grid defined by its cell edges (monotone, len n+1)."""
+    """Uniform 1D finite-volume grid: n cells of one width dx on [x_min, x_max],
+    placed by the read-only `edges` (np.linspace's n + 1) and `centers`.
+    Raises ValueError where dx is not a positive finite float or the edges
+    do not strictly increase."""
 
-    edges: np.ndarray
+    x_min: float
+    x_max: float
+    n: int
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=float)
-        if self.edges.ndim != 1 or self.edges.size < 2 or np.any(np.diff(self.edges) <= 0):
-            raise ValueError("grid edges must be a strictly increasing 1D array")
-        # Cell widths, centers and the smallest width, computed once; read-only
-        # because they are shared.
-        self.dx = np.diff(self.edges)
+        self.x_min, self.x_max = float(self.x_min), float(self.x_max)
+        self.dx = float((self.x_max - self.x_min) / self.n) if self.n >= 1 else np.nan
+        domain = f"grid of {self.n} cells on [{self.x_min!r}, {self.x_max!r}]"
+        if not 0.0 < self.dx < np.inf:
+            raise ValueError(f"{domain}: cell width {self.dx!r} is not a positive finite float")
+        self.edges = np.linspace(self.x_min, self.x_max, self.n + 1)
+        if not _holds(self.edges[1:] > self.edges[:-1]):
+            raise ValueError(f"{domain}: edges do not strictly increase")
         self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self.dx.flags.writeable = self.centers.flags.writeable = False
-        self.min_dx = float(self.dx.min())
+        self.edges.flags.writeable = self.centers.flags.writeable = False
 
     @classmethod
     def uniform(cls, x_min: float, x_max: float, cells: int) -> "Grid":
-        return cls(np.linspace(x_min, x_max, cells + 1))
-
-    @property
-    def n(self) -> int:
-        return self.edges.size - 1
+        return cls(x_min, x_max, cells)
 
 
 @dataclass
@@ -159,7 +162,7 @@ class StepControl:
 
     cfl: float = 0.5
     bc: str = "transmissive"
-    dt_min_factor: float = 1e-12   # collapse threshold = factor * min dx
+    dt_min_factor: float = 1e-12   # collapse threshold = factor * dx
     strict_dissipation: bool = False
     strict_subchar: bool = False
     max_dt: float | None = None    # cap used to land exactly on output times
@@ -200,15 +203,15 @@ def apply_boundary(q: np.ndarray, bc: str) -> np.ndarray:
 def cfl_dt(grid: Grid, fan, cfl: float, dt_min_factor: float = 1e-12) -> float:
     """Half-cell-crossing time step from the extreme fan speeds.
 
-    dt = cfl * min dx / S_max with S_max the largest |outer wave speed| over
-    all interfaces.  Raises TimeStepCollapse below dt_min_factor * min dx.
+    dt = cfl * dx / S_max with S_max the largest |outer wave speed| over all
+    interfaces.  Raises TimeStepCollapse below dt_min_factor * dx.
     """
     s_max = float(np.abs(fan.s[::2]).max())
-    min_dx = grid.min_dx
-    dt = cfl * min_dx / s_max if s_max > 0 else np.inf
-    if dt < dt_min_factor * min_dx:
+    dx = grid.dx
+    dt = cfl * dx / s_max if s_max > 0 else np.inf
+    if dt < dt_min_factor * dx:
         raise TimeStepCollapse(
-            f"dt={dt!r} under collapse threshold {dt_min_factor * min_dx!r} (S_max={s_max!r})"
+            f"dt={dt!r} under collapse threshold {dt_min_factor * dx!r} (S_max={s_max!r})"
         )
     return dt
 
@@ -248,11 +251,11 @@ def _runs(state: SimState):
     by the state, or found here), its first cell, its second (runs of 3 or
     more) and its last (runs of 2 or more), and the number of cells that
     each stands for, itself and those up to the next one.  Every cell meets
-    the (left, self, right) cells of the one that stands for it, ghost cells
-    included, since `apply_boundary` pads the compressed cells with the same
-    end cells.  The runs pay when q has at least RUNS_MIN_CELLS cells and at
-    most COMPRESSED_MAX_SHARE compressed cells per cell; both are read at
-    call time.
+    the (left, self, right) cells and the dx of the one that stands for it,
+    ghost cells included, since `apply_boundary` pads the compressed cells
+    with the same end cells.  The runs pay when q has at least
+    RUNS_MIN_CELLS cells and at most COMPRESSED_MAX_SHARE compressed cells
+    per cell; both are read at call time.
     """
     n = state.q.shape[1]
     if n < RUNS_MIN_CELLS:
@@ -273,7 +276,7 @@ def _runs(state: SimState):
 def _fluxes(q: np.ndarray, x, grid: Grid, params: PhysParams, control: StepControl):
     """The fluxes at every interface of the padded cells of q, at edges x,
     and the step.  q must be admissible (its padded cells are evaluated
-    unchecked).  The step is the CFL one over grid.min_dx, shortened by
+    unchecked).  The step is the CFL one over grid.dx, shortened by
     control.max_dt to land on an output time (never below half the CFL step
     unless the cap itself is smaller).
 
@@ -420,10 +423,10 @@ def source_step(q: np.ndarray, p: Primitive, dt: float, params: PhysParams):
     return out, p_new, f_after
 
 
-def dissipation_residuals(f_old, f_new, g_flux, d_new, dt: float, dx):
+def dissipation_residuals(f_old, f_new, g_flux, d_new, dt: float, dx: float):
     """Per-cell residual of the discrete free-energy inequality and its tolerance.
 
-    residual_i = F_i^{n+1} - F_i^n + dt/dx_i (G_{i+1/2} - G_{i-1/2}) - dt D_i^{n+1};
+    residual_i = F_i^{n+1} - F_i^n + dt/dx (G_{i+1/2} - G_{i-1/2}) - dt D_i^{n+1};
     the inequality holds when residual_i <= tol_i = 1e-10 (|F_i^n| + dt |D_i| + 1).
     """
     res = f_new - f_old + (dt / dx) * (g_flux[1:] - g_flux[:-1]) - dt * d_new
@@ -431,7 +434,7 @@ def dissipation_residuals(f_old, f_new, g_flux, d_new, dt: float, dx):
     return res, tol
 
 
-def _audit(f_old, f_new, g_flux, d_new, dt: float, dx, control: StepControl, weight=None):
+def _audit(f_old, f_new, g_flux, d_new, dt: float, dx: float, control: StepControl, weight=None):
     """The free-energy audit of the cells, each standing for `weight` cells
     (1 without it): (residuals, violations), a violation being a cell whose
     residual is not within its tolerance (see `dissipation_residuals`), a
@@ -451,22 +454,19 @@ def _step_cells(state: SimState, f_old, grid: Grid, params: PhysParams, control:
                 runs=None):
     """The step from state, whose cells have free energy f_old, and its
     diagnostics: `full_step` on every cell, or, with the `_runs` (rep,
-    weight) of state, on the compressed cells rep alone, or None there
-    where a cell of weight above 1 sees a flux difference other than +0.0.
+    weight) of state, on the compressed cells rep alone.
 
-    Each compressed cell meets the (left, self, right) cells of every cell
-    it stands for, so the fan, the fluxes, G, the ratios and the CFL step
-    (over grid.min_dx) are those of every cell bit for bit.  Only dx differs
-    within a run, and with a flux difference of +0.0 a cell of weight above
-    1 is moved by +0.0 and its G term is +0.0 for any dx.  The relaxed
-    cells and their F are repeated by weight; the new state's runs are
-    those of the compressed relaxed cells.
+    Each compressed cell meets the (left, self, right) cells and the dx of
+    every cell it stands for, so the fan, the fluxes, G, the ratios, the CFL
+    step, the new cells and their residuals are those of every cell bit for
+    bit.  The relaxed cells and their F are repeated by weight; the new
+    state's runs are those of the compressed relaxed cells.
     """
     q, dx, x, weight = state.q, grid.dx, grid.edges, None
     if runs is not None:
         rep, weight = runs
         q = np.take(q, rep, axis=1)
-        f_old, dx, x = f_old[rep], dx[rep], x[np.append(rep, grid.n)]
+        f_old, x = f_old[rep], x[np.append(rep, grid.n)]
     # The fan is held until the step ends.  Freed before the source step, its
     # memory goes to the source step's outputs, the allocator hands the heap
     # top back to the system when the step ends, and the next step faults it
@@ -477,8 +477,6 @@ def _step_cells(state: SimState, f_old, grid: Grid, params: PhysParams, control:
     # one buffer: cell i sees f_left of its right interface and f_right of its
     # left one.
     update = np.subtract(f_left[:, 1:], f_right[:, :-1])
-    if weight is not None and update[:, weight > 1].view(np.int64).any():
-        return None
     update *= dt / dx
     q_half = np.subtract(q, update, out=update)
     del f_left, f_right   # freed before the source step, unlike the fan
@@ -499,9 +497,9 @@ def _step_cells(state: SimState, f_old, grid: Grid, params: PhysParams, control:
         f_new = np.repeat(f_new, weight)
     diag = StepDiagnostics(
         dt=float(dt),
-        mass=float((q_new[H] * grid.dx).sum()),
-        momentum=float((q_new[HU] * grid.dx).sum()),
-        free_energy=float((f_new * grid.dx).sum()),
+        mass=float((q_new[H] * dx).sum()),
+        momentum=float((q_new[HU] * dx).sum()),
+        free_energy=float((f_new * dx).sum()),
         max_dissipation_residual=float(res.max()),
         dissipation_violations=violations,
         worst_subchar_ratio=float(ratio.max()),
@@ -524,10 +522,10 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     the free energy of the step that made it, see SimState), the cells after
     transport, and the relaxed cells; everything else runs unchecked.  Where
     the runs of equal cells pay (see `_runs`), the step runs on the
-    compressed cells (see `_step_cells`), and the sums see every cell.  A
-    SolverError on the compressed cells is raised again by the step on
-    every cell, so its text, index and count name the cells and interfaces
-    of q.  A SolverError raised after the step chose its dt carries that dt
+    compressed cells (see `_step_cells`), with the bits of the step on every
+    cell, and the sums see every cell.  A SolverError on the compressed
+    cells is raised again by the step on every cell, so its text, index and
+    count name the cells and interfaces of q.  A SolverError raised after the step chose its dt carries that dt
     as `step_dt`.
     """
     control = control or StepControl()
@@ -540,10 +538,8 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
         f_old = _free_energy(p_old, params)
     if (runs := _runs(state)) is not None:
         try:
-            stepped = _step_cells(state, f_old, grid, params, control, runs)
+            return _step_cells(state, f_old, grid, params, control, runs)
         except SolverError:
             _step_cells(state, f_old, grid, params, control)
             raise
-        if stepped is not None:
-            return stepped
     return _step_cells(state, f_old, grid, params, control)

@@ -435,11 +435,11 @@ def reference_fluxes(q: np.ndarray, grid, params: PhysParams, control):
     cells = _cell_state(padded, primitive(padded), params)
     fan, ratio = reference_fan(cells[:-1], cells[1:], grid.edges, params, control.strict_subchar)
     s_max = float(np.maximum(np.abs(fan.s1), np.abs(fan.s3)).max())
-    min_dx = float(grid.dx.min())
-    dt = control.cfl * min_dx / s_max if s_max > 0 else np.inf
-    if dt < control.dt_min_factor * min_dx:
+    dx = grid.dx
+    dt = control.cfl * dx / s_max if s_max > 0 else np.inf
+    if dt < control.dt_min_factor * dx:
         raise TimeStepCollapse(
-            f"dt={dt!r} under collapse threshold {control.dt_min_factor * min_dx!r} (S_max={s_max!r})"
+            f"dt={dt!r} under collapse threshold {control.dt_min_factor * dx!r} (S_max={s_max!r})"
         )
     if not np.isfinite(dt):
         raise TimeStepCollapse("CFL produced a non-finite dt and no cap was given")

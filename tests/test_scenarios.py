@@ -95,6 +95,10 @@ class TestConfig:
             dict(left=(0.0, 0.0, 1.0, 1.0)),
             dict(left=(1.0, 0.0, 6.0, 6.0)),
             dict(left=(1.0, 0.0, 1.0)),
+            # cell widths that overflow or underflow
+            dict(x_min=-1e308, x_max=1e308, jump_x=0.0),
+            dict(x_min=-1e308, x_max=1.5e308, jump_x=0.0),
+            dict(x_max=1e-320, cells=4096, jump_x=5e-321),
         ],
     )
     def test_validation_rejects(self, patch):
@@ -517,6 +521,20 @@ class TestNonFiniteConfig:
         assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        "x_min = -1e308\nx_max = 1e308\njump_x = 0\n",
+        "x_min = -1e308\nx_max = 1.5e308\njump_x = 0\n",
+        "x_max = 1e-320\ncells = 4096\njump_x = 5e-321\n",
+    ], ids=["overflow", "overflow_1.5e308", "underflow"])
+    def test_cell_width_out_of_range_exits_2(self, tmp_path, capsys, text):
+        # finite bounds whose cell width overflows to inf or underflows to 0
+        p = write_cfg(tmp_path / "c.cfg", text)
+        assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid of ") and "Traceback" not in err
+        assert "is not a positive finite float" in err
         assert not (tmp_path / "out").exists()
 
     def test_zero_dt_min_factor_accepted(self):

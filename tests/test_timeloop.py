@@ -85,20 +85,35 @@ class TestGrid:
         assert np.allclose(g.dx, 0.25)
 
     def test_widths_and_centers_computed_once_and_read_only(self):
-        g = Grid.uniform(0.0, 1.0, 4)
-        assert g.dx is g.dx and g.centers is g.centers
+        # One width, a Python float, whatever the types of the bounds and the
+        # count; the edges are np.linspace's, whose widths may differ from dx
+        # by rounding.
+        g = Grid.uniform(np.float64(-0.3), np.float64(0.7), np.int64(300))
+        assert type(g.dx) is float and g.dx == (0.7 - -0.3) / 300
+        assert np.array_equal(g.edges, np.linspace(-0.3, 0.7, 301))
+        assert g.centers is g.centers and g.edges is g.edges
         with pytest.raises(ValueError):
-            g.dx[0] = 1.0
+            g.edges[0] = 1.0
         with pytest.raises(ValueError):
             g.centers[0] = 1.0
 
     def test_rejects_nonmonotone(self):
-        with pytest.raises(ValueError):
-            Grid(np.array([0.0, 0.5, 0.4, 1.0]))
+        # A width that is not a positive finite float: a reversed domain, one
+        # whose width overflows and one whose cell width underflows to 0.
+        # And a positive width under the spacing of the floats at the domain,
+        # whose linspace edges repeat.
+        for x_min, x_max, n, match in [
+            (1.0, 0.0, 4, "cell width -0.25 is not a positive finite float"),
+            (-1e308, 1e308, 16, "cell width inf "),
+            (0.0, 1e-320, 4096, "cell width 0.0 "),
+            (1.0, np.nextafter(1.0, 2.0), 4, "edges do not strictly increase"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                Grid.uniform(x_min, x_max, n)
 
     def test_rejects_too_few_edges(self):
-        with pytest.raises(ValueError):
-            Grid(np.array([0.0]))
+        with pytest.raises(ValueError, match=r"^grid of 0 cells on \[0\.0, 1\.0\]: cell width nan"):
+            Grid.uniform(0.0, 1.0, 0)
 
 
 class TestBoundaries:
@@ -239,7 +254,7 @@ class TestHomogeneous:
         for i in range(n):
             fl = flux_at_zero(i)
             fr = flux_at_zero(i + 1)
-            ref[:, i] -= dt / grid.dx[i] * (fr - fl)
+            ref[:, i] -= dt / grid.dx * (fr - fl)
         got = out.q[:2]
         assert np.allclose(got, ref, rtol=1e-11, atol=1e-13)
 
@@ -511,7 +526,7 @@ class TestFullStep:
         # cells (4096), and a NaN residual is not within its tolerance.
         cfg = dataclasses.replace(preset_dam_break(10.0, cells=cells),
                                   left=(1.0, 0.0, 1e-300, 1e-300), right=(0.1, 0.0, 1e-300, 1e-300))
-        grid = Grid(np.linspace(cfg.x_min, cfg.x_max, cells + 1))
+        grid = Grid.uniform(cfg.x_min, cfg.x_max, cells)
         state = SimState(0.0, initial_condition(cfg, grid))
         assert (_runs(state) is not None) == (cells >= timeloop_mod.RUNS_MIN_CELLS)
         with np.errstate(all="ignore"):
@@ -585,22 +600,26 @@ class TestFullStep:
         assert abs(diag.momentum - mom0) <= 1e-13 * max(1.0, abs(mom0))
 
     def test_mirror_evolution_bit_exact(self):
-        n = 64
-        grid = Grid.uniform(0.0, 1.0, n)
-        state_f = dam_break_state(n)
-        qm = state_f.q
-        state_m = SimState(
-            0.0,
-            np.array([qm[H, ::-1], -qm[HU, ::-1], qm[HSXX, ::-1], qm[HSZZ, ::-1]]),
-        )
-        control = StepControl()
-        for _ in range(30):
-            state_f, _ = full_step(state_f, grid, P10, control)
-            state_m, _ = full_step(state_m, grid, P10, control)
-        assert np.array_equal(state_m.q[H], state_f.q[H, ::-1])
-        assert np.array_equal(state_m.q[HU], -state_f.q[HU, ::-1])
-        assert np.array_equal(state_m.q[HSXX], state_f.q[HSXX, ::-1])
-        assert np.array_equal(state_m.q[HSZZ], state_f.q[HSZZ, ::-1])
+        # On every uniform grid, including those whose linspace widths differ
+        # by rounding (300 and 1000 cells on [0, 1], 300 on [-0.3, 0.7]):
+        # every cell steps with the one dx.
+        for x_min, x_max, n in [(0.0, 1.0, 64), (0.0, 1.0, 300), (0.0, 1.0, 1000),
+                                (-0.3, 0.7, 300)]:
+            grid = Grid.uniform(x_min, x_max, n)
+            state_f = dam_break_state(n)
+            qm = state_f.q
+            state_m = SimState(
+                0.0,
+                np.array([qm[H, ::-1], -qm[HU, ::-1], qm[HSXX, ::-1], qm[HSZZ, ::-1]]),
+            )
+            control = StepControl()
+            for _ in range(30):
+                state_f, _ = full_step(state_f, grid, P10, control)
+                state_m, _ = full_step(state_m, grid, P10, control)
+            assert np.array_equal(state_m.q[H], state_f.q[H, ::-1])
+            assert np.array_equal(state_m.q[HU], -state_f.q[HU, ::-1])
+            assert np.array_equal(state_m.q[HSXX], state_f.q[HSXX, ::-1])
+            assert np.array_equal(state_m.q[HSZZ], state_f.q[HSZZ, ::-1])
 
     def test_free_energy_with_flux_balance_nonincreasing(self):
         # closed (reflective) domain: total free energy must not grow
@@ -1092,7 +1111,7 @@ class TestRuns:
             m = n // pair * 4 if on_runs else n
             assert sizes == [m + 2, m]
             return
-        grid = Grid(np.linspace(cfg.x_min, cfg.x_max, cfg.cells + 1))
+        grid = Grid.uniform(cfg.x_min, cfg.x_max, cfg.cells)
         full_step(SimState(0.0, initial_condition(cfg, grid)), grid, cfg.params,
                   StepControl(bc=cfg.bc))
         if on_runs:
@@ -1117,7 +1136,7 @@ class TestRuns:
         assert result.steps > 4 and [k for k in scans if k >= cfg.cells] == [cfg.cells]
         assert result.state._carried_runs is not None
         smooth = preset_smooth_wave(10.0, cells=4096, bc="periodic")
-        grid = Grid(np.linspace(smooth.x_min, smooth.x_max, smooth.cells + 1))
+        grid = Grid.uniform(smooth.x_min, smooth.x_max, smooth.cells)
         state = SimState(0.0, initial_condition(smooth, grid))
         scans.clear()
         for _ in range(3):
@@ -1126,23 +1145,25 @@ class TestRuns:
 
     def test_runs_do_not_survive_replace(self):
         cfg = preset_dam_break(10.0, cells=4096)
-        grid = Grid(np.linspace(cfg.x_min, cfg.x_max, cfg.cells + 1))
+        grid = Grid.uniform(cfg.x_min, cfg.x_max, cfg.cells)
         state, _ = full_step(SimState(0.0, initial_condition(cfg, grid)), grid, cfg.params)
         assert state._carried_runs is not None
         assert dataclasses.replace(state, t=1.0)._carried_runs is None
 
     def test_unequal_self_pair_fluxes_step_every_cell(self, monkeypatch):
         # interface_fluxes with f_left's depth row moved where the two sides
-        # are equal, on cells of unequal widths: the step on compressed
-        # cells, which would move every inner cell of a run by its stand-in's
-        # dx, gives way to the step on every cell.
+        # are equal, on a grid whose linspace widths differ by rounding: the
+        # skew moves every inner cell of a run by the same flux difference
+        # over the same dx, so the step on compressed cells still gives the
+        # bits of the step on every cell, with no fallback.
         def skewed(fan):
             f = interface_fluxes(fan)
             f[0, 0, (fan.sides[:4, 0] == fan.sides[:4, 1]).all(axis=0)] += 1e-9
             return f
 
-        grid = Grid(np.linspace(0.0, 1.0, 17) ** 1.5)
-        args = (dam_break_state(16).q, grid, P10, StepControl(), 3)
+        grid = Grid.uniform(0.0, 1.3, 17)
+        assert np.unique(np.diff(grid.edges)).size > 1
+        args = (dam_break_state(17).q, grid, P10, StepControl(), 3)
         plain = with_runs(False, stepped, *args)
         monkeypatch.setattr(timeloop_mod, "interface_fluxes", skewed)
         want = with_runs(False, stepped, *args)
