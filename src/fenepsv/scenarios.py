@@ -210,9 +210,12 @@ def initial_condition(config: RunConfig, grid: Grid) -> np.ndarray:
     if config.scenario == "dam-break":
         ql = Primitive(*map(float, config.left)).conserved()
         qr = Primitive(*map(float, config.right)).conserved()
-        lo = grid.edges[:-1]
-        wl = np.clip((config.jump_x - lo) / grid.dx, 0.0, 1.0)
-        return ql[:, None] * wl + qr[:, None] * (1.0 - wl)
+        wl = np.clip((config.jump_x - grid.edges[:-1]) / grid.dx, 0.0, 1.0)
+        wr = 1.0 - wl
+        q = np.empty((4, grid.n))
+        for row, left, right in zip(q, ql, qr):   # no (4, n) temporary
+            np.add(left * wl, right * wr, out=row)
+        return q
     # smooth-wave: conserved averages by 5-point Gauss-Legendre quadrature
     # per cell, to ~1e-15 on smooth data
     lo = grid.edges[:-1]
@@ -373,6 +376,10 @@ def run(config: RunConfig) -> RunResult:
     landing on an output time is at least half a CFL step, or the whole
     remaining interval, so no landing trips it.
 
+    The run steps from the initial condition itself, with no copy, and a
+    piecewise-constant run stays in run space between steps (see
+    `timeloop.SimState`); the result's state.q is built before the return.
+
     A SolverError from a step leaves with its `failure` record (see
     `_failure_record`); with an outdir, the step's input cells are written
     to failure_q.npy, so that `full_step` on them, at the record's t, with
@@ -383,7 +390,8 @@ def run(config: RunConfig) -> RunResult:
     _grid_text.cache_clear()
     grid = Grid.uniform(config.x_min, config.x_max, config.cells)
     q0 = initial_condition(config, grid)
-    state = SimState(t=0.0, q=q0.copy())
+    q0.flags.writeable = False   # stepped from itself: no step writes to its input
+    state = SimState(t=0.0, q=q0)
     control = StepControl(
         cfl=config.cfl,
         bc=config.bc,
@@ -458,6 +466,7 @@ def run(config: RunConfig) -> RunResult:
                     )
             emit(t_next)
 
+    final_q = state.q   # a state in run space builds its full cells here, not after return
     wall = time.perf_counter() - t0
     result = RunResult(
         config=config,
@@ -474,7 +483,7 @@ def run(config: RunConfig) -> RunResult:
     )
 
     if outdir is not None:
-        write_svg_summary(outdir / "final.svg", grid, q0, state.q, config.params)
+        write_svg_summary(outdir / "final.svg", grid, q0, final_q, config.params)
         payload = {
             "config": config.as_dict(),
             "summary": result.summary(),
@@ -579,7 +588,8 @@ def write_svg_summary(path: Path, grid: Grid, q_init: np.ndarray, q_final: np.nd
         body.extend(_panel_svg(ox, oy, pw, ph, name, grid.centers, y0, y1, x_texts))
     body.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(body) + "\n")
+        for line in body:   # line by line: no copy of the whole text
+            f.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------

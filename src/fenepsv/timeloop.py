@@ -21,10 +21,11 @@ Steps on runs.  A run of equal cells steps like three cells: its first cell,
 one inner cell and its last cell, since every inner cell meets the same
 (left, self, right) cells and every cell of a `Grid` has the one width dx.
 On grids of piecewise-constant data (behind the one gate of `_runs`), the
-step runs on these compressed cells, found from the runs that the state
-carries from the step that made it, and repeats only the new cells and their
-F to full size, for the output, the sums of the diagnostics and the next
-step.  The step on every cell and the step on compressed cells are one body
+step runs on these compressed cells, taken from the runs of the state: the
+runs it carries from the step that made it, or those of one scan.  Its
+result stays in run space: one cell per run, the run's start and length,
+and the cell's F, with no (4, n) array, which `SimState.q` builds on first
+read.  The step on every cell and the step on compressed cells are one body
 (`_step_cells`), and their results are the same bits, errors included.
 """
 
@@ -110,8 +111,9 @@ class DissipationViolation(SolverError):
 class Grid:
     """Uniform 1D finite-volume grid: n cells of one width dx on [x_min, x_max],
     placed by the read-only `edges` (np.linspace's n + 1) and `centers`.
-    Raises ValueError where dx is not a positive finite float or the edges
-    do not strictly increase."""
+    Raises ValueError where dx is not a positive finite float, is subnormal
+    (whose coarse rounding leaves n dx off the domain by whole percents), or
+    the edges do not strictly increase."""
 
     x_min: float
     x_max: float
@@ -123,6 +125,8 @@ class Grid:
         domain = f"grid of {self.n} cells on [{self.x_min!r}, {self.x_max!r}]"
         if not 0.0 < self.dx < np.inf:
             raise ValueError(f"{domain}: cell width {self.dx!r} is not a positive finite float")
+        if self.dx < (tiny := float(np.finfo(float).tiny)):
+            raise ValueError(f"{domain}: cell width {self.dx!r} is subnormal (below {tiny!r})")
         self.edges = np.linspace(self.x_min, self.x_max, self.n + 1)
         if not _holds(self.edges[1:] > self.edges[:-1]):
             raise ValueError(f"{domain}: edges do not strictly increase")
@@ -141,19 +145,41 @@ class SimState:
 
     A state returned by `full_step` also carries (params, F): the free energy
     of its cells, computed and checked by that step, which the next step
-    reuses as its F(q^n).  A state made by the step on runs carries its runs
-    of equal cells too, (starts, lengths) as `model._column_runs` gives
-    them, so the next step finds them without a scan.  Its q array is
-    read-only so that neither can go stale; its t may be set (`run` lands on
-    output times so).  Any other state (built by hand, or by
-    `dataclasses.replace`) carries nothing: `full_step` checks it in full
-    and, on a grid large enough for runs, scans it once.
+    reuses as its F(q^n).  A state made by the step on compressed cells is
+    held in run space: it carries its runs of equal cells as (cells, starts,
+    lengths), one (4, m) column per run and the run's first cell and length
+    as `model._column_runs` gives them, and F per run.  It holds no (4, n)
+    array until q is first read, which repeats the cells by their lengths
+    once and caches the result.  The q of a state returned by `full_step` is
+    read-only, so that what the state carries cannot go stale; its t may be
+    set (`run` lands on output times so).  Any other state (built by hand,
+    or by `dataclasses.replace`, which reads the full q) carries nothing:
+    `full_step` checks it and, on a grid large enough for runs, scans it
+    once.
     """
 
     t: float
     q: np.ndarray
     _carried_f: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _carried_runs: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __getattr__(self, name):
+        # Reached only for the q of a state in run space before its first read.
+        if name != "q" or self._carried_runs is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cells, _, lengths = self._carried_runs
+        self.q = np.repeat(cells, lengths, axis=1)
+        self.q.flags.writeable = False
+        return self.q
+
+
+def _run_state(t: float, cells, starts, lengths, params: PhysParams, f) -> SimState:
+    """The state in run space whose runs are (cells, starts, lengths), with F per run f."""
+    state = object.__new__(SimState)
+    state.t = t
+    state._carried_runs = cells, starts, lengths
+    state._carried_f = params, f
+    return state
 
 
 @dataclass
@@ -243,24 +269,22 @@ def _fan(sides, x, params: PhysParams, strict_subchar: bool):
     return fan, ratio
 
 
-def _runs(state: SimState):
-    """The compressed cells that `full_step` takes state on, or None where
-    stepping every cell costs less.
+def _runs(starts, lengths, n: int):
+    """The compressed cells of n cells whose runs of equal cells start at
+    `starts` and span `lengths` cells, or None where stepping every cell
+    costs less.
 
-    Returns (rep, weight): from each run of equal cells of state.q (carried
-    by the state, or found here), its first cell, its second (runs of 3 or
-    more) and its last (runs of 2 or more), and the number of cells that
-    each stands for, itself and those up to the next one.  Every cell meets
-    the (left, self, right) cells and the dx of the one that stands for it,
-    ghost cells included, since `apply_boundary` pads the compressed cells
-    with the same end cells.  The runs pay when q has at least
+    Returns (rep, weight): from each run, its first cell, its second (runs
+    of 3 or more) and its last (runs of 2 or more), and the number of cells
+    that each stands for, itself and those up to the next one.  Every cell
+    meets the (left, self, right) cells and the dx of the one that stands
+    for it, ghost cells included, since `apply_boundary` pads the compressed
+    cells with the same end cells.  The runs pay when there are at least
     RUNS_MIN_CELLS cells and at most COMPRESSED_MAX_SHARE compressed cells
     per cell; both are read at call time.
     """
-    n = state.q.shape[1]
     if n < RUNS_MIN_CELLS:
         return None
-    starts, lengths = state._carried_runs or _column_runs(state.q)
     # a run of L cells gives min(L, 3) compressed cells
     if starts.size + np.count_nonzero(lengths > 1) + np.count_nonzero(lengths > 2) \
             > COMPRESSED_MAX_SHARE * n:
@@ -450,23 +474,24 @@ def _audit(f_old, f_new, g_flux, d_new, dt: float, dx: float, control: StepContr
     return res, violations
 
 
-def _step_cells(state: SimState, f_old, grid: Grid, params: PhysParams, control: StepControl,
+def _step_cells(t: float, q, f_old, grid: Grid, params: PhysParams, control: StepControl,
                 runs=None):
-    """The step from state, whose cells have free energy f_old, and its
-    diagnostics: `full_step` on every cell, or, with the `_runs` (rep,
-    weight) of state, on the compressed cells rep alone.
+    """The step from time t and the cells q, whose free energy is f_old, and
+    its diagnostics: `full_step` on every cell, or, with the `_runs` (rep,
+    weight) of the grid's cells, on the compressed cells q = cells[:, rep].
 
     Each compressed cell meets the (left, self, right) cells and the dx of
     every cell it stands for, so the fan, the fluxes, G, the ratios, the CFL
     step, the new cells and their residuals are those of every cell bit for
-    bit.  The relaxed cells and their F are repeated by weight; the new
-    state's runs are those of the compressed relaxed cells.
+    bit.  The sums of the diagnostics add each compressed cell's term
+    repeated by its weight, the very array that the step on every cell sums.
+    The new state of the compressed cells is in run space (see SimState):
+    its runs are those of the relaxed compressed cells.
     """
-    q, dx, x, weight = state.q, grid.dx, grid.edges, None
+    dx, x, weight = grid.dx, grid.edges, None
     if runs is not None:
         rep, weight = runs
-        q = np.take(q, rep, axis=1)
-        f_old, x = f_old[rep], x[np.append(rep, grid.n)]
+        x = x[np.append(rep, grid.n)]
     # The fan is held until the step ends.  Freed before the source step, its
     # memory goes to the source step's outputs, the allocator hands the heap
     # top back to the system when the step ends, and the next step faults it
@@ -489,26 +514,35 @@ def _step_cells(state: SimState, f_old, grid: Grid, params: PhysParams, control:
     except SolverError as e:
         e.step_dt = float(dt)
         raise
-    new_runs = None
-    if runs is not None:
-        first, _ = _column_runs(q_new)
-        new_runs = rep[first], np.add.reduceat(weight, first)
-        q_new = np.repeat(q_new, weight, axis=1)
-        f_new = np.repeat(f_new, weight)
+
+    def total(row):
+        terms = row * dx
+        return float((terms if weight is None else np.repeat(terms, weight)).sum())
+
     diag = StepDiagnostics(
         dt=float(dt),
-        mass=float((q_new[H] * dx).sum()),
-        momentum=float((q_new[HU] * dx).sum()),
-        free_energy=float((f_new * dx).sum()),
+        mass=total(q_new[H]),
+        momentum=total(q_new[HU]),
+        free_energy=total(f_new),
         max_dissipation_residual=float(res.max()),
         dissipation_violations=violations,
         worst_subchar_ratio=float(ratio.max()),
     )
+    if runs is not None:
+        first, _ = _column_runs(q_new)
+        return _run_state(t + dt, np.take(q_new, first, axis=1), rep[first],
+                          np.add.reduceat(weight, first), params, f_new[first]), diag
     q_new.flags.writeable = False
-    new_state = SimState(state.t + dt, q_new)
+    new_state = SimState(t + dt, q_new)
     new_state._carried_f = (params, f_new)
-    new_state._carried_runs = new_runs
     return new_state, diag
+
+
+def _checked_free_energy(q, params: PhysParams):
+    """F of the cells q, checked admissible first."""
+    p = primitive(q)
+    require_admissible(p, params, "cell state")
+    return _free_energy(p, params)
 
 
 def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepControl | None = None):
@@ -522,24 +556,46 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     the free energy of the step that made it, see SimState), the cells after
     transport, and the relaxed cells; everything else runs unchecked.  Where
     the runs of equal cells pay (see `_runs`), the step runs on the
-    compressed cells (see `_step_cells`), with the bits of the step on every
-    cell, and the sums see every cell.  A SolverError on the compressed
-    cells is raised again by the step on every cell, so its text, index and
-    count name the cells and interfaces of q.  A SolverError raised after the step chose its dt carries that dt
-    as `step_dt`.
+    compressed cells (see `_step_cells`), taken from the runs that the state
+    carries or, for a state that carries none, from one scan of its cells,
+    whose check and F then run on one cell per run.  Its bits are those of
+    the step on every cell, and it returns a state in run space, whose q is
+    built only when read.  A SolverError on the compressed cells (or on one
+    cell per run) is raised again by the step (or the check) on every cell,
+    so its text, index and count name the cells and interfaces of q.  A
+    SolverError raised after the step chose its dt carries that dt as
+    `step_dt`.
     """
     control = control or StepControl()
+    n = grid.n
     carried = state._carried_f
-    if carried is not None and carried[0] == params:
-        f_old = carried[1]
+    f_old = carried[1] if carried is not None and carried[0] == params else None
+    if state._carried_runs is not None:
+        cells, starts, lengths = state._carried_runs   # f_old, if carried, is per run
+    elif n >= RUNS_MIN_CELLS:
+        cells, (starts, lengths) = None, _column_runs(state.q)
     else:
-        p_old = primitive(state.q)
-        require_admissible(p_old, params, "cell state")
-        f_old = _free_energy(p_old, params)
-    if (runs := _runs(state)) is not None:
+        starts = None
+    runs = None if starts is None else _runs(starts, lengths, n)
+    if runs is None:
+        if f_old is None:
+            f_old = _checked_free_energy(state.q, params)
+        elif state._carried_runs is not None:
+            f_old = np.repeat(f_old, lengths)
+        return _step_cells(state.t, state.q, f_old, grid, params, control)
+    if cells is None:
+        cells = np.take(state.q, starts, axis=1)
+        f_old = None if f_old is None else f_old[starts]
+    if f_old is None:
         try:
-            return _step_cells(state, f_old, grid, params, control, runs)
+            f_old = _checked_free_energy(cells, params)
         except SolverError:
-            _step_cells(state, f_old, grid, params, control)
+            _checked_free_energy(state.q, params)
             raise
-    return _step_cells(state, f_old, grid, params, control)
+    per_run = np.minimum(lengths, 3)
+    try:
+        return _step_cells(state.t, np.repeat(cells, per_run, axis=1), np.repeat(f_old, per_run),
+                           grid, params, control, runs)
+    except SolverError:
+        _step_cells(state.t, state.q, np.repeat(f_old, lengths), grid, params, control)
+        raise

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -244,6 +245,65 @@ class TestRunDriver:
         assert len(root.findall(".//s:polyline", ns)) == 8  # 2 series x 4 panels
         titles = {t.text for t in root.findall(".//s:text", ns)}
         assert {"h", "u", "sigma_xx", "sigma_zz"} <= titles
+
+
+class TestRunSpace:
+    """run() keeps a piecewise-constant run in run space, from its initial
+    condition to its result, with the bits of the run on every cell."""
+
+    def test_peak_memory_of_a_large_dam_break(self):
+        # q0, the grid and the result, and no step's full-size arrays: at
+        # most three (4, n) states traced at the peak.
+        n = 16384
+        cfg = preset_dam_break(10.0, cells=n, t_end=3e-4)
+        tracemalloc.start()
+        try:
+            res = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.steps > 10 and res.state._carried_runs is not None
+        assert peak <= 3 * 4 * 8 * n
+
+    def test_result_holds_full_arrays(self):
+        res = run(preset_dam_break(10.0, cells=4096, t_end=1e-3))
+        assert res.state._carried_runs is not None and "q" in vars(res.state)
+        assert res.state.q.shape == res.initial.shape == (4, 4096)
+        # Stepped from itself, the initial condition is read-only: with no
+        # step, the result's q is it, and a write to either raises.
+        res = run(preset_dam_break(10.0, cells=4096, t_end=0.0))
+        assert res.steps == 0 and res.state.q is res.initial
+        with pytest.raises(ValueError, match="read-only"):
+            res.state.q[0, 0] = 2.0
+
+    def test_parity_with_the_run_on_every_cell(self, tmp_path):
+        # A reflective dam break of 4096 cells with 4 snapshots, in run space
+        # and with RUNS_MIN_CELLS above n: the same final cells, the same
+        # seven diagnostics of every step and the same snapshot bytes.
+        import fenepsv.scenarios as scenarios_mod
+
+        cfg = preset_dam_break(10.0, cells=4096, t_end=0.01, snapshots=4, bc="reflective")
+
+        def solve(name, min_cells):
+            diags, in_runs = [], []
+
+            def recording(*args):
+                state, diag = timeloop_mod.full_step(*args)
+                diags.append(dataclasses.astuple(diag))
+                in_runs.append(state._carried_runs is not None)
+                return state, diag
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scenarios_mod, "full_step", recording)
+                mp.setattr(timeloop_mod, "RUNS_MIN_CELLS", min_cells)
+                res = run(dataclasses.replace(cfg, outdir=str(tmp_path / name)))
+            snapshots = [(tmp_path / name / f).read_bytes() for f in res.snapshot_files]
+            return res.state.q.tobytes(), np.array(diags).tobytes(), snapshots, in_runs
+
+        *on_runs, in_runs = solve("runs", timeloop_mod.RUNS_MIN_CELLS)
+        *every_cell, in_cells = solve("every_cell", cfg.cells + 1)
+        assert all(in_runs) and not any(in_cells) and len(on_runs[2]) == 5
+        assert on_runs == every_cell
 
 
 def _loop_rows(cols):
@@ -523,18 +583,20 @@ class TestNonFiniteConfig:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text", [
-        "x_min = -1e308\nx_max = 1e308\njump_x = 0\n",
-        "x_min = -1e308\nx_max = 1.5e308\njump_x = 0\n",
-        "x_max = 1e-320\ncells = 4096\njump_x = 5e-321\n",
-    ], ids=["overflow", "overflow_1.5e308", "underflow"])
-    def test_cell_width_out_of_range_exits_2(self, tmp_path, capsys, text):
-        # finite bounds whose cell width overflows to inf or underflows to 0
+    @pytest.mark.parametrize("text, message", [
+        ("x_min = -1e308\nx_max = 1e308\njump_x = 0\n", "is not a positive finite float"),
+        ("x_min = -1e308\nx_max = 1.5e308\njump_x = 0\n", "is not a positive finite float"),
+        ("x_max = 1e-320\ncells = 4096\njump_x = 5e-321\n", "is not a positive finite float"),
+        ("x_max = 1e-320\ncells = 1000\njump_x = 5e-321\n", "cell width 1e-323 is subnormal"),
+    ], ids=["overflow", "overflow_1.5e308", "underflow", "subnormal"])
+    def test_cell_width_out_of_range_exits_2(self, tmp_path, capsys, text, message):
+        # finite bounds whose cell width overflows to inf, underflows to 0 or
+        # is subnormal
         p = write_cfg(tmp_path / "c.cfg", text)
         assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: grid of ") and "Traceback" not in err
-        assert "is not a positive finite float" in err
+        assert message in err
         assert not (tmp_path / "out").exists()
 
     def test_zero_dt_min_factor_accepted(self):

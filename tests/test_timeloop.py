@@ -34,6 +34,7 @@ from fenepsv.model import (
     internal_energy,
     normal_stress,
     primitive,
+    require_admissible,
     total_pressure,
 )
 from fenepsv.oracles import newton_source_2x2, sample_states
@@ -99,13 +100,15 @@ class TestGrid:
 
     def test_rejects_nonmonotone(self):
         # A width that is not a positive finite float: a reversed domain, one
-        # whose width overflows and one whose cell width underflows to 0.
-        # And a positive width under the spacing of the floats at the domain,
-        # whose linspace edges repeat.
+        # whose width overflows and one whose cell width underflows to 0.  A
+        # subnormal width, two units of the smallest subnormal here, whose n
+        # widths miss the domain by 1.2%.  And a positive width under the
+        # spacing of the floats at the domain, whose linspace edges repeat.
         for x_min, x_max, n, match in [
             (1.0, 0.0, 4, "cell width -0.25 is not a positive finite float"),
             (-1e308, 1e308, 16, "cell width inf "),
             (0.0, 1e-320, 4096, "cell width 0.0 "),
+            (0.0, 1e-320, 1000, r"cell width 1e-323 is subnormal \(below 2.2250738585072014e-308\)"),
             (1.0, np.nextafter(1.0, 2.0), 4, "edges do not strictly increase"),
         ]:
             with pytest.raises(ValueError, match=match):
@@ -528,7 +531,7 @@ class TestFullStep:
                                   left=(1.0, 0.0, 1e-300, 1e-300), right=(0.1, 0.0, 1e-300, 1e-300))
         grid = Grid.uniform(cfg.x_min, cfg.x_max, cells)
         state = SimState(0.0, initial_condition(cfg, grid))
-        assert (_runs(state) is not None) == (cells >= timeloop_mod.RUNS_MIN_CELLS)
+        assert (runs_of(state.q) is not None) == (cells >= timeloop_mod.RUNS_MIN_CELLS)
         with np.errstate(all="ignore"):
             _, diag = full_step(state, grid, cfg.params)
             assert np.isnan(diag.max_dissipation_residual) and diag.dissipation_violations == cells
@@ -842,6 +845,18 @@ def with_runs(on, call, *args):
         return runs_outcome(call, *args)
 
 
+def runs_of(q):
+    """The `_runs` (rep, weight) of the cells q, from one scan, or None."""
+    return _runs(*_column_runs(q), q.shape[1])
+
+
+def carried_f(state):
+    """The free energy that state carries, per cell (a state in run space
+    carries it per run)."""
+    f = state._carried_f[1]
+    return f if state._carried_runs is None else np.repeat(f, state._carried_runs[2])
+
+
 def compressed(q, runs):
     """The cells of the (4, n) array q that the `_runs` (rep, weight) keep."""
     return q[:, runs[0]]
@@ -854,7 +869,7 @@ def fluxes(q, grid, params, control):
     interface repeated by its weight, and an error on the compressed cells
     is raised again by `_fluxes` on every cell, as `full_step` raises it
     again by the step on every cell."""
-    if (runs := _runs(SimState(0.0, q))) is None:
+    if (runs := runs_of(q)) is None:
         *arrays, dt, _ = _fluxes(q, grid.edges, grid, params, control)
         return [*arrays, np.float64(dt)]
     rep, weight = runs
@@ -877,7 +892,7 @@ def stepped(q, grid, params, control, steps=3, f_old=None):
     try:
         for _ in range(steps):
             state, diag = full_step(state, grid, params, control)
-            out += [np.float64(state.t), state.q, state._carried_f[1],
+            out += [np.float64(state.t), state.q, carried_f(state),
                     np.array(dataclasses.astuple(diag), dtype=float)]
     except SolverError as e:
         out.append(e)
@@ -917,7 +932,7 @@ class TestRuns:
         n = q.shape[1]
         with pytest.MonkeyPatch.context() as mp:
             force_runs(mp)
-            runs = rep, weight = _runs(SimState(0.0, q))
+            runs = rep, weight = runs_of(q)
         starts, lengths = _column_runs(q)
         want = sorted({k for s, last in zip(starts.tolist(), (starts + lengths - 1).tolist())
                        for k in (s, min(s + 1, last), last)})
@@ -950,17 +965,26 @@ class TestRuns:
 
     @given(run_cases())
     def test_carried_runs_are_the_runs_of_the_cells(self, case):
+        # The runs, cells and F that each state in run space carries are
+        # those of the same steps on every cell.
         params, q, bc, strict = case
-        grid = Grid.uniform(0.0, 1.0, q.shape[1])
-        state = SimState(0.0, q)
-        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-            force_runs(mp)
+        grid, control = Grid.uniform(0.0, 1.0, q.shape[1]), StepControl(bc=bc, strict_subchar=strict)
+        on_runs = on_cells = SimState(0.0, q)
+        with np.errstate(all="ignore"):
             try:
                 for _ in range(4):
-                    state, _ = full_step(state, grid, params,
-                                         StepControl(bc=bc, strict_subchar=strict))
-                    want = _column_runs(state.q)
-                    assert [a.tolist() for a in state._carried_runs] == [a.tolist() for a in want]
+                    with pytest.MonkeyPatch.context() as mp:
+                        force_runs(mp)
+                        on_runs, _ = full_step(on_runs, grid, params, control)
+                    with pytest.MonkeyPatch.context() as mp:
+                        force_runs(mp, False)
+                        on_cells, _ = full_step(on_cells, grid, params, control)
+                    cells, starts, lengths = on_runs._carried_runs
+                    assert on_cells._carried_runs is None
+                    want = _column_runs(on_cells.q)
+                    assert [starts.tolist(), lengths.tolist()] == [a.tolist() for a in want]
+                    assert cells.tobytes() == on_cells.q[:, starts].tobytes()
+                    assert on_runs._carried_f[1].tobytes() == on_cells._carried_f[1][starts].tobytes()
             except SolverError:
                 pass
 
@@ -1041,9 +1065,6 @@ class TestRuns:
         n = timeloop_mod.RUNS_MIN_CELLS
         share = timeloop_mod.COMPRESSED_MAX_SHARE
 
-        def runs(a):
-            return _runs(SimState(0.0, a))
-
         distinct = np.arange(1.0, 4.0 * n + 1.0).reshape(4, n)
         # Runs of L >= 3 equal cells have 3 / L compressed cells per cell:
         # `short` cells per run are one too few for the gate, `short + 1`
@@ -1051,11 +1072,11 @@ class TestRuns:
         short = int(np.ceil(3.0 / share)) - 1
         sparse = np.repeat(distinct[:, : n // short + 1], short, axis=1)
         for a in (np.ones((4, n - 1)), distinct, sparse):
-            assert runs(a) is None
-        rep, weight = runs(np.ones((4, n)))
+            assert runs_of(a) is None
+        rep, weight = runs_of(np.ones((4, n)))
         assert rep.tolist() == [0, 1, n - 1] and weight.tolist() == [1, n - 2, 1]
         dense = np.repeat(distinct[:, : n // (short + 1) + 1], short + 1, axis=1)
-        rep, weight = runs(dense)
+        rep, weight = runs_of(dense)
         assert rep.size == 3 * (n // (short + 1) + 1) <= share * dense.shape[1]
 
     def test_ghost_cells_of_compressed_cells_are_those_of_every_cell(self):
@@ -1069,7 +1090,7 @@ class TestRuns:
         a = np.repeat(np.array([[1.0, 0.0, 1.0, 1.0], [0.1, 0.0, 0.1, 0.1]] * 2).T, n // 4, axis=1)
         for cells, bc in ((a, "transmissive"), (a, "reflective"), (a, "periodic"),
                           (a[:, : 3 * n // 4], "periodic")):
-            runs = _runs(SimState(0.0, cells))
+            runs = runs_of(cells)
             assert runs[0].size == 3 * cells.shape[1] // (n // 4), bc
             ghosts = [apply_boundary(q, bc)[:, [0, -1]]
                       for q in (cells, compressed(cells, runs))]
@@ -1176,6 +1197,8 @@ class TestRuns:
         assert state._carried_runs is not None
         q_new, f_new = state.q, state._carried_f[1]
         assert q_new.base is None and q_new.shape == (4, 16) and f_new.base is None
+        cells = state._carried_runs[0]
+        assert cells.base is None and cells.flags.c_contiguous
 
     def test_source_postcondition_error_names_cells(self, monkeypatch):
         # An F that the relaxation raises: the check's worst entry and count are per cell.
@@ -1188,6 +1211,68 @@ class TestRuns:
         assert want[0][0] is SourceSolveFailure and want[0][2] == (7,)
         assert want[0][1].endswith("(10 offending entries)")
         assert with_runs(True, stepped, *args) == want
+
+
+class TestRunSpace:
+    """A state made by the step on compressed cells holds its runs, with no
+    (4, n) array until its q is read."""
+
+    n = 4096
+
+    def stepped(self, q=None, params=P10):
+        grid = Grid.uniform(0.0, 1.0, self.n)
+        state = SimState(0.0, dam_break_state(self.n).q if q is None else q)
+        return full_step(state, grid, params)[0]
+
+    def test_q_is_built_on_first_read_and_cached(self):
+        state = self.stepped()
+        assert "q" not in vars(state)
+        cells, starts, lengths = state._carried_runs
+        assert cells.shape == (4, starts.size) and lengths.sum() == self.n
+        assert state._carried_f[1].shape == starts.shape
+        q = state.q
+        assert vars(state)["q"] is q and state.q is q and not q.flags.writeable
+        assert q.shape == (4, self.n) and q.tobytes() == np.repeat(cells, lengths, axis=1).tobytes()
+
+    def test_replace_reads_the_full_q_and_carries_nothing(self):
+        state = self.stepped()
+        plain = dataclasses.replace(state, t=1.0)
+        assert plain.t == 1.0 and plain.q is state.q and plain.q.shape == (4, self.n)
+        assert plain._carried_f is None and plain._carried_runs is None
+        assert vars(plain)["q"] is plain.q
+
+    def test_built_by_hand_from_t_and_q(self):
+        q = dam_break_state(self.n).q
+        state = SimState(t=0.25, q=q)
+        assert state.t == 0.25 and state.q is q
+        assert state._carried_f is None and state._carried_runs is None
+
+    @pytest.mark.parametrize("case", ["one cell", "whole run", "new params"])
+    def test_inadmissible_runs_raise_the_every_cell_error(self, case):
+        # The check on one cell per run fails, and the check on every cell
+        # gives the error: one cell inside the left run of 2048 cells (a run
+        # of its own), the whole right run of 2048 cells, and every cell of a
+        # state in run space checked under an ell below its traces.
+        q = dam_break_state(self.n).q.copy()
+        params, state = P10, None
+        if case == "one cell":
+            q[HSXX, 1000] = -q[HSXX, 1000]
+        elif case == "whole run":
+            q[HSXX, 2048:] = 20.0 * q[H, 2048:]
+        else:
+            q[HSXX:] *= 1.5   # traces of 3
+            state, params = self.stepped(q), dataclasses.replace(P10, ell=2.5)
+            assert state._carried_runs is not None
+            q = state.q
+        assert runs_of(q) is not None
+        with pytest.raises(AdmissibilityError) as want:
+            require_admissible(primitive(q), params, "cell state")
+        with pytest.raises(AdmissibilityError) as got:
+            full_step(SimState(0.0, q) if state is None else state, Grid.uniform(0.0, 1.0, self.n),
+                      params)
+        assert (str(got.value), got.value.index) == (str(want.value), want.value.index)
+        count = {"one cell": 1, "whole run": 2048, "new params": self.n}[case]
+        assert str(want.value).endswith(f"({count} offending entries)")
 
 
 class TestCarry:
