@@ -73,6 +73,14 @@ printf 'scenario = uniform\ncells = 16\n' >"$work/uniform.cfg"
 # A right depth of 1e-300: the fan's star depths come out non-positive, which
 # the fan's own checks report as a StarStateError (exit 3).
 printf 'cells = 64\nright_h = 1e-300\n' >"$work/fan_fail.cfg"
+# Settings that a type checks when the config is built: an unknown boundary
+# kind and a negative collapse factor (checked by the step's control), a
+# boolean that is not one and an empty value (checked by the parser).  Each is
+# a config error (exit 2).
+printf 'bc = open\n' >"$work/bc_open.cfg"
+printf 'dt_min_factor = -1\n' >"$work/dt_min_factor.cfg"
+printf 'strict_subchar = maybe\n' >"$work/strict_maybe.cfg"
+printf 'cells =\n' >"$work/cells_empty.cfg"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
@@ -116,5 +124,8 @@ if ! grep -q 'StarStateError' "$work/fan_fail/run.json"; then
     echo "FAIL: the run whose fan failed wrote no StarStateError into run.json" >&2
     status=1
 fi
+for case in bc_open dt_min_factor strict_maybe cells_empty; do
+    expect 2 "$@" solve --config "$work/$case.cfg" --out "$work/$case"
+done
 expect 2 "$@" check --samples 0
 exit $status

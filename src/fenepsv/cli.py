@@ -6,9 +6,11 @@ Subcommands:
   check     run the self-verification oracle battery
 
 Configuration comes from a flat `key = value` file (`#` starts a comment);
-command-line flags override file values.  Exit codes: 0 success, 2 bad
-configuration, 3 solver failure, 4 free-energy dissipation violation when
---strict-dissipation is active.
+command-line flags override file values.  The command line only parses:
+`RunConfig` checks the merged settings when it is built, and `run` writes
+every artifact of a solve, the error run.json of a failed one included.
+Exit codes: 0 success, 2 bad configuration, 3 solver failure, 4 free-energy
+dissipation violation when --strict-dissipation is active.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import json
 import sys
 from pathlib import Path
 
-from .model import PhysParams, SolverError
-from .scenarios import SCENARIOS, ConfigError, RunConfig, convergence_study, preset_dam_break, run
+from .model import SolverError
+from .scenarios import (SCENARIOS, ConfigError, RunConfig, _params_or_error, convergence_study,
+                        preset_dam_break, run)
 from .timeloop import BOUNDARY_KINDS, DissipationViolation
 
 __all__ = ["main", "parse_config_file", "build_config"]
@@ -95,24 +98,19 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def build_config(file_values: dict, overrides: dict) -> RunConfig:
-    """Merge defaults <- config file <- CLI flags into a validated RunConfig."""
+    """Merge defaults <- config file <- CLI flags into a RunConfig (which checks itself)."""
     merged = dict(_DEFAULTS)
     merged.update(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        params = PhysParams(
-            g=merged["g"], G=merged["G"], lam=merged["lambda"],
-            zeta=merged["zeta"], ell=merged["ell"],
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    cfg = RunConfig(
+    params = _params_or_error(
+        g=merged["g"], G=merged["G"], lam=merged["lambda"], zeta=merged["zeta"], ell=merged["ell"],
+    )
+    return RunConfig(
         params=params,
         left=tuple(merged[f"left_{k}"] for k in _STATE_KEYS),
         right=tuple(merged[f"right_{k}"] for k in _STATE_KEYS),
         **{k: merged[k] for k in _RUN_KEYS},
     )
-    return cfg.validated()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,24 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _write_error_record(cfg: RunConfig, exc: SolverError) -> None:
-    try:
-        path = Path(cfg.outdir)
-        path.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "status": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-            "config": cfg.as_dict(),
-        }
-        if exc.failure is not None:
-            payload["failure"] = exc.failure
-        with open(path / "run.json", "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-    except OSError:
-        pass
-
-
 def _cmd_solve(args) -> int:
     overrides = {
         "scenario": args.scenario,
@@ -184,11 +164,7 @@ def _cmd_solve(args) -> int:
     cfg = build_config(parse_config_file(args.config), overrides)
     if cfg.outdir is None:
         cfg = dataclasses.replace(cfg, outdir="out")
-    try:
-        result = run(cfg)
-    except SolverError as e:
-        _write_error_record(cfg, e)
-        raise
+    result = run(cfg)
     s = result.summary()
     print(
         f"completed {s['steps']} steps to t={s['final_time']:g} "

@@ -35,13 +35,7 @@ from .model import (
     primitive,
     require_admissible,
 )
-from .timeloop import (
-    BOUNDARY_KINDS,
-    Grid,
-    SimState,
-    StepControl,
-    full_step,
-)
+from .timeloop import Grid, SimState, StepControl, full_step
 
 __all__ = [
     "ConfigError",
@@ -81,12 +75,13 @@ class StepBudgetExceeded(SolverError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete description of one run.
+    """Complete description of one run, checked when built (ConfigError).
 
     `left`/`right` are (h, u, sigma_xx, sigma_zz) quadruples; `uniform` uses
     only `left`, `smooth-wave` ignores both and modulates an equilibrium
     state.  `outdir=None` runs without writing any files.  `max_steps` caps
-    the number of steps (None: no cap).
+    the number of steps (None: no cap).  The domain is checked by building
+    its `Grid`, and cfl, bc and dt_min_factor by building a `StepControl`.
     """
 
     params: PhysParams
@@ -107,24 +102,19 @@ class RunConfig:
     dt_min_factor: float = 1e-12
     max_steps: int | None = None
 
-    def validated(self) -> "RunConfig":
+    def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if self.bc not in BOUNDARY_KINDS:
-            raise ConfigError(f"unknown bc {self.bc!r}; choose from {BOUNDARY_KINDS}")
-        for name in ("x_min", "x_max", "t_end", "jump_x", "dt_min_factor"):
+        for name in ("t_end", "jump_x"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        try:   # x_max > x_min, cells >= 1 and a representable cell width
+        try:
             Grid.uniform(self.x_min, self.x_max, self.cells)
+            StepControl(cfl=self.cfl, bc=self.bc, dt_min_factor=self.dt_min_factor)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         if not self.t_end >= 0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
-        if not 0.0 < self.cfl <= 0.5:
-            raise ConfigError(f"cfl must lie in (0, 1/2], got {self.cfl}")
-        if not self.dt_min_factor >= 0:
-            raise ConfigError(f"dt_min_factor must be >= 0, got {self.dt_min_factor}")
         if self.snapshots < 1:
             raise ConfigError(f"snapshots must be >= 1, got {self.snapshots}")
         steps = self.max_steps
@@ -143,11 +133,9 @@ class RunConfig:
                 p = Primitive(*map(float, vals))
                 if not np.all(is_admissible(p, self.params)):
                     raise ConfigError(f"{side} state {tuple(vals)} is not admissible")
-        return self
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["params"] = dataclasses.asdict(self.params)
         d["left"] = list(map(float, self.left))
         d["right"] = list(map(float, self.right))
         return d
@@ -175,7 +163,7 @@ def preset_dam_break(ell: float, cells: int = 256, **overrides) -> RunConfig:
         left=(1.0, 0.0, 1.0, 1.0),
         right=(0.1, 0.0, 1.0, 1.0),
     )
-    return dataclasses.replace(cfg, **overrides).validated()
+    return dataclasses.replace(cfg, **overrides)
 
 
 def preset_uniform(ell: float = 10.0, **overrides) -> RunConfig:
@@ -183,14 +171,14 @@ def preset_uniform(ell: float = 10.0, **overrides) -> RunConfig:
     params = _params_or_error(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=float(ell))
     se = equilibrium_sigma(params)
     cfg = RunConfig(params=params, scenario="uniform", left=(1.0, 0.0, se, se), t_end=0.1)
-    return dataclasses.replace(cfg, **overrides).validated()
+    return dataclasses.replace(cfg, **overrides)
 
 
 def preset_smooth_wave(ell: float = 10.0, **overrides) -> RunConfig:
     """Periodic smooth pulse over an equilibrium conformation, for grid studies."""
     params = _params_or_error(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=float(ell))
     cfg = RunConfig(params=params, scenario="smooth-wave", bc="periodic", t_end=0.05)
-    return dataclasses.replace(cfg, **overrides).validated()
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _smooth_primitive(x, config: RunConfig):
@@ -363,6 +351,12 @@ def _failure_record(error: SolverError, state: SimState, step: int, dt, max_dt: 
     return record
 
 
+def _write_run_json(outdir: Path, config: RunConfig, **record) -> None:
+    with open(outdir / "run.json", "w", encoding="utf-8") as f:
+        json.dump({"config": config.as_dict(), **record}, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def run(config: RunConfig) -> RunResult:
     """Integrate the configured scenario and write its artifacts.
 
@@ -381,11 +375,11 @@ def run(config: RunConfig) -> RunResult:
     `timeloop.SimState`); the result's state.q is built before the return.
 
     A SolverError from a step leaves with its `failure` record (see
-    `_failure_record`); with an outdir, the step's input cells are written
-    to failure_q.npy, so that `full_step` on them, at the record's t, with
-    the config's control and the record's max_dt, raises the error again.
+    `_failure_record`).  With an outdir, every SolverError leaves its error
+    run.json there and, from a step, failure_q.npy: the step's input cells,
+    so that `full_step` on them, at the record's t, with the config's
+    control and the record's max_dt, raises the error again.
     """
-    config = config.validated()
     t0 = time.perf_counter()
     _grid_text.cache_clear()
     grid = Grid.uniform(config.x_min, config.x_max, config.cells)
@@ -418,8 +412,6 @@ def run(config: RunConfig) -> RunResult:
     targets[-1] = config.t_end
     if config.t_end == 0.0:
         targets = [0.0]
-    emit(0.0)
-
     min_dt = np.inf
     violations = 0
     worst_subchar = 0.0
@@ -430,41 +422,50 @@ def run(config: RunConfig) -> RunResult:
         if outdir is not None
         else contextlib.nullcontext()
     )
-    with diag_csv as diag_file:
-        if diag_file is not None:
-            diag_file.write(_DIAGNOSTICS_HEADER)
-        for t_next in targets[1:]:
-            while state.t < t_next:
-                if steps == config.max_steps:
-                    raise StepBudgetExceeded(
-                        f"step budget of {steps} steps spent before t_end={config.t_end!r}: "
-                        f"step {steps} ended at t={state.t!r} with dt={diag.dt!r}"
-                    )
-                remaining = t_next - state.t
-                control.max_dt = remaining   # run's own control: no copy per step
-                try:
-                    state, diag = full_step(state, grid, config.params, control)
-                except SolverError as e:
-                    e.failure = _failure_record(e, state, steps + 1, diag.dt if steps else None,
-                                                remaining)
-                    if outdir is not None:
-                        np.save(outdir / "failure_q.npy", state.q)
-                    raise
-                if diag.dt == remaining:
-                    state.t = t_next   # the step's own state keeps its carried free energy
-                steps += 1
-                min_dt = min(min_dt, diag.dt)
-                violations += diag.dissipation_violations
-                worst_subchar = max(worst_subchar, diag.worst_subchar_ratio)
-                if diag_file is not None:
-                    diag_file.write(_diagnostics_row(steps, state.t, diag))
-                if (RUN_STEP_LIMIT - steps) * diag.dt < config.t_end - state.t:
-                    raise StepBudgetExceeded(
-                        f"t_end={config.t_end!r} out of reach: step {steps} ended at "
-                        f"t={state.t!r} with dt={diag.dt!r}, which projects more than "
-                        f"{RUN_STEP_LIMIT} steps"
-                    )
-            emit(t_next)
+    try:
+        with diag_csv as diag_file:
+            emit(0.0)
+            if diag_file is not None:
+                diag_file.write(_DIAGNOSTICS_HEADER)
+            for t_next in targets[1:]:
+                while state.t < t_next:
+                    if steps == config.max_steps:
+                        raise StepBudgetExceeded(
+                            f"step budget of {steps} steps spent before t_end={config.t_end!r}: "
+                            f"step {steps} ended at t={state.t!r} with dt={diag.dt!r}"
+                        )
+                    remaining = t_next - state.t
+                    control.max_dt = remaining   # run's own control: no copy per step
+                    try:
+                        state, diag = full_step(state, grid, config.params, control)
+                    except SolverError as e:
+                        e.failure = _failure_record(e, state, steps + 1,
+                                                    diag.dt if steps else None, remaining)
+                        if outdir is not None:
+                            np.save(outdir / "failure_q.npy", state.q)
+                        raise
+                    if diag.dt == remaining:
+                        state.t = t_next   # the step's own state keeps its carried free energy
+                    steps += 1
+                    min_dt = min(min_dt, diag.dt)
+                    violations += diag.dissipation_violations
+                    worst_subchar = max(worst_subchar, diag.worst_subchar_ratio)
+                    if diag_file is not None:
+                        diag_file.write(_diagnostics_row(steps, state.t, diag))
+                    if (RUN_STEP_LIMIT - steps) * diag.dt < config.t_end - state.t:
+                        raise StepBudgetExceeded(
+                            f"t_end={config.t_end!r} out of reach: step {steps} ended at "
+                            f"t={state.t!r} with dt={diag.dt!r}, which projects more than "
+                            f"{RUN_STEP_LIMIT} steps"
+                        )
+                emit(t_next)
+    except SolverError as e:
+        if outdir is not None:
+            failure = {} if e.failure is None else {"failure": e.failure}
+            with contextlib.suppress(OSError):   # the solver error leaves, not a write error
+                _write_run_json(outdir, config, status="error",
+                                error=f"{type(e).__name__}: {e}", **failure)
+        raise
 
     final_q = state.q   # a state in run space builds its full cells here, not after return
     wall = time.perf_counter() - t0
@@ -484,14 +485,7 @@ def run(config: RunConfig) -> RunResult:
 
     if outdir is not None:
         write_svg_summary(outdir / "final.svg", grid, q0, final_q, config.params)
-        payload = {
-            "config": config.as_dict(),
-            "summary": result.summary(),
-            "snapshots": snapshot_files,
-        }
-        with open(outdir / "run.json", "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_run_json(outdir, config, summary=result.summary(), snapshots=snapshot_files)
     return result
 
 

@@ -184,7 +184,8 @@ def _run_state(t: float, cells, starts, lengths, params: PhysParams, f) -> SimSt
 
 @dataclass
 class StepControl:
-    """Knobs of a single step; defaults reproduce the plain audited scheme."""
+    """Knobs of a single step, checked when built (ValueError); defaults
+    reproduce the plain audited scheme."""
 
     cfl: float = 0.5
     bc: str = "transmissive"
@@ -198,6 +199,10 @@ class StepControl:
             raise ValueError(f"cfl must lie in (0, 1/2], got {self.cfl}")
         if self.bc not in BOUNDARY_KINDS:
             raise ValueError(f"bc must be one of {BOUNDARY_KINDS}, got {self.bc!r}")
+        if not 0.0 <= self.dt_min_factor < np.inf:
+            raise ValueError(f"dt_min_factor must be finite and >= 0, got {self.dt_min_factor}")
+        if self.max_dt is not None and not 0.0 < self.max_dt < np.inf:
+            raise ValueError(f"max_dt must be unset or finite and > 0, got {self.max_dt}")
 
 
 @dataclass
@@ -314,7 +319,7 @@ def _fluxes(q: np.ndarray, x, grid: Grid, params: PhysParams, control: StepContr
     del padded   # the padded cells are not read again
     fan, ratio = _fan(interface_sides(cells), x, params, control.strict_subchar)
     dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)
-    if control.max_dt is not None and np.isfinite(control.max_dt):
+    if control.max_dt is not None:
         if dt >= control.max_dt:
             dt = control.max_dt
         elif dt >= 0.5 * control.max_dt:

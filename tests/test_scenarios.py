@@ -105,11 +105,16 @@ class TestConfig:
     def test_validation_rejects(self, patch):
         cfg = preset_dam_break(10.0)
         with pytest.raises(ConfigError):
-            dataclasses.replace(cfg, **patch).validated()
+            dataclasses.replace(cfg, **patch)
 
     def test_t_end_zero_accepted(self):
-        cfg = dataclasses.replace(preset_dam_break(10.0), t_end=0.0).validated()
+        cfg = dataclasses.replace(preset_dam_break(10.0), t_end=0.0)
         assert cfg.t_end == 0.0
+
+    def test_step_settings_checked_when_built(self):
+        # dt_min_factor is checked by the StepControl that the config builds
+        with pytest.raises(ConfigError, match="^dt_min_factor must be finite and >= 0, got nan$"):
+            dataclasses.replace(preset_dam_break(10.0), dt_min_factor=np.nan)
 
 
 class TestInitialCondition:
@@ -123,7 +128,7 @@ class TestInitialCondition:
 
     def test_dam_break_split_cell_exact_average(self):
         # 10 cells on [0,1], jump at 0.43: cell 4 holds 30% left, 70% right
-        cfg = dataclasses.replace(preset_dam_break(10.0), cells=10, jump_x=0.43).validated()
+        cfg = dataclasses.replace(preset_dam_break(10.0), cells=10, jump_x=0.43)
         grid = Grid.uniform(0.0, 1.0, 10)
         q = initial_condition(cfg, grid)
         assert q[H, 4] == pytest.approx(0.3 * 1.0 + 0.7 * 0.1, rel=1e-14)
@@ -201,6 +206,14 @@ class TestRunDriver:
         assert (tmp_path / "final.svg").exists()
         lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
         assert len(lines) == 1  # header only
+
+    def test_snapshot_names_collide_at_six_decimals(self, tmp_path):
+        # 1e-07, 2e-07 and 3e-07 all read 0.000000: each later name takes the time's repr
+        cfg = preset_dam_break(10.0, cells=16, outdir=str(tmp_path), t_end=3e-7, snapshots=3)
+        names = ["snapshot_0.000000.csv", "snapshot_1e-07.csv", "snapshot_2e-07.csv",
+                 "snapshot_3e-07.csv"]
+        assert run(cfg).snapshot_files == names
+        assert sorted(p.name for p in tmp_path.glob("snapshot_*")) == sorted(names)
 
     def test_uniform_equilibrium_run_stationary(self):
         cfg = preset_uniform(10.0, cells=16, t_end=0.05)
@@ -532,6 +545,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config_file(tmp_path / "absent.cfg")
 
+    @pytest.mark.parametrize("text, message", [
+        ("strict_subchar = maybe\n", "bad value for 'strict_subchar': not a boolean: 'maybe'"),
+        ("cells =\n", "empty value for 'cells'"),
+    ])
+    def test_bad_bool_and_empty_value(self, tmp_path, text, message):
+        p = write_cfg(tmp_path / "c.cfg", text)
+        with pytest.raises(ConfigError, match=re.escape(f"{p}:1: {message}")):
+            parse_config_file(p)
+
     def test_bool_values(self, tmp_path):
         p = write_cfg(tmp_path / "c.cfg", "strict_dissipation = true\nstrict_subchar = off\n")
         vals = parse_config_file(p)
@@ -600,7 +622,7 @@ class TestNonFiniteConfig:
         assert not (tmp_path / "out").exists()
 
     def test_zero_dt_min_factor_accepted(self):
-        assert dataclasses.replace(preset_dam_break(10.0), dt_min_factor=0.0).validated()
+        assert dataclasses.replace(preset_dam_break(10.0), dt_min_factor=0.0)
 
 
 class TestCli:
@@ -623,6 +645,12 @@ class TestCli:
         assert payload["config"]["params"]["ell"] == 100.0
         assert payload["config"]["cells"] == 16
 
+    def test_solve_without_outdir_writes_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        p = write_cfg(tmp_path / "c.cfg", "cells = 8\nt_end = 0.001\n")
+        assert main(["solve", "--config", p]) == 0
+        assert json.loads((tmp_path / "out" / "run.json").read_text())["config"]["outdir"] == "out"
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         p = write_cfg(tmp_path / "c.cfg", "frobnicate = 1\n")
         assert main(["solve", "--config", p]) == 2
@@ -634,12 +662,12 @@ class TestCli:
 
     def test_solver_failure_exits_3_and_records(self, tmp_path, monkeypatch):
         from fenepsv.timeloop import TimeStepCollapse
-        import fenepsv.cli as cli_mod
+        import fenepsv.scenarios as scenarios_mod
 
-        def boom(cfg):
+        def boom(*args):
             raise TimeStepCollapse("forced failure for the error path")
 
-        monkeypatch.setattr(cli_mod, "run", boom)
+        monkeypatch.setattr(scenarios_mod, "full_step", boom)
         p = write_cfg(tmp_path / "c.cfg", "cells = 8\nt_end = 0.001\n")
         out = tmp_path / "err"
         assert main(["solve", "--config", p, "--out", str(out)]) == 3
@@ -747,6 +775,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "all checks passed" in out and "fd_dP_dh" in out
 
+    def test_check_failure_exits_3(self, monkeypatch, capsys):
+        import fenepsv.oracles as oracles_mod
+
+        failed = oracles_mod.OracleReport("forced", 1, 1.0, 0.0, False)
+        monkeypatch.setattr(oracles_mod, "run_all_checks", lambda seed, samples: [failed])
+        assert main(["check", "--samples", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert failed.line() in out and "all checks passed" not in out
+        assert err == "CHECK FAILURES PRESENT\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -832,9 +870,9 @@ class TestStepBudget:
     @pytest.mark.parametrize("bad", [0, -2, 2.5, True, "3"])
     def test_validation(self, bad):
         cfg = preset_dam_break(10.0, cells=16)
-        assert dataclasses.replace(cfg, max_steps=1).validated().max_steps == 1
+        assert dataclasses.replace(cfg, max_steps=1).max_steps == 1
         with pytest.raises(ConfigError, match="max_steps must be an integer >= 1 or unset"):
-            dataclasses.replace(cfg, max_steps=bad).validated()
+            dataclasses.replace(cfg, max_steps=bad)
 
     @pytest.mark.parametrize("raw", ["0", "-1", "2.5", "none"])
     def test_bad_values_exit_2(self, raw, tmp_path, capsys):
@@ -870,7 +908,7 @@ class TestSolverErrors:
 
     @pytest.mark.parametrize("name", SOLVER_ERROR_NAMES)
     def test_contract(self, name, tmp_path, monkeypatch, capsys):
-        import fenepsv.cli as cli_mod
+        import fenepsv.scenarios as scenarios_mod
 
         cls = getattr(fenepsv, name)
         assert issubclass(cls, SolverError)
@@ -883,10 +921,10 @@ class TestSolverErrors:
         assert all(type(v) is float for v in err.values.values())
         assert str(err) == "forced failure at index (1,): h=2.0, ell=10.0 (2 offending entries)"
 
-        def boom(cfg):
+        def boom(*args):
             raise err
 
-        monkeypatch.setattr(cli_mod, "run", boom)
+        monkeypatch.setattr(scenarios_mod, "full_step", boom)
         out = tmp_path / "err"
         code = main(["solve", "--config", write_cfg(tmp_path / "c.cfg", ""), "--out", str(out)])
         assert code == (4 if cls is DissipationViolation else 3)
@@ -943,6 +981,19 @@ class TestFailureRecord:
         assert failure["index"] == [32] and set(failure["cells"]) == {
             "first", "h", "u", "sigma_xx", "sigma_zz"}
         assert np.load(out / "failure_q.npy").shape == (4, 64)
+
+    def test_library_run_writes_the_error_run_json(self, tmp_path):
+        # the collapse case of scripts/check_exit_codes.sh, through run() and through solve
+        lib, cli = tmp_path / "lib", tmp_path / "cli"
+        with pytest.raises(fenepsv.TimeStepCollapse):
+            run(preset_dam_break(10.0, cells=16, t_end=0.01, dt_min_factor=1.0, outdir=str(lib)))
+        assert {p.name for p in lib.iterdir()} >= {"failure_q.npy", "diagnostics.csv", "run.json"}
+        p = write_cfg(tmp_path / "collapse.cfg", "cells = 16\nt_end = 0.01\ndt_min_factor = 1.0\n")
+        assert main(["solve", "--config", p, "--out", str(cli)]) == 3
+        record = (lib / "run.json").read_text()
+        assert json.loads(record)["status"] == "error"
+        cli_record = (cli / "run.json").read_text()
+        assert record.replace(str(lib), "OUT") == cli_record.replace(str(cli), "OUT")
 
     def test_source_failure_records_its_own_dt(self, monkeypatch):
         # The source fails from the third step on: the record holds the dt
@@ -1001,7 +1052,8 @@ def small_configs(draw):
 def run_outcome(cfg, outdir):
     """run(cfg) writing into outdir under raising floating-point traps: the
     final state, which must be finite, or the typed error; and the bytes of
-    every file written, run.json without its wall time and outdir."""
+    every file written, run.json without its wall time (an error run.json
+    has none) and outdir."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             result = run(dataclasses.replace(cfg, outdir=str(outdir)))
@@ -1016,7 +1068,9 @@ def run_outcome(cfg, outdir):
         data = path.read_bytes()
         if path.name == "run.json":
             record = json.loads(data)
-            del record["summary"]["wall_time_s"], record["config"]["outdir"]
+            if "summary" in record:
+                del record["summary"]["wall_time_s"]
+            del record["config"]["outdir"]
             data = json.dumps(record, sort_keys=True)
         files[path.name] = data
     return outcome, files

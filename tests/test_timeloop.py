@@ -189,6 +189,14 @@ class TestCfl:
         with pytest.raises(ValueError):
             StepControl(bc="open")
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt_min_factor", np.nan), ("dt_min_factor", -1.0), ("dt_min_factor", np.inf),
+        ("max_dt", 0.0), ("max_dt", -1e-6), ("max_dt", np.nan), ("max_dt", np.inf),
+    ])
+    def test_control_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            StepControl(**{field: value})
+
 
 class TestHomogeneous:
     """The transport stage, through `full_step` at a fixed dt (max_dt below
@@ -364,6 +372,18 @@ class TestSource:
             "free energy increased during relaxation at index (1,): "
             "before=0.0, after=1.0 (2 offending entries)"
         )
+
+    def test_inadmissible_relaxed_state_names_its_cell(self, monkeypatch):
+        def trace_ell_at_2(sxx0, szz0, dt, params):
+            sxx, szz = relax_conformations(sxx0, szz0, dt, params)
+            sxx[2], szz[2] = 0.5 * params.ell, 0.5 * params.ell
+            return sxx, szz
+
+        monkeypatch.setattr(timeloop_mod, "relax_conformations", trace_ell_at_2)
+        q = dam_break_state(4).q
+        with pytest.raises(SourceSolveFailure, match="^relaxed state inadmissible") as err:
+            source_step(q, primitive(q), 0.01, P10)
+        assert err.value.index == (2,)
 
 
 def full_array_relax(sxx0, szz0, dt, params):
