@@ -31,6 +31,16 @@ expect() {
     fi
 }
 
+# The last case printed its one error line on stderr and nothing else (no
+# floating-point warnings ahead of it).
+one_stderr_line() {
+    if [ "$(wc -l <"$work/stderr")" -ne 1 ]; then
+        echo "FAIL: $1 printed more than one line on stderr:" >&2
+        cat "$work/stderr" >&2
+        status=1
+    fi
+}
+
 printf 'frobnicate = 1\n' >"$work/unknown.cfg"
 printf 'cells = 16\nt_end = 0.01\ndt_min_factor = 1.0\n' >"$work/collapse.cfg"
 printf 'cells = 16\nlambda = inf\n' >"$work/lambda_inf.cfg"
@@ -81,6 +91,9 @@ printf 'bc = open\n' >"$work/bc_open.cfg"
 printf 'dt_min_factor = -1\n' >"$work/dt_min_factor.cfg"
 printf 'strict_subchar = maybe\n' >"$work/strict_maybe.cfg"
 printf 'cells =\n' >"$work/cells_empty.cfg"
+# An output directory under a regular file cannot be made: a config error
+# (exit 2).  A read-only directory would not do, as root may write to it.
+: >"$work/plain_file"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
@@ -113,6 +126,7 @@ for case in tiny_domain far_t_end; do
     fi
 done
 expect 4 "$@" solve --config "$work/nan_strict.cfg" --out "$work/nan_strict"
+one_stderr_line nan_strict
 if ! grep -q 'DissipationViolation' "$work/nan_strict/run.json"; then
     echo "FAIL: the run with NaN residuals wrote no DissipationViolation into run.json" >&2
     status=1
@@ -120,6 +134,7 @@ fi
 expect 0 "$@" converge --config "$work/uniform.cfg" --levels 16,32,64
 expect 2 "$@" converge --config "$work/uniform.cfg" --levels 64,32
 expect 3 "$@" solve --config "$work/fan_fail.cfg" --out "$work/fan_fail"
+one_stderr_line fan_fail
 if ! grep -q 'StarStateError' "$work/fan_fail/run.json"; then
     echo "FAIL: the run whose fan failed wrote no StarStateError into run.json" >&2
     status=1
@@ -127,5 +142,10 @@ fi
 for case in bc_open dt_min_factor strict_maybe cells_empty; do
     expect 2 "$@" solve --config "$work/$case.cfg" --out "$work/$case"
 done
+expect 2 "$@" solve --config "$work/uniform.cfg" --out "$work/plain_file/out_under_file"
+if ! grep -q 'cannot create output directory' "$work/stderr"; then
+    echo "FAIL: the output directory under a regular file was not named as one" >&2
+    status=1
+fi
 expect 2 "$@" check --samples 0
 exit $status

@@ -10,7 +10,11 @@ command-line flags override file values.  The command line only parses:
 `RunConfig` checks the merged settings when it is built, and `run` writes
 every artifact of a solve, the error run.json of a failed one included.
 Exit codes: 0 success, 2 bad configuration, 3 solver failure, 4 free-energy
-dissipation violation when --strict-dissipation is active.
+dissipation violation when --strict-dissipation is active.  `solve` and
+`converge` run with numpy's floating-point warnings off: every fault they
+would announce ends in a typed error, an audit count or a rejected state,
+so a failure prints its one error line alone.  The library's `run` keeps
+numpy's settings.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .model import SolverError
 from .scenarios import (SCENARIOS, ConfigError, RunConfig, _params_or_error, convergence_study,
@@ -164,7 +170,8 @@ def _cmd_solve(args) -> int:
     cfg = build_config(parse_config_file(args.config), overrides)
     if cfg.outdir is None:
         cfg = dataclasses.replace(cfg, outdir="out")
-    result = run(cfg)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        result = run(cfg)
     s = result.summary()
     print(
         f"completed {s['steps']} steps to t={s['final_time']:g} "
@@ -186,7 +193,8 @@ def _cmd_converge(args) -> int:
     except ValueError as e:
         raise ConfigError(f"bad --levels: {e}") from e
     cfg = build_config(parse_config_file(args.config), {})
-    result = convergence_study(cfg, levels, reference=args.reference)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        result = convergence_study(cfg, levels, reference=args.reference)
     print(f"reference: {result.reference}")
     print(result.table())
     return 0

@@ -12,9 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
-import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,37 +146,30 @@ def _params_or_error(**kw) -> PhysParams:
         raise ConfigError(str(e)) from e
 
 
+def _paper_params(ell: float) -> PhysParams:
+    return _params_or_error(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=float(ell))
+
+
 def preset_dam_break(ell: float, cells: int = 256, **overrides) -> RunConfig:
-    """Viscoelastic dam break on [0, 1]: (1,0,1,1) against (0.1,0,1,1).
+    """Viscoelastic dam break on [0, 1]: (1,0,1,1) against (0.1,0,1,1) at x = 0.5
+    to t = 0.1, RunConfig's defaults.
 
     g=10, G=0.1, lambda=0.1, zeta=0, free extensibility parameter ell.
     """
-    params = _params_or_error(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=float(ell))
-    cfg = RunConfig(
-        params=params,
-        cells=cells,
-        t_end=0.1,
-        scenario="dam-break",
-        jump_x=0.5,
-        left=(1.0, 0.0, 1.0, 1.0),
-        right=(0.1, 0.0, 1.0, 1.0),
-    )
-    return dataclasses.replace(cfg, **overrides)
+    return RunConfig(**(dict(params=_paper_params(ell), cells=cells) | overrides))
 
 
 def preset_uniform(ell: float = 10.0, **overrides) -> RunConfig:
     """Lake at rest in relaxation equilibrium: stationary for all time."""
-    params = _params_or_error(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=float(ell))
+    params = _paper_params(ell)
     se = equilibrium_sigma(params)
-    cfg = RunConfig(params=params, scenario="uniform", left=(1.0, 0.0, se, se), t_end=0.1)
-    return dataclasses.replace(cfg, **overrides)
+    return RunConfig(**(dict(params=params, scenario="uniform", left=(1.0, 0.0, se, se)) | overrides))
 
 
 def preset_smooth_wave(ell: float = 10.0, **overrides) -> RunConfig:
     """Periodic smooth pulse over an equilibrium conformation, for grid studies."""
-    params = _params_or_error(g=10.0, G=0.1, lam=0.1, zeta=0.0, ell=float(ell))
-    cfg = RunConfig(params=params, scenario="smooth-wave", bc="periodic", t_end=0.05)
-    return dataclasses.replace(cfg, **overrides)
+    return RunConfig(**(dict(params=_paper_params(ell), scenario="smooth-wave", bc="periodic",
+                             t_end=0.05) | overrides))
 
 
 def _smooth_primitive(x, config: RunConfig):
@@ -248,45 +239,43 @@ class RunResult:
         }
 
 
-def _snapshot_rows(grid: Grid, q: np.ndarray, params: PhysParams):
-    """The snapshot columns of q, checked once and then evaluated unchecked."""
-    p = primitive(q)
-    require_admissible(p, params, "snapshot state")
-    cols = (
-        grid.centers,
-        p.h,
-        p.u,
-        p.sxx,
-        p.szz,
-        _normal_stress(p, params, _trace_gap(p, params)),
-        p.sxx + p.szz,
-        _free_energy(p, params),
-    )
-    return np.broadcast_arrays(*cols)
-
-
-def _format_runs(cols, fmt: str) -> list:
-    """`fmt % row` for every row of the equal-length columns `cols`, once per row-run.
-
-    A row-run is a maximal stretch of rows in which no column's float64 bit
-    pattern changes, so -0.0 and 0.0 stay apart.
-    """
-    a = np.array(np.broadcast_arrays(*cols), dtype=np.float64)
-    starts, lengths = _column_runs(a)
-    texts = np.array([fmt % row for row in zip(*a[:, starts].tolist())], dtype=object)
-    return np.repeat(texts, lengths).tolist()
-
-
 _ROW_TAIL = ",".join(["%r"] * (len(SNAPSHOT_COLUMNS) - 1)) + "\n"
+
+
+def _row_tails(cells: np.ndarray, lengths, params: PhysParams) -> list:
+    """Row text after x of each run's cell, checked once (on every cell if that fails)."""
+    p = primitive(cells)
+    try:
+        require_admissible(p, params, "snapshot state")
+    except SolverError:
+        require_admissible(primitive(np.repeat(cells, lengths, axis=1)), params, "snapshot state")
+        raise
+    cols = np.array((p.h, p.u, p.sxx, p.szz, _normal_stress(p, params, _trace_gap(p, params)),
+                     p.sxx + p.szz, _free_energy(p, params)))
+    return [_ROW_TAIL % row for row in zip(*cols.tolist())]
+
+
+def _repeat(texts: list, lengths) -> list:
+    return np.repeat(np.array(texts, dtype=object), lengths).tolist()
+
+
+def _texts(col, fmt: str) -> list:
+    """`fmt % v` for every v of the 1-D column col, once per run of equal bits."""
+    starts, lengths = _column_runs(col[None])
+    return _repeat([fmt % v for v in col[starts].tolist()], lengths)
+
+
+def _interleave(a, b) -> str:
+    """a[0] + b[0] + a[1] + b[1] + ..., joined once."""
+    parts = [None] * (2 * len(a))
+    parts[::2], parts[1::2] = a, b
+    return "".join(parts)
 
 
 @functools.lru_cache(maxsize=1)
 def _grid_text(centers: bytes) -> tuple:
-    """`repr(x) + ","` of every grid centre, the first field of each snapshot row.
-
-    Keyed on the centres' bytes, it holds one grid's text.  `run` clears it
-    when it starts, so each run formats its grid exactly once.
-    """
+    """`repr(x) + ","` of every grid centre, the first field of each snapshot
+    row, keyed on their bytes; `run` clears it when it starts and after its snapshots."""
     return tuple(repr(x) + "," for x in np.frombuffer(centers).tolist())
 
 
@@ -294,14 +283,24 @@ def _grid_text(centers: bytes) -> tuple:
 _ROWS_PER_WRITE = 512
 
 
-def write_snapshot_csv(path: Path, grid: Grid, q: np.ndarray, params: PhysParams) -> None:
-    x, *cols = _snapshot_rows(grid, q, params)
-    x_text = _grid_text(np.ascontiguousarray(x, dtype=np.float64).tobytes())
-    rows = map(operator.add, x_text, _format_runs(cols, _ROW_TAIL))
+def write_snapshot_csv(path: Path, grid: Grid, q, params: PhysParams) -> None:
+    """Write the snapshot CSV of q: the (4, n) state, scanned once for its runs
+    of equal cells, or the runs (cells, starts, lengths) that a state in run
+    space carries.  Each run's text after x is made once (see README)."""
+    if isinstance(q, tuple):
+        cells, _, lengths = q
+    else:
+        q = np.asarray(q, dtype=np.float64)
+        starts, lengths = _column_runs(q)
+        cells = np.take(q, starts, axis=1)
+    tails = _repeat(_row_tails(cells, lengths, params), lengths)
+    x_text = _grid_text(np.ascontiguousarray(grid.centers, dtype=np.float64).tobytes())
+    if len(tails) != len(x_text):
+        raise ValueError(f"{len(tails)} cells on a grid of {len(x_text)}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        while chunk := "".join(itertools.islice(rows, _ROWS_PER_WRITE)):
-            f.write(chunk)
+        for i in range(0, len(tails), _ROWS_PER_WRITE):
+            f.write(_interleave(x_text[i:i + _ROWS_PER_WRITE], tails[i:i + _ROWS_PER_WRITE]))
 
 
 _DIAGNOSTICS_HEADER = (
@@ -310,15 +309,8 @@ _DIAGNOSTICS_HEADER = (
 
 
 def _diagnostics_row(n: int, t: float, diag) -> str:
-    vals = (
-        t,
-        diag.dt,
-        diag.mass,
-        diag.momentum,
-        diag.free_energy,
-        diag.max_dissipation_residual,
-        diag.worst_subchar_ratio,
-    )
+    vals = (t, diag.dt, diag.mass, diag.momentum, diag.free_energy, diag.max_dissipation_residual,
+            diag.worst_subchar_ratio)
     return ",".join([str(n)] + [repr(float(v)) for v in vals]) + "\n"
 
 
@@ -372,7 +364,9 @@ def run(config: RunConfig) -> RunResult:
 
     The run steps from the initial condition itself, with no copy, and a
     piecewise-constant run stays in run space between steps (see
-    `timeloop.SimState`); the result's state.q is built before the return.
+    `timeloop.SimState`), its snapshots written from its runs; the result's
+    state.q is built before the return.  An outdir that cannot be made is a
+    ConfigError.
 
     A SolverError from a step leaves with its `failure` record (see
     `_failure_record`).  With an outdir, every SolverError leaves its error
@@ -386,26 +380,25 @@ def run(config: RunConfig) -> RunResult:
     q0 = initial_condition(config, grid)
     q0.flags.writeable = False   # stepped from itself: no step writes to its input
     state = SimState(t=0.0, q=q0)
-    control = StepControl(
-        cfl=config.cfl,
-        bc=config.bc,
-        dt_min_factor=config.dt_min_factor,
-        strict_dissipation=config.strict_dissipation,
-        strict_subchar=config.strict_subchar,
-    )
+    control = StepControl(cfl=config.cfl, bc=config.bc, dt_min_factor=config.dt_min_factor,
+                          strict_dissipation=config.strict_dissipation,
+                          strict_subchar=config.strict_subchar)
 
     outdir = None
     snapshot_files = []
     used_names: set = set()
     if config.outdir is not None:
         outdir = Path(config.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {outdir}: {e}") from e
 
     def emit(t: float) -> None:
         if outdir is None:
             return
         name = _snapshot_name(t, used_names)
-        write_snapshot_csv(outdir / name, grid, state.q, config.params)
+        write_snapshot_csv(outdir / name, grid, state._carried_runs or state.q, config.params)
         snapshot_files.append(name)
 
     targets = [k * config.t_end / config.snapshots for k in range(config.snapshots + 1)]
@@ -466,6 +459,8 @@ def run(config: RunConfig) -> RunResult:
                 _write_run_json(outdir, config, status="error",
                                 error=f"{type(e).__name__}: {e}", **failure)
         raise
+    finally:
+        _grid_text.cache_clear()
 
     final_q = state.q   # a state in run space builds its full cells here, not after return
     wall = time.perf_counter() - t0
@@ -495,14 +490,14 @@ def run(config: RunConfig) -> RunResult:
 _PANELS = ("h", "u", "sigma_xx", "sigma_zz")
 
 
-def _polyline_points(x_text, py) -> str:
-    """SVG `points` text: the screen-x texts ("%.2f,") joined to two-decimal screen y."""
-    return " ".join(map(operator.add, x_text, _format_runs((py,), "%.2f")))
+def _x_points(px) -> list:
+    """Screen-x texts of a polyline's points: " %.2f,", the first unspaced."""
+    text = _texts(px, " %.2f,")
+    text[0] = text[0][1:]
+    return text
 
 
-def _panel_svg(
-    ox: float, oy: float, w: float, h: float, title: str, x, y0, y1, x_texts: dict
-) -> list:
+def _panel_svg(ox: float, oy: float, w: float, h: float, title: str, x, y0, y1, x_texts: dict):
     """SVG elements of one panel.  `x_texts` maps a panel origin `ox` to its
     polylines' screen-x text; panels of one column share it."""
     lo = min(float(np.min(y0)), float(np.min(y1)))
@@ -522,68 +517,48 @@ def _panel_svg(
     def sy(v):
         return oy + h - (v - lo) / (hi - lo) * h
 
-    out = [
-        f'<rect x="{ox:.1f}" y="{oy:.1f}" width="{w:.1f}" height="{h:.1f}" '
-        'fill="#ffffff" stroke="#333333" stroke-width="1"/>',
-        f'<text x="{ox + 6:.1f}" y="{oy + 16:.1f}" font-size="13" fill="#111111">{title}</text>',
-    ]
+    yield (f'<rect x="{ox:.1f}" y="{oy:.1f}" width="{w:.1f}" height="{h:.1f}" '
+           'fill="#ffffff" stroke="#333333" stroke-width="1"/>\n'
+           f'<text x="{ox + 6:.1f}" y="{oy + 16:.1f}" font-size="13" fill="#111111">{title}</text>\n')
     for frac in (0.0, 0.5, 1.0):
         vx = xl + frac * (xr - xl)
         vy = lo + frac * (hi - lo)
-        out.append(
-            f'<text x="{sx(vx):.1f}" y="{oy + h + 14:.1f}" font-size="10" fill="#555555" '
-            f'text-anchor="middle">{vx:.3g}</text>'
-        )
-        out.append(
-            f'<text x="{ox - 4:.1f}" y="{sy(vy) + 3:.1f}" font-size="10" fill="#555555" '
-            f'text-anchor="end">{vy:.4g}</text>'
-        )
+        yield (f'<text x="{sx(vx):.1f}" y="{oy + h + 14:.1f}" font-size="10" fill="#555555" '
+               f'text-anchor="middle">{vx:.3g}</text>\n'
+               f'<text x="{ox - 4:.1f}" y="{sy(vy) + 3:.1f}" font-size="10" fill="#555555" '
+               f'text-anchor="end">{vy:.4g}</text>\n')
     if ox not in x_texts:
-        x_texts[ox] = _format_runs((sx(x),), "%.2f,")
-    x_text = x_texts[ox]
+        x_texts[ox] = _x_points(sx(x))
     for ydata, style in (
         (y0, 'fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="4 3"'),
         (y1, 'fill="none" stroke="#1f6feb" stroke-width="1.5"'),
     ):
-        out.append(f'<polyline points="{_polyline_points(x_text, sy(ydata))}" {style}/>')
-    return out
+        yield '<polyline points="'
+        yield _interleave(x_texts[ox], _texts(sy(ydata), "%.2f"))
+        yield f'" {style}/>\n'
 
 
 def write_svg_summary(path: Path, grid: Grid, q_init: np.ndarray, q_final: np.ndarray,
                       params: PhysParams) -> None:
-    """2x2 panel plot (h, u, sigma_xx, sigma_zz), final state over initial."""
-    p0, p1 = primitive(q_init), primitive(q_final)
-    shape = (grid.n,)
-    series = {
-        "h": (p0.h, p1.h),
-        "u": (p0.u, p1.u),
-        "sigma_xx": (p0.sxx, p1.sxx),
-        "sigma_zz": (p0.szz, p1.szz),
-    }
-    series = {k: tuple(np.broadcast_to(v, shape) for v in pair) for k, pair in series.items()}
-    for name, (a, b) in series.items():
+    """2x2 panel plot (h, u, sigma_xx, sigma_zz), final state over initial, streamed."""
+    series = [(p.h, p.u, p.sxx, p.szz) for p in (primitive(q_init), primitive(q_final))]
+    for name, a, b in zip(_PANELS, *series):
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise RuntimeError(f"non-finite data in panel {name}; refusing to plot")
     W, H, m = 960, 640, 50
     pw, ph = (W - 3 * m) / 2, (H - 3 * m) / 2
-    body = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {W} {H}" '
-        f'font-family="monospace">',
-        f'<rect x="0" y="0" width="{W}" height="{H}" fill="#ffffff"/>',
-        '<text x="50" y="26" font-size="14" fill="#111111">'
-        "final state (solid) vs initial (dashed)</text>",
-    ]
     x_texts: dict = {}
-    for k, name in enumerate(_PANELS):
-        col, row = k % 2, k // 2
-        ox = m + col * (pw + m)
-        oy = m + row * (ph + m)
-        y0, y1 = series[name]
-        body.extend(_panel_svg(ox, oy, pw, ph, name, grid.centers, y0, y1, x_texts))
-    body.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in body:   # line by line: no copy of the whole text
-            f.write(line + "\n")
+        f.write(f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {W} {H}" '
+                f'font-family="monospace">\n'
+                f'<rect x="0" y="0" width="{W}" height="{H}" fill="#ffffff"/>\n'
+                '<text x="50" y="26" font-size="14" fill="#111111">'
+                "final state (solid) vs initial (dashed)</text>\n")
+        for k, (name, y0, y1) in enumerate(zip(_PANELS, *series)):
+            col, row = k % 2, k // 2
+            f.writelines(_panel_svg(m + col * (pw + m), m + row * (ph + m), pw, ph, name,
+                                    grid.centers, y0, y1, x_texts))
+        f.write("</svg>\n")
 
 
 # ---------------------------------------------------------------------------

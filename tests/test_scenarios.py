@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 import fenepsv
 from fenepsv.cli import build_config, main, parse_config_file
 import fenepsv.model as model_mod
-from fenepsv.model import H, HSXX, HSZZ, HU, AdmissibilityError, PhysParams, SolverError, equilibrium_sigma
+from fenepsv.model import (H, HSXX, HSZZ, HU, AdmissibilityError, PhysParams, SolverError, _column_runs,
+                           equilibrium_sigma, free_energy, normal_stress, primitive)
 from fenepsv.scenarios import (
     ConfigError,
     RunConfig,
@@ -34,11 +36,13 @@ from fenepsv.scenarios import (
 )
 from fenepsv.scenarios import (
     _ROW_TAIL,
-    _format_runs,
     _grid_text,
-    _polyline_points,
-    _snapshot_rows,
+    _interleave,
+    _repeat,
+    _texts,
+    _x_points,
     write_snapshot_csv,
+    write_svg_summary,
 )
 import fenepsv.timeloop as timeloop_mod
 from fenepsv.timeloop import (
@@ -106,6 +110,29 @@ class TestConfig:
         cfg = preset_dam_break(10.0)
         with pytest.raises(ConfigError):
             dataclasses.replace(cfg, **patch)
+
+    @pytest.mark.parametrize("preset", [preset_dam_break, preset_uniform, preset_smooth_wave])
+    def test_preset_builds_one_config(self, preset, monkeypatch):
+        # The preset's values merged with the overrides, checked once: one
+        # Grid built, and a bad override fails as the config's own check.
+        grids = []
+        original = Grid.__post_init__
+
+        def counting(self):
+            grids.append(self.n)
+            original(self)
+
+        monkeypatch.setattr(Grid, "__post_init__", counting)
+        assert preset(10.0, cells=64, t_end=0.02).cells == 64 and grids == [64]
+        for override, error, text in (
+            (dict(cfl=2.0), ConfigError, "cfl must lie in (0, 1/2], got 2.0"),
+            (dict(cells=0), ConfigError,
+             "grid of 0 cells on [0.0, 1.0]: cell width nan is not a positive finite float"),
+            (dict(bogus=1), TypeError, "RunConfig.__init__() got an unexpected keyword argument 'bogus'"),
+        ):
+            with pytest.raises(error) as err:
+                preset(10.0, **override)
+            assert type(err.value) is error and str(err.value) == text
 
     def test_t_end_zero_accepted(self):
         cfg = dataclasses.replace(preset_dam_break(10.0), t_end=0.0)
@@ -180,6 +207,21 @@ class TestRunDriver:
         assert np.array_equal(data["x"], res.grid.centers)
         p = res.final_primitive()
         assert np.array_equal(data["stretch"], np.asarray(p.sxx + p.szz))
+
+    def test_outdir_that_cannot_be_made_is_a_config_error(self, tmp_path, capsys):
+        # An outdir under a regular file: ConfigError naming the outdir and the
+        # OS error, before any file is written; exit 2 from the command line.
+        (tmp_path / "plain").write_text("")
+        outdir = tmp_path / "plain" / "out"
+        with pytest.raises(ConfigError, match=re.escape(f"cannot create output directory {outdir}: ")
+                           + r"\[Errno 20\] Not a directory"):
+            run(preset_dam_break(10.0, cells=16, t_end=0.001, outdir=str(outdir)))
+        assert [f.name for f in tmp_path.iterdir()] == ["plain"]
+        assert (tmp_path / "plain").read_text() == ""
+        p = write_cfg(tmp_path / "c.cfg", "cells = 16\nt_end = 0.001\n")
+        assert main(["solve", "--config", p, "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory") and "Traceback" not in err
 
     def test_diagnostics_columns(self, tmp_path):
         cfg = preset_dam_break(10.0, cells=16, outdir=str(tmp_path), t_end=0.01)
@@ -325,10 +367,21 @@ def _loop_rows(cols):
     return [",".join(repr(float(c[i])) for c in cols) for i in range(cols[0].size)]
 
 
+def _snapshot_columns(grid, q, params):
+    """The SNAPSHOT_COLUMNS of q on the grid, through the public (checked) model functions."""
+    p = primitive(q)
+    return (grid.centers, p.h, p.u, p.sxx, p.szz, normal_stress(p, params), p.sxx + p.szz,
+            free_energy(p, params))
+
+
 def _written_rows(x, cols):
-    """Snapshot rows as the writer composes them: the grid text, then the row-run tails."""
+    """Snapshot rows as the writer composes them: the grid text, interleaved with
+    the row-run tails, each formatted once and repeated."""
+    a = np.array(np.broadcast_arrays(*cols), dtype=np.float64)
+    starts, lengths = _column_runs(a)
+    tails = _repeat([_ROW_TAIL % row for row in zip(*a[:, starts].tolist())], lengths)
     x_text = _grid_text(np.ascontiguousarray(x, dtype=np.float64).tobytes())
-    return [(a + b)[:-1] for a, b in zip(x_text, _format_runs(cols, _ROW_TAIL))]
+    return _interleave(x_text, tails).splitlines()
 
 
 def _seven(c):
@@ -383,13 +436,17 @@ class TestColumnFormat:
         rng = np.random.default_rng(7)
         values = np.array([0.0, -0.0, 1.0, 1 / 3, -2.5e-310, 1e308, np.nextafter(1.0, 2.0)])
         c = values[rng.integers(0, values.size, 400)].repeat(rng.integers(1, 4, 400))
-        assert _format_runs((c,), "%r") == [repr(float(v)) for v in c]
+        assert _texts(c, "%r") == [repr(float(v)) for v in c]
+        assert _texts(np.broadcast_to(-0.0, 5), "%r") == ["-0.0"] * 5
         cols = _seven(c)
         x = np.linspace(-1.0, 1.0, c.size)
         assert _written_rows(x, cols) == _loop_rows((x, *cols))
 
-    def test_grid_text_keyed_on_centres_and_scoped_to_run(self, tmp_path):
-        """Same cell count, other edges: the text follows the centres' values, per run."""
+    def test_grid_text_keyed_on_centres_and_scoped_to_run(self, tmp_path, monkeypatch):
+        """Same cell count, other edges: the text follows the centres' values,
+        is formatted once per run and is released before the SVG is written."""
+        import fenepsv.scenarios as scenarios_mod
+
         cfg = preset_dam_break(10.0, cells=16, t_end=0.002, snapshots=3)
         grid_a, grid_b = Grid.uniform(0.0, 1.0, 16), Grid.uniform(-2.0, 3.0, 16)
         q = initial_condition(cfg, grid_a)
@@ -402,12 +459,27 @@ class TestColumnFormat:
                 path = tmp_path / f"{tag}{k}.csv"
                 write_snapshot_csv(path, grid, q, cfg.params)
                 rows = path.read_text().splitlines()[1:]
-                assert rows == _loop_rows(_snapshot_rows(g, q, cfg.params))
+                assert rows == _loop_rows(_snapshot_columns(g, q, cfg.params))
+        infos = []
+
+        def csv_then_info(*args):
+            write_snapshot_csv(*args)
+            infos.append(_grid_text.cache_info())
+
+        def info_then_svg(*args):
+            infos.append(_grid_text.cache_info())
+            write_svg_summary(*args)
+
+        monkeypatch.setattr(scenarios_mod, "write_snapshot_csv", csv_then_info)
+        monkeypatch.setattr(scenarios_mod, "write_svg_summary", info_then_svg)
         cfg = dataclasses.replace(cfg, outdir=str(tmp_path / "run"))
         for _ in range(2):
+            infos.clear()
             res = run(cfg)
-            info = _grid_text.cache_info()
-            assert (info.misses, info.hits) == (1, len(res.snapshot_files) - 1)
+            *at_snapshots, at_svg = infos
+            assert [(i.misses, i.hits) for i in at_snapshots] == [
+                (1, k) for k in range(len(res.snapshot_files))]
+            assert at_svg.currsize == 0
 
     def test_polyline_points_match_per_point_format(self):
         rng = np.random.default_rng(11)
@@ -427,8 +499,8 @@ class TestColumnFormat:
                 return oy + h - (v - lo) / (hi - lo) * h
 
             ref = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
-            assert _polyline_points(_format_runs((sx(x),), "%.2f,"), sy(y)) == ref
-        assert _format_runs((np.array([0.0, -0.0, -0.0, 0.0]),), "%.2f") == [
+            assert _interleave(_x_points(sx(x)), _texts(sy(y), "%.2f")) == ref
+        assert _texts(np.array([0.0, -0.0, -0.0, 0.0]), "%.2f") == [
             "0.00", "-0.00", "-0.00", "0.00"]
 
     def test_one_cell_solve_writes_outputs(self, tmp_path):
@@ -436,7 +508,7 @@ class TestColumnFormat:
         root = ET.parse(tmp_path / "final.svg").getroot()
         assert root.tag.endswith("svg")
         rows = (tmp_path / res.snapshot_files[-1]).read_text().splitlines()
-        assert rows[1:] == _loop_rows(_snapshot_rows(res.grid, res.state.q, res.config.params))
+        assert rows[1:] == _loop_rows(_snapshot_columns(res.grid, res.state.q, res.config.params))
 
 
     def test_snapshot_checks_its_state_once(self, tmp_path, monkeypatch):
@@ -467,6 +539,135 @@ class TestColumnFormat:
             write_snapshot_csv(tmp_path / "bad.csv", grid, bad, cfg.params)
         assert err.value.index == (3,)
         assert str(err.value).startswith("snapshot state outside admissible region at index (3,)")
+
+
+def _polylines(svg_path) -> list:
+    """The `points` text of every polyline of an SVG file, in document order."""
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    return [e.get("points") for e in ET.parse(svg_path).getroot().findall(".//s:polyline", ns)]
+
+
+class TestOutputLayer:
+    """Snapshots written from a state's runs and a streamed SVG: the bytes of
+    the text made row by row and point by point, in bounded memory."""
+
+    def _solve(self, cfg, outdir, min_cells=None):
+        """run() with an outdir, recording each snapshot's state (its full q),
+        each polyline's screen coordinates and the full q built per state."""
+        import fenepsv.scenarios as scenarios_mod
+
+        seen = {"q": [], "x": [], "y": [], "builds": 0}
+        csv, x_points, texts = (scenarios_mod.write_snapshot_csv, scenarios_mod._x_points,
+                                scenarios_mod._texts)
+        build = SimState.__getattr__
+
+        def recording_csv(path, grid, q, params):
+            runs = isinstance(q, tuple)
+            seen["q"].append(np.repeat(q[0], q[2], axis=1) if runs else q.copy())
+            csv(path, grid, q, params)
+
+        def recording_x(px):
+            seen["x"].append(np.array(px))
+            return x_points(px)
+
+        def recording_texts(col, fmt):
+            if fmt == "%.2f":   # a polyline's screen y
+                seen["y"].append(np.array(col))
+            return texts(col, fmt)
+
+        def counting_build(state, name):
+            seen["builds"] += name == "q"
+            return build(state, name)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios_mod, "write_snapshot_csv", recording_csv)
+            mp.setattr(scenarios_mod, "_x_points", recording_x)
+            mp.setattr(scenarios_mod, "_texts", recording_texts)
+            mp.setattr(SimState, "__getattr__", counting_build)
+            if min_cells is not None:
+                mp.setattr(timeloop_mod, "RUNS_MIN_CELLS", min_cells)
+            res = run(dataclasses.replace(cfg, outdir=str(outdir)))
+        return res, seen
+
+    def _check_against_references(self, res, seen):
+        # every row as `_loop_rows` formats it, every polyline point by point
+        outdir = res.outdir
+        assert len(seen["q"]) == len(res.snapshot_files)
+        for name, q in zip(res.snapshot_files, seen["q"]):
+            rows = (outdir / name).read_text().splitlines()
+            assert rows[0] == ",".join(SNAPSHOT_COLUMNS)
+            assert rows[1:] == _loop_rows(_snapshot_columns(res.grid, q, res.config.params))
+        lines = _polylines(outdir / "final.svg")
+        assert len(lines) == len(seen["y"]) == 8 and len(seen["x"]) == 2
+        for k, (line, py) in enumerate(zip(lines, seen["y"])):
+            px = seen["x"][(k // 2) % 2]   # panels h, u / sigma_xx, sigma_zz: two per column
+            assert line == " ".join("%.2f,%.2f" % p for p in zip(px.tolist(), py.tolist()))
+
+    def test_runs_write_the_bytes_of_their_cells(self, tmp_path):
+        # The runs (cells, starts, lengths) of a 16-cell dam break write the
+        # bytes of its q; an inadmissible run fails as the check on every
+        # cell does, naming the run's first cell and counting its cells,
+        # before the file is opened, as does a state of other length than the grid.
+        cfg = preset_dam_break(10.0, cells=16)
+        grid = Grid.uniform(0.0, 1.0, 16)
+        q = initial_condition(cfg, grid)
+        starts, lengths = _column_runs(q)
+        assert starts.tolist() == [0, 8] and lengths.tolist() == [8, 8]
+        write_snapshot_csv(tmp_path / "q.csv", grid, q, cfg.params)
+        write_snapshot_csv(tmp_path / "runs.csv", grid, (q[:, starts], starts, lengths), cfg.params)
+        assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "q.csv").read_bytes()
+        cells = q[:, starts]
+        cells[HSZZ, 1] = -1.0
+        with pytest.raises(AdmissibilityError) as err:
+            write_snapshot_csv(tmp_path / "bad.csv", grid, (cells, starts, lengths), cfg.params)
+        assert err.value.index == (8,)
+        assert str(err.value).startswith("snapshot state outside admissible region at index (8,)")
+        assert str(err.value).endswith("(8 offending entries)")
+        assert not (tmp_path / "bad.csv").exists()
+        with pytest.raises(ValueError, match="^16 cells on a grid of 12$"):
+            write_snapshot_csv(tmp_path / "bad.csv", Grid.uniform(0.0, 1.0, 12), q, cfg.params)
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_run_space_writes_the_bytes_of_every_cell(self, tmp_path):
+        # A reflective 4096-cell dam break with 20 snapshots, written from its
+        # runs and with RUNS_MIN_CELLS above n: the same files, byte for byte.
+        cfg = preset_dam_break(10.0, cells=4096, t_end=0.002, snapshots=20, bc="reflective")
+        on_runs, seen = self._solve(cfg, tmp_path / "runs")
+        every_cell, seen_cells = self._solve(cfg, tmp_path / "cells", cfg.cells + 1)
+        names = on_runs.snapshot_files + ["final.svg"]
+        assert len(names) == 22 and names == every_cell.snapshot_files + ["final.svg"]
+        for name in names:
+            assert (tmp_path / "runs" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes()
+        # In run space from start to end: the full q is built once, for the result.
+        assert on_runs.state._carried_runs is not None and seen["builds"] == 1
+        assert seen_cells["builds"] == 0
+        self._check_against_references(every_cell, seen_cells)
+
+    def test_every_row_of_a_run_free_state(self, tmp_path):
+        # A periodic smooth wave has no runs of equal cells: one row text per cell.
+        cfg = preset_smooth_wave(10.0, cells=1024, t_end=0.002, snapshots=4)
+        res, seen = self._solve(cfg, tmp_path / "smooth")
+        self._check_against_references(res, seen)
+
+    def test_memory_of_the_output_layer(self, tmp_path):
+        # The solve_snapshots configuration: no (4, n) q per snapshot, no
+        # column stack, no whole SVG document, and the grid text released
+        # before the SVG.  Traced peaks after one warm-up run.
+        cfg = preset_dam_break(10.0, cells=4096, t_end=0.001, snapshots=20, outdir=str(tmp_path))
+        run(cfg)
+
+        def traced_peak(fn, *args):
+            tracemalloc.start()   # traces only what is allocated from here on
+            try:
+                return fn(*args), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        res, run_peak = traced_peak(run, cfg)
+        _, svg_peak = traced_peak(write_svg_summary, tmp_path / "again.svg", res.grid, res.initial,
+                                  res.state.q, res.config.params)
+        assert (tmp_path / "again.svg").read_bytes() == (tmp_path / "final.svg").read_bytes()
+        assert run_peak <= 1.6e6 and svg_peak <= 1.2e6
 
 
 class TestConvergence:
@@ -650,6 +851,24 @@ class TestCli:
         p = write_cfg(tmp_path / "c.cfg", "cells = 8\nt_end = 0.001\n")
         assert main(["solve", "--config", p]) == 0
         assert json.loads((tmp_path / "out" / "run.json").read_text())["config"]["outdir"] == "out"
+
+    def test_failed_solve_prints_only_its_error(self, tmp_path, capsys):
+        # A right depth of 1e-300 overflows and divides by zero in the fan
+        # before its star-depth check fails.  `solve` and `converge` print the
+        # typed error alone, with numpy's settings restored after; the library
+        # run() warns as numpy is set to.
+        text = "cells = 64\nright_h = 1e-300\n"
+        p = write_cfg(tmp_path / "c.cfg", text)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 3
+            assert main(["converge", "--config", p, "--levels", "32,64"]) == 3
+        assert np.geterr() == before
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("solver failure: StarStateError: ") for e in err)
+        with pytest.warns(RuntimeWarning), pytest.raises(SolverError):
+            run(build_config(parse_config_file(p), {}))
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         p = write_cfg(tmp_path / "c.cfg", "frobnicate = 1\n")
