@@ -94,6 +94,12 @@ printf 'cells =\n' >"$work/cells_empty.cfg"
 # An output directory under a regular file cannot be made: a config error
 # (exit 2).  A read-only directory would not do, as root may write to it.
 : >"$work/plain_file"
+# A trillion output times on 16 cells: each is made when the run reaches it,
+# so the run holds no list of them and stops after its first step, which
+# projects more steps than the run's step limit (exit 3).  It runs under a
+# 1.5 GB address-space limit, so a tree that lists the times fails the case
+# with a MemoryError instead of exhausting the machine.
+printf 'cells = 16\nsnapshots = 1000000000000\n' >"$work/many_snapshots.cfg"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
@@ -125,6 +131,12 @@ for case in tiny_domain far_t_end; do
         status=1
     fi
 done
+expect 3 sh -c 'ulimit -v 1500000 && exec "$@"' sh "$@" \
+    solve --config "$work/many_snapshots.cfg" --out "$work/many_snapshots"
+if ! grep -q 'StepBudgetExceeded' "$work/many_snapshots/run.json"; then
+    echo "FAIL: the run with a trillion output times wrote no error run.json" >&2
+    status=1
+fi
 expect 4 "$@" solve --config "$work/nan_strict.cfg" --out "$work/nan_strict"
 one_stderr_line nan_strict
 if ! grep -q 'DissipationViolation' "$work/nan_strict/run.json"; then

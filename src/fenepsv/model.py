@@ -189,56 +189,40 @@ def require_admissible(p: Primitive, params: PhysParams, context: str = "state")
         )
 
 
-def _trace_gap(p: Primitive, params: PhysParams):
-    """1 - (sxx+szz)/ell, the FENE denominator (unchecked)."""
-    return 1.0 - (p.sxx + p.szz) / params.ell
-
-
-def _checked_trace_gap(p: Primitive, params: PhysParams, s=None):
-    """The trace gap, raising AdmissibilityError where it is not positive;
-    s is the trace sxx + szz if the caller has it."""
-    gap = _trace_gap(p, params) if s is None else 1.0 - s / params.ell
+def _stress_terms(p: Primitive, params: PhysParams):
+    """(s, gap, d, N) of p: the trace s = sxx + szz, the trace gap 1 - s/ell
+    (raising AdmissibilityError where it is not positive), d = szz - sxx and
+    the normal stress N = G d / gap.  The one place that computes the gap and N."""
+    s = p.sxx + p.szz
+    gap = 1.0 - s / params.ell
     if not _holds(gap > 0):
         raise AdmissibilityError.at(
             "conformation trace reached the extensibility bound", ~(gap > 0),
             sxx=p.sxx, szz=p.szz, ell=params.ell,
         )
-    return gap
-
-
-def _stress_terms(p: Primitive, params: PhysParams):
-    """(s, gap, d, N) of p: the trace s = sxx + szz, the trace gap 1 - s/ell
-    (raising AdmissibilityError where it is not positive), d = szz - sxx and
-    the normal stress N = G d / gap, for callers that share them."""
-    s = p.sxx + p.szz
-    gap = _checked_trace_gap(p, params, s)
     d = p.szz - p.sxx
     return s, gap, d, params.G * d / gap
 
 
-# normal_stress, total_pressure, free_energy, internal_energy and
-# dissipation_rate are each a check plus an unchecked kernel of the same name
-# with a leading underscore.  A kernel assumes an admissible state (and, given
-# `gap`, a positive trace gap): the time step calls the kernels after its own
-# stage checks, every other caller goes through the checked functions.
-
-
-def _normal_stress(p: Primitive, params: PhysParams, gap):
-    return params.G * (p.szz - p.sxx) / gap
+# The gap and N come from `_stress_terms` alone, whose gap check guards
+# normal_stress, total_pressure and dP_dh_frozen.  P, F, ehat and D each have
+# one formula, an unchecked kernel (`_total_pressure`, ...) that the step and
+# the fan call after their own stage checks; every other caller goes through
+# the public function, which checks admissibility for F, ehat and D.
 
 
 def normal_stress(p: Primitive, params: PhysParams):
     """Elastic normal-stress difference N = G (szz - sxx) / (1 - (sxx+szz)/ell)."""
-    return _normal_stress(p, params, _checked_trace_gap(p, params))
+    return _stress_terms(p, params)[3]
 
 
-def _total_pressure(p: Primitive, params: PhysParams, gap):
-    return params.g * p.h**2 / 2.0 + p.h * _normal_stress(p, params, gap)
+def _total_pressure(p: Primitive, params: PhysParams, N):
+    return params.g * p.h**2 / 2.0 + p.h * N
 
 
 def total_pressure(p: Primitive, params: PhysParams):
     """Total depth-integrated pressure P = g h^2/2 + h N."""
-    return _total_pressure(p, params, _checked_trace_gap(p, params))
+    return _total_pressure(p, params, _stress_terms(p, params)[3])
 
 
 def dP_dh_frozen(p: Primitive, params: PhysParams, terms=None):
@@ -285,8 +269,8 @@ def free_energy(p: Primitive, params: PhysParams):
     return _free_energy(p, params)
 
 
-def _internal_energy(p: Primitive, params: PhysParams):
-    return params.g * p.h / 2.0 - _elastic_energy(p, params)
+def _internal_energy(p: Primitive, params: PhysParams, s=None):
+    return params.g * p.h / 2.0 - _elastic_energy(p, params, s)
 
 
 def internal_energy(p: Primitive, params: PhysParams):
@@ -296,7 +280,7 @@ def internal_energy(p: Primitive, params: PhysParams):
 
 
 def _dissipation_rate(p: Primitive, params: PhysParams):
-    Q = _trace_gap(p, params)
+    Q = _stress_terms(p, params)[1]
     return (
         -params.G
         * p.h

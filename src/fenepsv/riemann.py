@@ -49,9 +49,10 @@ from .model import (
     PhysParams,
     Primitive,
     SolverError,
-    _elastic_energy,
     _holds,
+    _internal_energy,
     _stress_terms,
+    _total_pressure,
     dP_dh_frozen,
     primitive,
     require_admissible,
@@ -191,16 +192,15 @@ def _cell_state(q: np.ndarray, p: Primitive, params: PhysParams) -> np.ndarray:
     np.multiply(cells[W1], down, out=cells[HSXX])
     np.multiply(cells[W2], up, out=cells[HSZZ])
     cells[HSXX : HSZZ + 1] *= h
-    h2 = h**2
-    np.add(params.g * h2 / 2.0, h * N, out=cells[P])
-    ehat = np.subtract(params.g * h / 2.0, _elastic_energy(p, params, s), out=cells[EHAT])
+    cells[P] = _total_pressure(p, params, N)
+    ehat = cells[EHAT] = _internal_energy(p, params, s)
     cells[FLUX.start] = a[HU]
     np.add(a[HU] * u, cells[P], out=cells[FLUX.start + 1])
     np.multiply(a[HSXX : HSZZ + 1], u, out=cells[FLUX.start + 2 : FLUX.stop])
     np.sqrt(dPdh, out=cells[A])
     np.multiply(h, cells[A], out=cells[HA])
     np.multiply(SPEED_FLOOR * h, np.maximum(1.0, cells[A]), out=cells[FLOOR])
-    np.multiply(h2, dPdh, out=cells[SOUND])
+    np.multiply(h**2, dPdh, out=cells[SOUND])
     hE = h * (u**2 / 2.0 + ehat)
     # u (hE + hP/h) is the outer state's hu/h (hE + hpi/h), u being hu/h.
     np.multiply(u, hE + h * cells[P] / h, out=cells[G])

@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,8 +27,7 @@ from .model import (
     SolverError,
     _column_runs,
     _free_energy,
-    _normal_stress,
-    _trace_gap,
+    _stress_terms,
     equilibrium_sigma,
     is_admissible,
     primitive,
@@ -60,6 +60,16 @@ SCENARIOS = ("dam-break", "uniform", "smooth-wave")
 # after a step, `run` raises StepBudgetExceeded.  A 16384-cell dam break to
 # t = 0.1 takes about 19k steps.
 RUN_STEP_LIMIT = 10**8
+
+
+# What each numeric setting must be, checked first: not a bool; numpy numbers become int or float.
+_NUMBER_SETTINGS = {
+    "cells": (numbers.Integral, "an integer"),
+    "snapshots": (numbers.Integral, "an integer"),
+    "max_steps": (numbers.Integral, "an integer >= 1 or unset"),
+    **dict.fromkeys(("x_min", "x_max", "t_end", "cfl", "jump_x", "dt_min_factor"),
+                    (numbers.Real, "a real number")),
+}
 
 
 class ConfigError(ValueError):
@@ -101,6 +111,12 @@ class RunConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
+        for name, (kind, what) in _NUMBER_SETTINGS.items():
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, kind)) and not (name == "max_steps" and v is None):
+                raise ConfigError(f"{name} must be {what}, got {v!r}")
+            if isinstance(v, np.generic):   # as int or float, which run.json can hold
+                object.__setattr__(self, name, v.item())
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         for name in ("t_end", "jump_x"):
@@ -115,10 +131,8 @@ class RunConfig:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if self.snapshots < 1:
             raise ConfigError(f"snapshots must be >= 1, got {self.snapshots}")
-        steps = self.max_steps
-        if steps is not None and (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
-                                  or steps < 1):
-            raise ConfigError(f"max_steps must be an integer >= 1 or unset, got {steps!r}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps must be an integer >= 1 or unset, got {self.max_steps!r}")
         if self.scenario == "dam-break" and not (self.x_min < self.jump_x < self.x_max):
             raise ConfigError(f"jump_x={self.jump_x} outside the domain interior")
         states = (self.left, self.right) if self.scenario == "dam-break" else (self.left,)
@@ -250,8 +264,8 @@ def _row_tails(cells: np.ndarray, lengths, params: PhysParams) -> list:
     except SolverError:
         require_admissible(primitive(np.repeat(cells, lengths, axis=1)), params, "snapshot state")
         raise
-    cols = np.array((p.h, p.u, p.sxx, p.szz, _normal_stress(p, params, _trace_gap(p, params)),
-                     p.sxx + p.szz, _free_energy(p, params)))
+    s, _, _, N = _stress_terms(p, params)
+    cols = np.array((p.h, p.u, p.sxx, p.szz, N, s, _free_energy(p, params)))
     return [_ROW_TAIL % row for row in zip(*cols.tolist())]
 
 
@@ -354,7 +368,8 @@ def run(config: RunConfig) -> RunResult:
 
     Snapshot times are hit exactly: the step is clipped to the remaining
     interval, or halved when within a factor two of it, so no step ever
-    shrinks below half the stable step.  A run that needs more than
+    shrinks below half the stable step; output time k, k t_end / snapshots
+    (the last t_end itself), is made when reached.  A run that needs more than
     config.max_steps steps raises StepBudgetExceeded, naming the last step
     taken, its time and its dt.  So does a run whose step count, the steps
     taken plus (t_end - t)/dt after a step, comes out above RUN_STEP_LIMIT:
@@ -401,10 +416,7 @@ def run(config: RunConfig) -> RunResult:
         write_snapshot_csv(outdir / name, grid, state._carried_runs or state.q, config.params)
         snapshot_files.append(name)
 
-    targets = [k * config.t_end / config.snapshots for k in range(config.snapshots + 1)]
-    targets[-1] = config.t_end
-    if config.t_end == 0.0:
-        targets = [0.0]
+    last = config.snapshots if config.t_end != 0.0 else 0   # t_end = 0: only t = 0
     min_dt = np.inf
     violations = 0
     worst_subchar = 0.0
@@ -420,7 +432,8 @@ def run(config: RunConfig) -> RunResult:
             emit(0.0)
             if diag_file is not None:
                 diag_file.write(_DIAGNOSTICS_HEADER)
-            for t_next in targets[1:]:
+            for k in range(1, last + 1):
+                t_next = k * config.t_end / config.snapshots if k < last else config.t_end
                 while state.t < t_next:
                     if steps == config.max_steps:
                         raise StepBudgetExceeded(
@@ -479,7 +492,7 @@ def run(config: RunConfig) -> RunResult:
     )
 
     if outdir is not None:
-        write_svg_summary(outdir / "final.svg", grid, q0, final_q, config.params)
+        write_svg_summary(outdir / "final.svg", grid, q0, final_q)
         _write_run_json(outdir, config, summary=result.summary(), snapshots=snapshot_files)
     return result
 
@@ -491,8 +504,8 @@ _PANELS = ("h", "u", "sigma_xx", "sigma_zz")
 
 
 def _x_points(px) -> list:
-    """Screen-x texts of a polyline's points: " %.2f,", the first unspaced."""
-    text = _texts(px, " %.2f,")
+    """Screen-x texts of a polyline's points: " %.2f,", the first unspaced (no runs: x increases)."""
+    text = [" %.2f," % v for v in px.tolist()]
     text[0] = text[0][1:]
     return text
 
@@ -538,8 +551,7 @@ def _panel_svg(ox: float, oy: float, w: float, h: float, title: str, x, y0, y1, 
         yield f'" {style}/>\n'
 
 
-def write_svg_summary(path: Path, grid: Grid, q_init: np.ndarray, q_final: np.ndarray,
-                      params: PhysParams) -> None:
+def write_svg_summary(path: Path, grid: Grid, q_init: np.ndarray, q_final: np.ndarray) -> None:
     """2x2 panel plot (h, u, sigma_xx, sigma_zz), final state over initial, streamed."""
     series = [(p.h, p.u, p.sxx, p.szz) for p in (primitive(q_init), primitive(q_final))]
     for name, a, b in zip(_PANELS, *series):
@@ -579,11 +591,6 @@ class ConvergenceResult:
             o = "-" if o is None else f"{o:.3f}"
             lines.append(f"{n:<8d} {e:.6e}   {o}")
         return "\n".join(lines)
-
-
-def _block_average(h_fine: np.ndarray, n_coarse: int) -> np.ndarray:
-    factor = h_fine.size // n_coarse
-    return h_fine.reshape(n_coarse, factor).mean(axis=1)
 
 
 def convergence_study(config: RunConfig, levels, reference: str = "auto") -> ConvergenceResult:
@@ -633,7 +640,7 @@ def convergence_study(config: RunConfig, levels, reference: str = "auto") -> Con
     else:
         h_fine = runs[-1].state.q[H]
         for res in runs[:-1]:
-            h_ref = _block_average(h_fine, res.grid.n)
+            h_ref = h_fine.reshape(res.grid.n, -1).mean(axis=1)   # block averages
             errors.append(float(np.sum(np.abs(res.state.q[H] - h_ref) * res.grid.dx)))
         used_levels = levels[:-1]
 

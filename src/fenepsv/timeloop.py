@@ -22,11 +22,12 @@ one inner cell and its last cell, since every inner cell meets the same
 (left, self, right) cells and every cell of a `Grid` has the one width dx.
 On grids of piecewise-constant data (behind the one gate of `_runs`), the
 step runs on these compressed cells, taken from the runs of the state: the
-runs it carries from the step that made it, or those of one scan.  Its
-result stays in run space: one cell per run, the run's start and length,
-and the cell's F, with no (4, n) array, which `SimState.q` builds on first
-read.  The step on every cell and the step on compressed cells are one body
-(`_step_cells`), and their results are the same bits, errors included.
+runs it carries from the step that made it, or those of one scan of a
+state that carries nothing.  Its result stays in run space: one cell per
+run, the run's start and length, and the cell's F, with no (4, n) array,
+which `SimState.q` builds on first read.  The step on every cell and the
+step on compressed cells are one body (`_step_cells`), and their results
+are the same bits, errors included.
 """
 
 from __future__ import annotations
@@ -152,10 +153,11 @@ class SimState:
     array until q is first read, which repeats the cells by their lengths
     once and caches the result.  The q of a state returned by `full_step` is
     read-only, so that what the state carries cannot go stale; its t may be
-    set (`run` lands on output times so).  Any other state (built by hand,
-    or by `dataclasses.replace`, which reads the full q) carries nothing:
-    `full_step` checks it and, on a grid large enough for runs, scans it
-    once.
+    set (`run` lands on output times so).  A state made by the step on
+    every cell carries F alone, and is stepped on every cell, unscanned.
+    Any other state (the initial condition, one built by hand or by
+    `dataclasses.replace`, which reads the full q) carries nothing:
+    `full_step` checks it and, on a grid large enough for runs, scans it.
     """
 
     t: float
@@ -563,21 +565,27 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     the runs of equal cells pay (see `_runs`), the step runs on the
     compressed cells (see `_step_cells`), taken from the runs that the state
     carries or, for a state that carries none, from one scan of its cells,
-    whose check and F then run on one cell per run.  Its bits are those of
+    whose check and F then run on one cell per run (a state made by the
+    step on every cell is stepped on every cell).  Its bits are those of
     the step on every cell, and it returns a state in run space, whose q is
     built only when read.  A SolverError on the compressed cells (or on one
     cell per run) is raised again by the step (or the check) on every cell,
     so its text, index and count name the cells and interfaces of q.  A
     SolverError raised after the step chose its dt carries that dt as
-    `step_dt`.
+    `step_dt`.  A state whose cell count (in run space, the end of its last
+    run) is not grid.n raises ValueError before any check.
     """
     control = control or StepControl()
     n = grid.n
     carried = state._carried_f
     f_old = carried[1] if carried is not None and carried[0] == params else None
-    if state._carried_runs is not None:
-        cells, starts, lengths = state._carried_runs   # f_old, if carried, is per run
-    elif n >= RUNS_MIN_CELLS:
+    runs_in = state._carried_runs
+    m = state.q.shape[-1] if runs_in is None else int(runs_in[1][-1] + runs_in[2][-1])
+    if m != n:
+        raise ValueError(f"a state of {m} cells on a grid of {n} cells")
+    if runs_in is not None:
+        cells, starts, lengths = runs_in   # f_old, if carried, is per run
+    elif carried is None and n >= RUNS_MIN_CELLS:   # a state that carries nothing
         cells, (starts, lengths) = None, _column_runs(state.q)
     else:
         starts = None
@@ -585,12 +593,11 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     if runs is None:
         if f_old is None:
             f_old = _checked_free_energy(state.q, params)
-        elif state._carried_runs is not None:
+        elif runs_in is not None:
             f_old = np.repeat(f_old, lengths)
         return _step_cells(state.t, state.q, f_old, grid, params, control)
     if cells is None:
         cells = np.take(state.q, starts, axis=1)
-        f_old = None if f_old is None else f_old[starts]
     if f_old is None:
         try:
             f_old = _checked_free_energy(cells, params)

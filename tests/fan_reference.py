@@ -20,11 +20,10 @@ from fenepsv.model import (
     PhysParams,
     Primitive,
     _internal_energy,
-    _total_pressure,
-    _trace_gap,
     dP_dh_frozen,
     primitive,
     require_admissible,
+    total_pressure,
 )
 from fenepsv.riemann import StarStateError, _w_bounds
 from fenepsv.timeloop import SubcharacteristicViolation, TimeStepCollapse, apply_boundary
@@ -173,7 +172,7 @@ def _cell_state(q: np.ndarray, p: Primitive, params: PhysParams) -> CellState:
     dPdh = dP_dh_frozen(p, params)   # also rejects a non-positive trace gap
     w1 = p.sxx * np.power(p.h, 2.0 * (1.0 - params.zeta))
     w2 = p.szz * np.power(p.h, 2.0 * (params.zeta - 1.0))
-    P = _total_pressure(p, params, _trace_gap(p, params))
+    P = total_pressure(p, params)
     ehat = _internal_energy(p, params)
     return CellState(
         q=q,

@@ -134,6 +134,36 @@ class TestConfig:
                 preset(10.0, **override)
             assert type(err.value) is error and str(err.value) == text
 
+    @pytest.mark.parametrize("name, value, what", [
+        ("cells", 16.5, "an integer"),
+        ("cells", True, "an integer"),
+        ("snapshots", 2.5, "an integer"),
+        ("snapshots", np.float64(4.0), "an integer"),
+        ("max_steps", np.True_, "an integer >= 1 or unset"),
+        ("t_end", "0.1", "a real number"),
+        ("cfl", "0.5", "a real number"),
+        ("x_min", False, "a real number"),
+        ("x_max", "1", "a real number"),
+        ("dt_min_factor", "0", "a real number"),
+        ("jump_x", None, "a real number"),
+    ])
+    def test_settings_of_the_wrong_type(self, name, value, what):
+        # Checked before any other setting: a ConfigError naming the setting.
+        with pytest.raises(ConfigError) as err:
+            preset_dam_break(10.0, **{name: value})
+        assert str(err.value) == f"{name} must be {what}, got {value!r}"
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self, tmp_path):
+        cfg = preset_dam_break(10.0, cells=np.int64(16), snapshots=np.int32(2),
+                               max_steps=np.int64(100), t_end=np.float32(0.005), x_max=1,
+                               outdir=str(tmp_path))
+        assert [type(getattr(cfg, k)) for k in ("cells", "snapshots", "max_steps", "t_end", "x_max")] \
+            == [int, int, int, float, int]
+        assert cfg.t_end == float(np.float32(0.005))
+        run(cfg)
+        config = json.loads((tmp_path / "run.json").read_text())["config"]
+        assert config["cells"] == 16 and config["snapshots"] == 2 and config["t_end"] == cfg.t_end
+
     def test_t_end_zero_accepted(self):
         cfg = dataclasses.replace(preset_dam_break(10.0), t_end=0.0)
         assert cfg.t_end == 0.0
@@ -665,7 +695,7 @@ class TestOutputLayer:
 
         res, run_peak = traced_peak(run, cfg)
         _, svg_peak = traced_peak(write_svg_summary, tmp_path / "again.svg", res.grid, res.initial,
-                                  res.state.q, res.config.params)
+                                  res.state.q)
         assert (tmp_path / "again.svg").read_bytes() == (tmp_path / "final.svg").read_bytes()
         assert run_peak <= 1.6e6 and svg_peak <= 1.2e6
 
@@ -1059,6 +1089,26 @@ class TestStepBudget:
         record = json.loads((out / "run.json").read_text())
         assert record["status"] == "error" and record["error"].startswith("StepBudgetExceeded: ")
         assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 1
+
+    def test_output_times_are_made_as_the_run_reaches_them(self, tmp_path):
+        # A million output times and a budget of 2 steps: the run holds no
+        # list of the times (32 MB traced), and each time it lands on keeps
+        # the bits of k t_end / snapshots, the last one t_end itself.
+        cfg = preset_dam_break(10.0, cells=16, snapshots=10**6, max_steps=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(fenepsv.StepBudgetExceeded, match="step budget of 2 steps"):
+                run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        cfg = preset_dam_break(10.0, cells=16, t_end=0.1, snapshots=6, outdir=str(tmp_path))
+        assert run(cfg).state.t == 0.1
+        rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+        landed = {float(row.split(",")[1]) for row in rows}
+        assert {k * 0.1 / 6 for k in range(1, 6)} | {0.1} <= landed
+        assert 6 * 0.1 / 6 not in landed   # the last time is t_end, not 6 t_end / 6
 
     @pytest.mark.parametrize("snapshots", [10, 1000])
     def test_landing_steps_do_not_trip_the_projection(self, snapshots, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fenepsv.model as model_mod
+import fenepsv.riemann as riemann_mod
 import fenepsv.timeloop as timeloop_mod
 from fenepsv.model import (
     H,
@@ -24,9 +25,8 @@ from fenepsv.model import (
     _dissipation_rate,
     _free_energy,
     _internal_energy,
-    _normal_stress,
+    _stress_terms,
     _total_pressure,
-    _trace_gap,
     dissipation_rate,
     dP_dh_frozen,
     equilibrium_sigma,
@@ -732,18 +732,30 @@ class TestKernels:
     @given(piecewise_cases())
     def test_kernels_match_their_guards_bitwise(self, case):
         params, p, _ = case
-        gap = _trace_gap(p, params)
+        s, _, _, N = _stress_terms(p, params)
         for kernel, guard in (
             (_free_energy(p, params), free_energy(p, params)),
             (_internal_energy(p, params), internal_energy(p, params)),
+            (_internal_energy(p, params, s), internal_energy(p, params)),
             (_dissipation_rate(p, params), dissipation_rate(p, params)),
-            (_normal_stress(p, params, gap), normal_stress(p, params)),
-            (_total_pressure(p, params, gap), total_pressure(p, params)),
+            (N, normal_stress(p, params)),
+            (_total_pressure(p, params, N), total_pressure(p, params)),
             *zip(_w_bounds(p, params), w_bounds(p, params)),
         ):
             assert same_bits(kernel, guard)
         q = p.conserved()
         assert same_bits(_cell_state(q, primitive(q), params), cell_state(q, params))
+
+    @given(piecewise_cases())
+    def test_cell_state_rows_are_the_model_formulas(self, case):
+        # The fan's P and ehat rows are the one formula of each quantity,
+        # the one behind the public guards.
+        params, p, _ = case
+        q = p.conserved()
+        p = primitive(q)
+        cells = cell_state(q, params)
+        assert same_bits(cells[riemann_mod.P], total_pressure(p, params))
+        assert same_bits(cells[riemann_mod.EHAT], internal_energy(p, params))
 
     @given(piecewise_cases(), st.sampled_from(("h", "sxx", "szz", "trace")), st.data())
     def test_guards_reject_inadmissible_states(self, case, how, data):
@@ -1163,8 +1175,9 @@ class TestRuns:
     def test_one_scan_per_step_and_none_with_carried_runs(self, monkeypatch):
         # A hand-built state is scanned once; the states the step on runs
         # makes carry their runs, across run()'s landings on output times;
-        # a state without runs is scanned once per step.  Scans of the runs'
-        # own columns are not scans of the grid.
+        # a state without runs is scanned once, and the states that the step
+        # on every cell makes are not scanned.  Scans of the runs' own
+        # columns are not scans of the grid.
         scans = []
 
         def spy(a):
@@ -1182,7 +1195,51 @@ class TestRuns:
         scans.clear()
         for _ in range(3):
             state, _ = full_step(state, grid, smooth.params, StepControl(bc="periodic"))
-        assert state._carried_runs is None and scans == [smooth.cells] * 3
+        assert state._carried_runs is None and scans == [smooth.cells]
+
+    def test_state_made_on_every_cell_is_not_scanned(self, monkeypatch):
+        # A 4096-cell dam break stepped once on every cell (gate closed),
+        # then twice with the gate open: its runs would pay, but a state made
+        # by the step on every cell steps on every cell, with no scan.
+        n, scans, sizes = 4096, [], []
+
+        def scan(a):
+            scans.append(a.shape[1])
+            return _column_runs(a)
+
+        def cells(q, *args):
+            sizes.append(q.shape[1])
+            return _cell_state(q, *args)
+
+        monkeypatch.setattr(timeloop_mod, "_column_runs", scan)
+        monkeypatch.setattr(timeloop_mod, "_cell_state", cells)
+        grid = Grid.uniform(0.0, 1.0, n)
+        with pytest.MonkeyPatch.context() as mp:
+            force_runs(mp, False)
+            state, _ = full_step(dam_break_state(n), grid, P10)
+        assert runs_of(state.q) is not None and scans == []
+        sizes.clear()
+        for _ in range(2):
+            state, _ = full_step(state, grid, P10)
+            assert state._carried_runs is None
+        assert scans == [] and sizes == [n + 2] * 2
+
+    def test_run_across_the_gate_is_the_run_on_every_cell(self):
+        # A 32-cell dam break with the gate open to every grid: it steps on
+        # its runs until its compressed cells pass half its cells (after 6
+        # steps), then on every cell.  Its times, cells, F and diagnostics
+        # are those of the steps with the runs forced on and forced off.
+        args = (dam_break_state(32).q, Grid.uniform(0.0, 1.0, 32), P10, StepControl(), 10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timeloop_mod, "RUNS_MIN_CELLS", 0)
+            crossing = runs_outcome(stepped, *args)
+            state, in_run_space = dam_break_state(32), []
+            for _ in range(10):
+                state, _ = full_step(state, args[1], P10)
+                in_run_space.append(state._carried_runs is not None)
+        assert in_run_space == [True] * 6 + [False] * 4
+        assert len(crossing) == 40
+        assert crossing == with_runs(True, stepped, *args) == with_runs(False, stepped, *args)
 
     def test_runs_do_not_survive_replace(self):
         cfg = preset_dam_break(10.0, cells=4096)
@@ -1253,6 +1310,26 @@ class TestRunSpace:
         q = state.q
         assert vars(state)["q"] is q and state.q is q and not q.flags.writeable
         assert q.shape == (4, self.n) and q.tobytes() == np.repeat(cells, lengths, axis=1).tobytes()
+
+    @pytest.mark.parametrize("cells, grid_cells", [(4096, 8192), (4096, 2048), (100, 256), (100, 50)])
+    def test_state_that_does_not_fit_the_grid(self, cells, grid_cells):
+        # A ValueError naming both cell counts, before any check or scan,
+        # for a plain state and a state in run space (counted from its runs,
+        # with no q built), admissible or not.
+        plain = dam_break_state(cells)
+        spoiled = SimState(0.0, plain.q.copy())
+        spoiled.q[H, 0] = -1.0
+        states = [plain, spoiled]
+        if cells >= timeloop_mod.RUNS_MIN_CELLS:
+            states.append(full_step(plain, Grid.uniform(0.0, 1.0, cells), P10)[0])
+            assert states[-1]._carried_runs is not None
+        for state in states:
+            with pytest.raises(ValueError) as err:
+                full_step(state, Grid.uniform(0.0, 1.0, grid_cells), P10)
+            assert type(err.value) is ValueError
+            assert str(err.value) == f"a state of {cells} cells on a grid of {grid_cells} cells"
+        if cells >= timeloop_mod.RUNS_MIN_CELLS:
+            assert "q" not in vars(states[-1])
 
     def test_replace_reads_the_full_q_and_carries_nothing(self):
         state = self.stepped()
