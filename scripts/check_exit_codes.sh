@@ -100,6 +100,14 @@ printf 'cells =\n' >"$work/cells_empty.cfg"
 # 1.5 GB address-space limit, so a tree that lists the times fails the case
 # with a MemoryError instead of exhausting the machine.
 printf 'cells = 16\nsnapshots = 1000000000000\n' >"$work/many_snapshots.cfg"
+# A grid-refinement study against the exact shallow-water dam break where that
+# solution does not apply: the default G = 0.1, and G = 0 with the depths
+# reversed.  Each is a config error (exit 2) before any level runs.
+printf 'cells = 16\n' >"$work/exact_elastic.cfg"
+printf 'G = 0\nleft_h = 0.1\nright_h = 1.0\n' >"$work/exact_reversed.cfg"
+# A billion cells, whose grid of 8 GB per array the 1.5 GB address-space limit
+# refuses at once: a config error (exit 2), not a MemoryError traceback.
+printf 'cells = 1000000000\n' >"$work/huge_grid.cfg"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
@@ -145,6 +153,11 @@ if ! grep -q 'DissipationViolation' "$work/nan_strict/run.json"; then
 fi
 expect 0 "$@" converge --config "$work/uniform.cfg" --levels 16,32,64
 expect 2 "$@" converge --config "$work/uniform.cfg" --levels 64,32
+for case in exact_elastic exact_reversed; do
+    expect 2 "$@" converge --config "$work/$case.cfg" --levels 16,32 --reference exact-sw
+done
+expect 2 sh -c 'ulimit -v 1500000 && exec "$@"' sh "$@" \
+    solve --config "$work/huge_grid.cfg" --out "$work/huge_grid"
 expect 3 "$@" solve --config "$work/fan_fail.cfg" --out "$work/fan_fail"
 one_stderr_line fan_fail
 if ! grep -q 'StarStateError' "$work/fan_fail/run.json"; then

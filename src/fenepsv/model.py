@@ -189,6 +189,19 @@ def require_admissible(p: Primitive, params: PhysParams, context: str = "state")
         )
 
 
+def _checked_primitive(cells: np.ndarray, params: PhysParams, context: str, lengths=None):
+    """The primitive state of the cells, checked admissible; with `lengths` (cell k standing
+    for lengths[k] cells), a failure is checked again on every cell, so the error names them."""
+    p = primitive(cells)
+    try:
+        require_admissible(p, params, context)
+    except SolverError:
+        if lengths is not None:
+            require_admissible(primitive(np.repeat(cells, lengths, axis=1)), params, context)
+        raise
+    return p
+
+
 def _stress_terms(p: Primitive, params: PhysParams):
     """(s, gap, d, N) of p: the trace s = sxx + szz, the trace gap 1 - s/ell
     (raising AdmissibilityError where it is not positive), d = szz - sxx and

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import numbers
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,13 +26,13 @@ from .model import (
     PhysParams,
     Primitive,
     SolverError,
+    _checked_primitive,
     _column_runs,
     _free_energy,
     _stress_terms,
     equilibrium_sigma,
     is_admissible,
     primitive,
-    require_admissible,
 )
 from .timeloop import Grid, SimState, StepControl, full_step
 
@@ -62,13 +63,17 @@ SCENARIOS = ("dam-break", "uniform", "smooth-wave")
 RUN_STEP_LIMIT = 10**8
 
 
-# What each numeric setting must be, checked first: not a bool; numpy numbers become int or float.
-_NUMBER_SETTINGS = {
+# What each setting but the states must be: a bool is no number; numpy scalars become Python's.
+_BOOLS = (bool, np.bool_)
+_SETTING_KINDS = {
+    "params": (PhysParams, "a PhysParams"),
     "cells": (numbers.Integral, "an integer"),
     "snapshots": (numbers.Integral, "an integer"),
-    "max_steps": (numbers.Integral, "an integer >= 1 or unset"),
+    "max_steps": ((numbers.Integral, type(None)), "an integer >= 1 or unset"),
     **dict.fromkeys(("x_min", "x_max", "t_end", "cfl", "jump_x", "dt_min_factor"),
                     (numbers.Real, "a real number")),
+    **dict.fromkeys(("strict_dissipation", "strict_subchar"), (_BOOLS, "a bool")),
+    "outdir": ((str, os.PathLike, type(None)), "unset, a str or a path"),
 }
 
 
@@ -111,12 +116,26 @@ class RunConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        for name, (kind, what) in _NUMBER_SETTINGS.items():
+        for name, (kind, what) in _SETTING_KINDS.items():
             v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, kind)) and not (name == "max_steps" and v is None):
+            if not isinstance(v, kind) or (kind is not _BOOLS and isinstance(v, _BOOLS)):
                 raise ConfigError(f"{name} must be {what}, got {v!r}")
-            if isinstance(v, np.generic):   # as int or float, which run.json can hold
+            if isinstance(v, np.generic):
                 object.__setattr__(self, name, v.item())
+        if isinstance(self.outdir, os.PathLike):   # a str, as run.json holds it
+            object.__setattr__(self, "outdir", os.fsdecode(self.outdir))
+        for side in ("left", "right"):
+            vals = getattr(self, side)
+            try:   # np.shape raises on ragged entries, float on an integer past the float range
+                state = (np.shape(vals) == (4,) and all(isinstance(v, numbers.Real)
+                                                        and not isinstance(v, _BOOLS) for v in vals)
+                         and tuple(map(float, vals)))   # as run.json holds them
+            except (ValueError, OverflowError):
+                state = None
+            if not state:
+                raise ConfigError(f"{side} state must be 4 real numbers (h u sigma_xx sigma_zz), "
+                                  f"got {vals!r}")
+            object.__setattr__(self, side, state)
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         for name in ("t_end", "jump_x"):
@@ -127,6 +146,8 @@ class RunConfig:
             StepControl(cfl=self.cfl, bc=self.bc, dt_min_factor=self.dt_min_factor)
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        except MemoryError as e:
+            raise ConfigError(f"cells={self.cells}: the grid cannot be allocated ({e})") from e
         if not self.t_end >= 0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if self.snapshots < 1:
@@ -135,22 +156,12 @@ class RunConfig:
             raise ConfigError(f"max_steps must be an integer >= 1 or unset, got {self.max_steps!r}")
         if self.scenario == "dam-break" and not (self.x_min < self.jump_x < self.x_max):
             raise ConfigError(f"jump_x={self.jump_x} outside the domain interior")
-        states = (self.left, self.right) if self.scenario == "dam-break" else (self.left,)
-        if self.scenario != "smooth-wave":
-            for side, vals in zip(("left", "right"), states):
-                if len(vals) != 4:
-                    raise ConfigError(f"{side} state needs 4 entries (h u sigma_xx sigma_zz)")
-                if not np.isfinite(vals).all():
-                    raise ConfigError(f"{side} state {tuple(vals)} has a non-finite entry")
-                p = Primitive(*map(float, vals))
-                if not np.all(is_admissible(p, self.params)):
-                    raise ConfigError(f"{side} state {tuple(vals)} is not admissible")
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["left"] = list(map(float, self.left))
-        d["right"] = list(map(float, self.right))
-        return d
+        for side in {"dam-break": ("left", "right"), "uniform": ("left",)}.get(self.scenario, ()):
+            vals = getattr(self, side)   # a state the scenario reads
+            if not np.isfinite(vals).all():
+                raise ConfigError(f"{side} state {vals} has a non-finite entry")
+            if not is_admissible(Primitive(*vals), self.params):
+                raise ConfigError(f"{side} state {vals} is not admissible")
 
 
 def _params_or_error(**kw) -> PhysParams:
@@ -198,11 +209,11 @@ def _smooth_primitive(x, config: RunConfig):
 def initial_condition(config: RunConfig, grid: Grid) -> np.ndarray:
     """Exact cell averages of the initial data: the (4, n) conserved state."""
     if config.scenario == "uniform":
-        q = Primitive(*map(float, config.left)).conserved()
+        q = Primitive(*config.left).conserved()
         return q[:, None] * np.ones(grid.n)
     if config.scenario == "dam-break":
-        ql = Primitive(*map(float, config.left)).conserved()
-        qr = Primitive(*map(float, config.right)).conserved()
+        ql = Primitive(*config.left).conserved()
+        qr = Primitive(*config.right).conserved()
         wl = np.clip((config.jump_x - grid.edges[:-1]) / grid.dx, 0.0, 1.0)
         wr = 1.0 - wl
         q = np.empty((4, grid.n))
@@ -257,33 +268,42 @@ _ROW_TAIL = ",".join(["%r"] * (len(SNAPSHOT_COLUMNS) - 1)) + "\n"
 
 
 def _row_tails(cells: np.ndarray, lengths, params: PhysParams) -> list:
-    """Row text after x of each run's cell, checked once (on every cell if that fails)."""
-    p = primitive(cells)
-    try:
-        require_admissible(p, params, "snapshot state")
-    except SolverError:
-        require_admissible(primitive(np.repeat(cells, lengths, axis=1)), params, "snapshot state")
-        raise
+    """Row text after x of each run's cell (cells[:, k] stands for lengths[k] cells), checked."""
+    p = _checked_primitive(cells, params, "snapshot state", lengths)
     s, _, _, N = _stress_terms(p, params)
     cols = np.array((p.h, p.u, p.sxx, p.szz, N, s, _free_energy(p, params)))
     return [_ROW_TAIL % row for row in zip(*cols.tolist())]
 
 
-def _repeat(texts: list, lengths) -> list:
-    return np.repeat(np.array(texts, dtype=object), lengths).tolist()
+# Cells joined into each piece of text: a write call per row costs more than its text.
+_ROWS_PER_WRITE = 512
 
 
-def _texts(col, fmt: str) -> list:
-    """`fmt % v` for every v of the 1-D column col, once per run of equal bits."""
-    starts, lengths = _column_runs(col[None])
-    return _repeat([fmt % v for v in col[starts].tolist()], lengths)
-
-
-def _interleave(a, b) -> str:
-    """a[0] + b[0] + a[1] + b[1] + ..., joined once."""
-    parts = [None] * (2 * len(a))
-    parts[::2], parts[1::2] = a, b
-    return "".join(parts)
+def _joined(heads, texts, starts, lengths):
+    """heads[i] + texts[k] for each cell i of each run k (lengths[k] cells from starts[k]), in
+    pieces of _ROWS_PER_WRITE cells.  Where the runs average two cells or more, a run's cells
+    i..j-1 in a piece are one texts[k].join(heads[i:j]) + texts[k]; shorter runs cost less as
+    the heads interleaved with a text per cell (texts repeated, or texts itself when each run
+    is one cell)."""
+    n = len(heads)
+    if 2 * len(texts) > n:
+        each = texts if len(texts) == n else np.repeat(np.array(texts, dtype=object),
+                                                       lengths).tolist()
+        for a in range(0, n, _ROWS_PER_WRITE):
+            part = heads[a:a + _ROWS_PER_WRITE]
+            parts = [None] * (2 * len(part))
+            parts[::2], parts[1::2] = part, each[a:a + _ROWS_PER_WRITE]
+            yield "".join(parts)
+        return
+    piece, edge = [], _ROWS_PER_WRITE   # edge: the first cell of the next piece
+    for text, i, length in zip(texts, starts.tolist(), lengths.tolist()):
+        end = i + length
+        while edge < end:   # the run goes on into the next piece
+            piece.append(text.join((*heads[i:edge], "")))
+            yield "".join(piece)
+            piece, i, edge = [], edge, edge + _ROWS_PER_WRITE
+        piece += heads[i] if end - i == 1 else text.join(heads[i:end]), text
+    yield "".join(piece)
 
 
 @functools.lru_cache(maxsize=1)
@@ -293,28 +313,23 @@ def _grid_text(centers: bytes) -> tuple:
     return tuple(repr(x) + "," for x in np.frombuffer(centers).tolist())
 
 
-# Rows joined into each write: a write call per row costs more than its text.
-_ROWS_PER_WRITE = 512
-
-
 def write_snapshot_csv(path: Path, grid: Grid, q, params: PhysParams) -> None:
     """Write the snapshot CSV of q: the (4, n) state, scanned once for its runs
     of equal cells, or the runs (cells, starts, lengths) that a state in run
-    space carries.  Each run's text after x is made once (see README)."""
+    space carries.  Each run's text after x is made once (see `_joined`)."""
     if isinstance(q, tuple):
-        cells, _, lengths = q
+        cells, starts, lengths = q
     else:
         q = np.asarray(q, dtype=np.float64)
         starts, lengths = _column_runs(q)
         cells = np.take(q, starts, axis=1)
-    tails = _repeat(_row_tails(cells, lengths, params), lengths)
+    tails = _row_tails(cells, lengths, params)
     x_text = _grid_text(np.ascontiguousarray(grid.centers, dtype=np.float64).tobytes())
-    if len(tails) != len(x_text):
-        raise ValueError(f"{len(tails)} cells on a grid of {len(x_text)}")
+    if (m := int(np.sum(lengths))) != len(x_text):
+        raise ValueError(f"{m} cells on a grid of {len(x_text)}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        for i in range(0, len(tails), _ROWS_PER_WRITE):
-            f.write(_interleave(x_text[i:i + _ROWS_PER_WRITE], tails[i:i + _ROWS_PER_WRITE]))
+        f.writelines(_joined(x_text, tails, starts, lengths))
 
 
 _DIAGNOSTICS_HEADER = (
@@ -359,7 +374,7 @@ def _failure_record(error: SolverError, state: SimState, step: int, dt, max_dt: 
 
 def _write_run_json(outdir: Path, config: RunConfig, **record) -> None:
     with open(outdir / "run.json", "w", encoding="utf-8") as f:
-        json.dump({"config": config.as_dict(), **record}, f, indent=2, sort_keys=True)
+        json.dump({"config": dataclasses.asdict(config), **record}, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -546,8 +561,11 @@ def _panel_svg(ox: float, oy: float, w: float, h: float, title: str, x, y0, y1, 
         (y0, 'fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="4 3"'),
         (y1, 'fill="none" stroke="#1f6feb" stroke-width="1.5"'),
     ):
+        py = sy(ydata)
+        starts, lengths = _column_runs(py[None])
         yield '<polyline points="'
-        yield _interleave(x_texts[ox], _texts(sy(ydata), "%.2f"))
+        yield from _joined(x_texts[ox], ["%.2f" % v for v in py[starts].tolist()], starts,
+                           lengths)   # no name holds the texts on to the next polyline
         yield f'" {style}/>\n'
 
 
@@ -597,11 +615,11 @@ def convergence_study(config: RunConfig, levels, reference: str = "auto") -> Con
     """L1(h) errors and observed orders across a sequence of grids.
 
     Each level must divide the next.  reference='exact-sw' compares against
-    the exact dam-break solution (valid when G=0 and both sides start at
-    rest); 'self' compares each level against the block-averaged finest run;
-    'auto' picks 'exact-sw' when valid, else 'self'.  The order between two
-    levels is None unless both errors are positive (a lake at rest, or
-    t_end = 0, has none to measure).
+    the exact dam-break solution (valid when G=0, both sides start at rest
+    and the left is deeper, else a ConfigError); 'self' compares each level
+    against the block-averaged finest run; 'auto' picks 'exact-sw' when
+    valid, else 'self'.  The order between two levels is None unless both
+    errors are positive (a lake at rest, or t_end = 0, has none to measure).
     """
     levels = [int(n) for n in levels]
     if len(levels) < 2 or levels[0] < 1:
@@ -609,17 +627,20 @@ def convergence_study(config: RunConfig, levels, reference: str = "auto") -> Con
     for a, b in zip(levels, levels[1:]):
         if b % a != 0 or b <= a:
             raise ConfigError(f"each level must divide the next; got {a} then {b}")
+    exact_ok = (
+        config.scenario == "dam-break"
+        and config.params.G == 0.0
+        and config.left[1] == 0.0
+        and config.right[1] == 0.0
+        and config.left[0] > config.right[0]
+    )
     if reference == "auto":
-        exact_ok = (
-            config.scenario == "dam-break"
-            and config.params.G == 0.0
-            and config.left[1] == 0.0
-            and config.right[1] == 0.0
-            and config.left[0] > config.right[0]
-        )
         reference = "exact-sw" if exact_ok else "self"
     if reference not in ("exact-sw", "self"):
         raise ConfigError(f"unknown reference {reference!r}")
+    if reference == "exact-sw" and not exact_ok:
+        raise ConfigError("reference 'exact-sw' needs a dam break with G = 0, both sides at rest "
+                          "and the left depth above the right")
 
     runs = []
     for n in levels:

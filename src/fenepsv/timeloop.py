@@ -42,13 +42,13 @@ from .model import (
     PhysParams,
     Primitive,
     SolverError,
+    _checked_primitive,
     _column_runs,
     _dissipation_rate,
     _free_energy,
     _holds,
     is_admissible,
     primitive,
-    require_admissible,
 )
 from .riemann import (
     _cell_state,
@@ -513,8 +513,7 @@ def _step_cells(t: float, q, f_old, grid: Grid, params: PhysParams, control: Ste
     q_half = np.subtract(q, update, out=update)
     del f_left, f_right   # freed before the source step, unlike the fan
     try:
-        p_half = primitive(q_half)
-        require_admissible(p_half, params, "cell after transport")
+        p_half = _checked_primitive(q_half, params, "cell after transport")
         q_new, p_new, f_new = source_step(q_half, p_half, dt, params)
         d_new = _dissipation_rate(p_new, params)
         res, violations = _audit(f_old, f_new, g_flux, d_new, dt, dx, control, weight)
@@ -545,13 +544,6 @@ def _step_cells(t: float, q, f_old, grid: Grid, params: PhysParams, control: Ste
     return new_state, diag
 
 
-def _checked_free_energy(q, params: PhysParams):
-    """F of the cells q, checked admissible first."""
-    p = primitive(q)
-    require_admissible(p, params, "cell state")
-    return _free_energy(p, params)
-
-
 def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepControl | None = None):
     """One audited step of the splitting scheme.
 
@@ -568,9 +560,10 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     whose check and F then run on one cell per run (a state made by the
     step on every cell is stepped on every cell).  Its bits are those of
     the step on every cell, and it returns a state in run space, whose q is
-    built only when read.  A SolverError on the compressed cells (or on one
-    cell per run) is raised again by the step (or the check) on every cell,
-    so its text, index and count name the cells and interfaces of q.  A
+    built only when read.  A SolverError on the compressed cells is raised
+    again by the step on every cell, and a failed check of one cell per run
+    by `model._checked_primitive` on every cell, so its text, index and
+    count name the cells and interfaces of q.  A
     SolverError raised after the step chose its dt carries that dt as
     `step_dt`.  A state whose cell count (in run space, the end of its last
     run) is not grid.n raises ValueError before any check.
@@ -592,18 +585,14 @@ def full_step(state: SimState, grid: Grid, params: PhysParams, control: StepCont
     runs = None if starts is None else _runs(starts, lengths, n)
     if runs is None:
         if f_old is None:
-            f_old = _checked_free_energy(state.q, params)
+            f_old = _free_energy(_checked_primitive(state.q, params, "cell state"), params)
         elif runs_in is not None:
             f_old = np.repeat(f_old, lengths)
         return _step_cells(state.t, state.q, f_old, grid, params, control)
     if cells is None:
         cells = np.take(state.q, starts, axis=1)
     if f_old is None:
-        try:
-            f_old = _checked_free_energy(cells, params)
-        except SolverError:
-            _checked_free_energy(state.q, params)
-            raise
+        f_old = _free_energy(_checked_primitive(cells, params, "cell state", lengths), params)
     per_run = np.minimum(lengths, 3)
     try:
         return _step_cells(state.t, np.repeat(cells, per_run, axis=1), np.repeat(f_old, per_run),

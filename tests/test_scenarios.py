@@ -36,10 +36,9 @@ from fenepsv.scenarios import (
 )
 from fenepsv.scenarios import (
     _ROW_TAIL,
+    _ROWS_PER_WRITE,
     _grid_text,
-    _interleave,
-    _repeat,
-    _texts,
+    _joined,
     _x_points,
     write_snapshot_csv,
     write_svg_summary,
@@ -146,12 +145,53 @@ class TestConfig:
         ("x_max", "1", "a real number"),
         ("dt_min_factor", "0", "a real number"),
         ("jump_x", None, "a real number"),
+        ("params", None, "a PhysParams"),
+        ("outdir", 5, "unset, a str or a path"),
+        ("outdir", b"out", "unset, a str or a path"),
+        ("strict_dissipation", "false", "a bool"),
+        ("strict_subchar", "false", "a bool"),
+        ("strict_subchar", 0, "a bool"),
     ])
     def test_settings_of_the_wrong_type(self, name, value, what):
         # Checked before any other setting: a ConfigError naming the setting.
         with pytest.raises(ConfigError) as err:
             preset_dam_break(10.0, **{name: value})
         assert str(err.value) == f"{name} must be {what}, got {value!r}"
+
+    @pytest.mark.parametrize("scenario", ["dam-break", "uniform", "smooth-wave"])
+    @pytest.mark.parametrize("side, value", [
+        ("left", (1.0, 0.0, 1.0, "1")),
+        ("left", None),
+        ("right", None),
+        ("right", (0.1, 0.0, 1.0, True)),
+        ("left", (1.0, 0.0, 1.0)),
+        ("right", "1.01"),
+        ("left", np.array(1.0)),
+        ("right", np.ones((4, 1))),
+        ("right", ([0.1], 0.0, 1.0, 1.0)),
+        ("left", (1.0, 0.0, 1.0, 10**400)),
+    ])
+    def test_states_must_be_four_real_numbers(self, scenario, side, value):
+        # Both states, whichever the scenario reads: run.json records both.
+        with pytest.raises(ConfigError) as err:
+            preset_dam_break(10.0, scenario=scenario, **{side: value})
+        assert str(err.value) == (
+            f"{side} state must be 4 real numbers (h u sigma_xx sigma_zz), got {value!r}")
+
+    def test_path_outdir_and_numpy_bools_are_stored_for_run_json(self, tmp_path):
+        cfg = preset_dam_break(10.0, cells=16, t_end=0.001, outdir=tmp_path / "out",
+                               strict_subchar=np.True_, left=np.array([1.0, 0.0, 1.0, 1.0]))
+        assert cfg.strict_subchar is True and cfg.left == (1.0, 0.0, 1.0, 1.0)
+        assert cfg.outdir == str(tmp_path / "out")
+        run(cfg)
+        config = json.loads((tmp_path / "out" / "run.json").read_text())["config"]
+        assert config["outdir"] == str(tmp_path / "out") and config["strict_subchar"] is True
+        assert config["left"] == [1.0, 0.0, 1.0, 1.0]
+
+    def test_a_grid_that_cannot_be_allocated(self):
+        # 2**40 cells: a grid of 8 TiB per array, whose allocation is refused at once.
+        with pytest.raises(ConfigError, match=r"^cells=1099511627776: the grid cannot be allocated \("):
+            preset_dam_break(10.0, cells=2**40)
 
     def test_numpy_numbers_are_stored_as_python_numbers(self, tmp_path):
         cfg = preset_dam_break(10.0, cells=np.int64(16), snapshots=np.int32(2),
@@ -299,16 +339,14 @@ class TestRunDriver:
         assert res.state.t == 0.02
 
     def test_snapshot_landings_keep_the_carried_energy(self, monkeypatch):
-        import fenepsv.timeloop as timeloop_mod
-
         contexts = []
-        check = timeloop_mod.require_admissible
+        check = model_mod.require_admissible
 
         def recording(p, params, context="state"):
             contexts.append(context)
             return check(p, params, context)
 
-        monkeypatch.setattr(timeloop_mod, "require_admissible", recording)
+        monkeypatch.setattr(model_mod, "require_admissible", recording)
         res = run(preset_dam_break(10.0, cells=32, t_end=0.06, snapshots=5))
         assert res.steps > 2 * 5
         assert contexts.count("cell state") == 1
@@ -405,13 +443,20 @@ def _snapshot_columns(grid, q, params):
 
 
 def _written_rows(x, cols):
-    """Snapshot rows as the writer composes them: the grid text, interleaved with
-    the row-run tails, each formatted once and repeated."""
+    """Snapshot rows as the writer composes them: the grid text joined by the
+    row-run tails, each formatted once."""
     a = np.array(np.broadcast_arrays(*cols), dtype=np.float64)
     starts, lengths = _column_runs(a)
-    tails = _repeat([_ROW_TAIL % row for row in zip(*a[:, starts].tolist())], lengths)
+    tails = [_ROW_TAIL % row for row in zip(*a[:, starts].tolist())]
     x_text = _grid_text(np.ascontiguousarray(x, dtype=np.float64).tobytes())
-    return _interleave(x_text, tails).splitlines()
+    return "".join(_joined(x_text, tails, starts, lengths)).splitlines()
+
+
+def _joined_per_cell(col, fmt: str) -> str:
+    """`_joined` of the heads "<i>" and the texts `fmt % v` of col's runs of equal bits."""
+    starts, lengths = _column_runs(col[None])
+    heads = [f"<{i}>" for i in range(col.size)]
+    return "".join(_joined(heads, [fmt % v for v in col[starts].tolist()], starts, lengths))
 
 
 def _seven(c):
@@ -466,8 +511,8 @@ class TestColumnFormat:
         rng = np.random.default_rng(7)
         values = np.array([0.0, -0.0, 1.0, 1 / 3, -2.5e-310, 1e308, np.nextafter(1.0, 2.0)])
         c = values[rng.integers(0, values.size, 400)].repeat(rng.integers(1, 4, 400))
-        assert _texts(c, "%r") == [repr(float(v)) for v in c]
-        assert _texts(np.broadcast_to(-0.0, 5), "%r") == ["-0.0"] * 5
+        assert _joined_per_cell(c, "%r") == "".join(f"<{i}>{float(v)!r}" for i, v in enumerate(c))
+        assert _joined_per_cell(np.broadcast_to(-0.0, 5), "%r") == "<0>-0.0<1>-0.0<2>-0.0<3>-0.0<4>-0.0"
         cols = _seven(c)
         x = np.linspace(-1.0, 1.0, c.size)
         assert _written_rows(x, cols) == _loop_rows((x, *cols))
@@ -529,9 +574,33 @@ class TestColumnFormat:
                 return oy + h - (v - lo) / (hi - lo) * h
 
             ref = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
-            assert _interleave(_x_points(sx(x)), _texts(sy(y), "%.2f")) == ref
-        assert _texts(np.array([0.0, -0.0, -0.0, 0.0]), "%.2f") == [
-            "0.00", "-0.00", "-0.00", "0.00"]
+            py = sy(y)
+            starts, lengths = _column_runs(py[None])
+            texts = ["%.2f" % v for v in py[starts].tolist()]
+            assert "".join(_joined(_x_points(sx(x)), texts, starts, lengths)) == ref
+        assert _joined_per_cell(np.array([0.0, -0.0, -0.0, 0.0]), "%.2f") == (
+            "<0>0.00<1>-0.00<2>-0.00<3>0.00")
+
+    @pytest.mark.parametrize("lengths", [
+        [1] * 7, [1] * (2 * _ROWS_PER_WRITE + 3), [_ROWS_PER_WRITE], [_ROWS_PER_WRITE, 1],
+        [1, _ROWS_PER_WRITE, 1], [1] * (_ROWS_PER_WRITE - 1) + [2, 1],
+        [_ROWS_PER_WRITE + 1, 3 * _ROWS_PER_WRITE - 2, 5], [1, 2] * 400,
+        [1, 2] * 200 + [3 * _ROWS_PER_WRITE]])
+    def test_joined_pieces_hold_rows_per_write_cells(self, lengths):
+        # Runs of one cell, of exactly _ROWS_PER_WRITE and of more, starting at
+        # a piece's first cell or running across pieces, in states whose runs
+        # average under two cells and in states of longer runs: each piece but
+        # the last holds _ROWS_PER_WRITE cells, and the pieces are heads[i] +
+        # texts[k] for every cell, in order.
+        lengths = np.array(lengths)
+        starts = np.cumsum(lengths) - lengths
+        n = int(lengths.sum())
+        heads = [f"{i}:" for i in range(n)]
+        texts = [f"r{k};" for k in range(lengths.size)]
+        pieces = list(_joined(heads, texts, starts, lengths))
+        assert [p.count(";") for p in pieces] == [
+            min(_ROWS_PER_WRITE, n - i) for i in range(0, n, _ROWS_PER_WRITE)]
+        assert "".join(pieces) == "".join(h + t for h, t in zip(heads, np.repeat(texts, lengths)))
 
     def test_one_cell_solve_writes_outputs(self, tmp_path):
         res = run(preset_uniform(10.0, cells=1, t_end=0.01, outdir=str(tmp_path)))
@@ -587,8 +656,8 @@ class TestOutputLayer:
         import fenepsv.scenarios as scenarios_mod
 
         seen = {"q": [], "x": [], "y": [], "builds": 0}
-        csv, x_points, texts = (scenarios_mod.write_snapshot_csv, scenarios_mod._x_points,
-                                scenarios_mod._texts)
+        csv, x_points, column_runs = (scenarios_mod.write_snapshot_csv, scenarios_mod._x_points,
+                                      scenarios_mod._column_runs)
         build = SimState.__getattr__
 
         def recording_csv(path, grid, q, params):
@@ -600,10 +669,10 @@ class TestOutputLayer:
             seen["x"].append(np.array(px))
             return x_points(px)
 
-        def recording_texts(col, fmt):
-            if fmt == "%.2f":   # a polyline's screen y
-                seen["y"].append(np.array(col))
-            return texts(col, fmt)
+        def recording_runs(a):
+            if a.shape[0] == 1:   # a polyline's screen y, one row
+                seen["y"].append(np.array(a[0]))
+            return column_runs(a)
 
         def counting_build(state, name):
             seen["builds"] += name == "q"
@@ -612,7 +681,7 @@ class TestOutputLayer:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenarios_mod, "write_snapshot_csv", recording_csv)
             mp.setattr(scenarios_mod, "_x_points", recording_x)
-            mp.setattr(scenarios_mod, "_texts", recording_texts)
+            mp.setattr(scenarios_mod, "_column_runs", recording_runs)
             mp.setattr(SimState, "__getattr__", counting_build)
             if min_cells is not None:
                 mp.setattr(timeloop_mod, "RUNS_MIN_CELLS", min_cells)
@@ -657,6 +726,21 @@ class TestOutputLayer:
         with pytest.raises(ValueError, match="^16 cells on a grid of 12$"):
             write_snapshot_csv(tmp_path / "bad.csv", Grid.uniform(0.0, 1.0, 12), q, cfg.params)
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_a_csv_from_q_has_the_bytes_of_one_from_its_runs(self, tmp_path):
+        # One state with runs of one cell, of exactly _ROWS_PER_WRITE cells and of more.
+        cfg = preset_dam_break(10.0, cells=2048)
+        grid = Grid.uniform(0.0, 1.0, 2048)
+        q = initial_condition(cfg, grid)
+        q[HU, 1:1 + _ROWS_PER_WRITE] = 0.25
+        q[HU, 1 + _ROWS_PER_WRITE:9 + _ROWS_PER_WRITE] = np.linspace(-0.5, 0.5, 8)
+        starts, lengths = _column_runs(q)
+        assert sorted(set(lengths.tolist())) == [1, 503, _ROWS_PER_WRITE, 1024]
+        write_snapshot_csv(tmp_path / "q.csv", grid, q, cfg.params)
+        write_snapshot_csv(tmp_path / "runs.csv", grid, (q[:, starts], starts, lengths), cfg.params)
+        assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "q.csv").read_bytes()
+        rows = (tmp_path / "q.csv").read_text().splitlines()
+        assert rows[1:] == _loop_rows(_snapshot_columns(grid, q, cfg.params))
 
     def test_run_space_writes_the_bytes_of_every_cell(self, tmp_path):
         # A reflective 4096-cell dam break with 20 snapshots, written from its
@@ -727,6 +811,20 @@ class TestConvergence:
         res = convergence_study(cfg, [32, 64])
         assert res.reference == "exact-sw"
         assert len(res.errors) == 2 and res.errors[1] < res.errors[0]
+
+    @pytest.mark.parametrize("overrides", [
+        {},   # G = 0.1
+        dict(params=PhysParams(g=10.0, G=0.0, lam=0.1, zeta=0.0, ell=10.0),
+             left=(0.1, 0.0, 1.0, 1.0), right=(1.0, 0.0, 1.0, 1.0)),
+        dict(params=PhysParams(g=10.0, G=0.0, lam=0.1, zeta=0.0, ell=10.0),
+             left=(1.0, 0.5, 1.0, 1.0)),
+    ])
+    def test_exact_reference_where_it_does_not_apply(self, overrides, monkeypatch):
+        # The condition under which 'auto' picks the exact solution, checked before any run.
+        monkeypatch.setattr(fenepsv.scenarios, "run", None)
+        cfg = preset_dam_break(10.0, t_end=0.02, **overrides)
+        with pytest.raises(ConfigError, match="^reference 'exact-sw' needs a dam break with G = 0"):
+            convergence_study(cfg, [32, 64], reference="exact-sw")
 
     @pytest.mark.parametrize("cfg", [preset_uniform(10.0, t_end=0.01),
                                      preset_dam_break(10.0, t_end=0.0)])
@@ -908,6 +1006,19 @@ class TestCli:
     def test_bad_ell_exits_2(self, tmp_path):
         p = write_cfg(tmp_path / "c.cfg", "ell = 1.0\n")
         assert main(["solve", "--config", p]) == 2
+
+    @pytest.mark.parametrize("text", ["", "G = 0\nleft_h = 0.1\nright_h = 1.0\n"])
+    def test_inapplicable_exact_reference_exits_2(self, tmp_path, capsys, text):
+        # The default config (G = 0.1), and depths rising to the right.
+        p = write_cfg(tmp_path / "c.cfg", text)
+        assert main(["converge", "--config", p, "--levels", "16,32", "--reference", "exact-sw"]) == 2
+        assert capsys.readouterr().err.startswith("config error: reference 'exact-sw' needs")
+
+    def test_unallocatable_grid_exits_2(self, tmp_path, capsys):
+        p = write_cfg(tmp_path / "c.cfg", "cells = 1099511627776\n")
+        assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 2
+        assert "the grid cannot be allocated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_solver_failure_exits_3_and_records(self, tmp_path, monkeypatch):
         from fenepsv.timeloop import TimeStepCollapse
