@@ -42,7 +42,12 @@ one_stderr_line() {
 }
 
 printf 'frobnicate = 1\n' >"$work/unknown.cfg"
-printf 'cells = 16\nt_end = 0.01\ndt_min_factor = 1.0\n' >"$work/collapse.cfg"
+# A key that is a setting no more (the collapse threshold is
+# timeloop.DT_MIN_FACTOR): unknown (exit 2).
+printf 'dt_min_factor = 1e-12\n' >"$work/removed_key.cfg"
+# A lake moving at 1e150: its CFL step, under 1e-12 of a cell width, collapses
+# (exit 3, with the error run.json).
+printf 'scenario = uniform\nleft_u = 1e150\ncells = 16\nt_end = 0.01\n' >"$work/collapse.cfg"
 printf 'cells = 16\nlambda = inf\n' >"$work/lambda_inf.cfg"
 printf 'cells = 16\nt_end = inf\n' >"$work/t_end_inf.cfg"
 # Finite bounds whose cell width overflows to inf, underflows to 0 at 4096
@@ -50,6 +55,9 @@ printf 'cells = 16\nt_end = inf\n' >"$work/t_end_inf.cfg"
 printf 'x_min = -1e308\nx_max = 1e308\njump_x = 0\n' >"$work/width_inf.cfg"
 printf 'x_max = 1e-320\ncells = 4096\njump_x = 5e-321\n' >"$work/width_zero.cfg"
 printf 'x_max = 1e-320\ncells = 1000\njump_x = 5e-321\n' >"$work/width_subnormal.cfg"
+# A domain up to near the float limit, whose edges' sum overflows: it solves
+# with no warning on stderr, and every x of its snapshots is finite (exit 0).
+printf 'x_min = 1e300\nx_max = 1.7e308\njump_x = 1e308\ncells = 16\nt_end = 0.001\n' >"$work/float_limit.cfg"
 # Two clean solves: a smooth wave, which has no runs of equal cells (every
 # cell evaluated), and a dam break (evaluated on the compressed cells of its
 # runs).
@@ -84,11 +92,9 @@ printf 'scenario = uniform\ncells = 16\n' >"$work/uniform.cfg"
 # the fan's own checks report as a StarStateError (exit 3).
 printf 'cells = 64\nright_h = 1e-300\n' >"$work/fan_fail.cfg"
 # Settings that a type checks when the config is built: an unknown boundary
-# kind and a negative collapse factor (checked by the step's control), a
-# boolean that is not one and an empty value (checked by the parser).  Each is
-# a config error (exit 2).
+# kind (checked by the step's control), a boolean that is not one and an empty
+# value (checked by the parser).  Each is a config error (exit 2).
 printf 'bc = open\n' >"$work/bc_open.cfg"
-printf 'dt_min_factor = -1\n' >"$work/dt_min_factor.cfg"
 printf 'strict_subchar = maybe\n' >"$work/strict_maybe.cfg"
 printf 'cells =\n' >"$work/cells_empty.cfg"
 # An output directory under a regular file cannot be made: a config error
@@ -108,11 +114,16 @@ printf 'G = 0\nleft_h = 0.1\nright_h = 1.0\n' >"$work/exact_reversed.cfg"
 # A billion cells, whose grid of 8 GB per array the 1.5 GB address-space limit
 # refuses at once: a config error (exit 2), not a MemoryError traceback.
 printf 'cells = 1000000000\n' >"$work/huge_grid.cfg"
+# 30 million cells, whose 480 MB grid the limit lets the config build but
+# whose state it refuses: a config error naming cells (exit 2), not a
+# MemoryError traceback.
+printf 'cells = 30000000\n' >"$work/huge_state.cfg"
 
 expect 2 "$@" solve --config "$work/unknown.cfg" --out "$work/unknown"
+expect 2 "$@" solve --config "$work/removed_key.cfg" --out "$work/removed_key"
 expect 3 "$@" solve --config "$work/collapse.cfg" --out "$work/collapse"
-if ! grep -q '"status": "error"' "$work/collapse/run.json"; then
-    echo "FAIL: the collapsed run wrote no error run.json" >&2
+if ! grep -q 'TimeStepCollapse' "$work/collapse/run.json"; then
+    echo "FAIL: the collapsed run wrote no TimeStepCollapse into run.json" >&2
     status=1
 fi
 expect 2 "$@" solve --config "$work/lambda_inf.cfg" --out "$work/lambda_inf"
@@ -120,6 +131,16 @@ expect 2 "$@" solve --config "$work/t_end_inf.cfg" --out "$work/t_end_inf"
 expect 2 "$@" solve --config "$work/width_inf.cfg" --out "$work/width_inf"
 expect 2 "$@" solve --config "$work/width_zero.cfg" --out "$work/width_zero"
 expect 2 "$@" solve --config "$work/width_subnormal.cfg" --out "$work/width_subnormal"
+expect 0 "$@" solve --config "$work/float_limit.cfg" --out "$work/float_limit"
+if [ -s "$work/stderr" ]; then
+    echo "FAIL: the solve near the float limit printed on stderr:" >&2
+    cat "$work/stderr" >&2
+    status=1
+fi
+if cut -d, -f1 "$work"/float_limit/snapshot_*.csv | grep -q inf; then
+    echo "FAIL: the solve near the float limit wrote an infinite x" >&2
+    status=1
+fi
 expect 0 "$@" solve --config "$work/smooth.cfg" --out "$work/smooth"
 expect 0 "$@" solve --config "$work/dam.cfg" --out "$work/dam"
 expect 0 "$@" solve --config "$work/dam_reflective.cfg" --out "$work/dam_reflective"
@@ -156,15 +177,17 @@ expect 2 "$@" converge --config "$work/uniform.cfg" --levels 64,32
 for case in exact_elastic exact_reversed; do
     expect 2 "$@" converge --config "$work/$case.cfg" --levels 16,32 --reference exact-sw
 done
-expect 2 sh -c 'ulimit -v 1500000 && exec "$@"' sh "$@" \
-    solve --config "$work/huge_grid.cfg" --out "$work/huge_grid"
+for case in huge_grid huge_state; do
+    expect 2 sh -c 'ulimit -v 1500000 && exec "$@"' sh "$@" \
+        solve --config "$work/$case.cfg" --out "$work/$case"
+done
 expect 3 "$@" solve --config "$work/fan_fail.cfg" --out "$work/fan_fail"
 one_stderr_line fan_fail
 if ! grep -q 'StarStateError' "$work/fan_fail/run.json"; then
     echo "FAIL: the run whose fan failed wrote no StarStateError into run.json" >&2
     status=1
 fi
-for case in bc_open dt_min_factor strict_maybe cells_empty; do
+for case in bc_open strict_maybe cells_empty; do
     expect 2 "$@" solve --config "$work/$case.cfg" --out "$work/$case"
 done
 expect 2 "$@" solve --config "$work/uniform.cfg" --out "$work/plain_file/out_under_file"

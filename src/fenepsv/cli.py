@@ -157,19 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    overrides = {
-        "scenario": args.scenario,
-        "ell": args.ell,
-        "cells": args.cells,
-        "t_end": args.t_end,
-        "cfl": args.cfl,
-        "bc": args.bc,
-        "outdir": args.outdir,
-        "strict_dissipation": args.strict_dissipation,
-    }
-    cfg = build_config(parse_config_file(args.config), overrides)
-    if cfg.outdir is None:
-        cfg = dataclasses.replace(cfg, outdir="out")
+    # each flag's dest is its config key
+    overrides = {k: v for k, v in vars(args).items() if k in _PARSERS}
+    cfg = build_config({"outdir": "out", **parse_config_file(args.config)}, overrides)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         result = run(cfg)
     s = result.summary()

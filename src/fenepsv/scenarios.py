@@ -70,8 +70,7 @@ _SETTING_KINDS = {
     "cells": (numbers.Integral, "an integer"),
     "snapshots": (numbers.Integral, "an integer"),
     "max_steps": ((numbers.Integral, type(None)), "an integer >= 1 or unset"),
-    **dict.fromkeys(("x_min", "x_max", "t_end", "cfl", "jump_x", "dt_min_factor"),
-                    (numbers.Real, "a real number")),
+    **dict.fromkeys(("x_min", "x_max", "t_end", "cfl", "jump_x"), (numbers.Real, "a real number")),
     **dict.fromkeys(("strict_dissipation", "strict_subchar"), (_BOOLS, "a bool")),
     "outdir": ((str, os.PathLike, type(None)), "unset, a str or a path"),
 }
@@ -94,7 +93,7 @@ class RunConfig:
     only `left`, `smooth-wave` ignores both and modulates an equilibrium
     state.  `outdir=None` runs without writing any files.  `max_steps` caps
     the number of steps (None: no cap).  The domain is checked by building
-    its `Grid`, and cfl, bc and dt_min_factor by building a `StepControl`.
+    its `Grid`, and cfl and bc by building a `StepControl`.
     """
 
     params: PhysParams
@@ -112,7 +111,6 @@ class RunConfig:
     outdir: str | None = None
     strict_dissipation: bool = False
     strict_subchar: bool = False
-    dt_min_factor: float = 1e-12
     max_steps: int | None = None
 
     def __post_init__(self):
@@ -143,7 +141,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         try:
             Grid.uniform(self.x_min, self.x_max, self.cells)
-            StepControl(cfl=self.cfl, bc=self.bc, dt_min_factor=self.dt_min_factor)
+            StepControl(cfl=self.cfl, bc=self.bc)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         except MemoryError as e:
@@ -396,7 +394,8 @@ def run(config: RunConfig) -> RunResult:
     piecewise-constant run stays in run space between steps (see
     `timeloop.SimState`), its snapshots written from its runs; the result's
     state.q is built before the return.  An outdir that cannot be made is a
-    ConfigError.
+    ConfigError, and so is a MemoryError anywhere in the run (naming cells,
+    with no error run.json; the files written before it stay).
 
     A SolverError from a step leaves with its `failure` record (see
     `_failure_record`).  With an outdir, every SolverError leaves its error
@@ -404,14 +403,20 @@ def run(config: RunConfig) -> RunResult:
     so that `full_step` on them, at the record's t, with the config's
     control and the record's max_dt, raises the error again.
     """
+    try:
+        return _run(config)
+    except MemoryError as e:
+        raise ConfigError(f"cells={config.cells}: the run does not fit in memory ({e})") from e
+
+
+def _run(config: RunConfig) -> RunResult:
     t0 = time.perf_counter()
     _grid_text.cache_clear()
     grid = Grid.uniform(config.x_min, config.x_max, config.cells)
     q0 = initial_condition(config, grid)
     q0.flags.writeable = False   # stepped from itself: no step writes to its input
     state = SimState(t=0.0, q=q0)
-    control = StepControl(cfl=config.cfl, bc=config.bc, dt_min_factor=config.dt_min_factor,
-                          strict_dissipation=config.strict_dissipation,
+    control = StepControl(cfl=config.cfl, bc=config.bc, strict_dissipation=config.strict_dissipation,
                           strict_subchar=config.strict_subchar)
 
     outdir = None

@@ -82,6 +82,9 @@ BOUNDARY_KINDS = ("transmissive", "reflective", "periodic")
 # Audit tolerance scale for the free-energy balance.
 DISSIPATION_RTOL = 1e-10
 
+# `cfl_dt` raises TimeStepCollapse below DT_MIN_FACTOR * dx (read at call time).
+DT_MIN_FACTOR = 1e-12
+
 # The gate of the step on runs (`_runs`).  Finding, padding and repeating the
 # runs cost about what stepping 500 to 1000 more cells costs, so grids of
 # fewer than RUNS_MIN_CELLS cells step every cell.  The step's cost on runs
@@ -131,7 +134,8 @@ class Grid:
         self.edges = np.linspace(self.x_min, self.x_max, self.n + 1)
         if not _holds(self.edges[1:] > self.edges[:-1]):
             raise ValueError(f"{domain}: edges do not strictly increase")
-        self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
+        # the bits of 0.5 (a + b) (halving is exact), without its overflow near the float limit
+        self.centers = 0.5 * self.edges[:-1] + 0.5 * self.edges[1:]
         self.edges.flags.writeable = self.centers.flags.writeable = False
 
     @classmethod
@@ -187,11 +191,11 @@ def _run_state(t: float, cells, starts, lengths, params: PhysParams, f) -> SimSt
 @dataclass
 class StepControl:
     """Knobs of a single step, checked when built (ValueError); defaults
-    reproduce the plain audited scheme."""
+    reproduce the plain audited scheme.  The collapse threshold is no knob:
+    `cfl_dt` reads the module's DT_MIN_FACTOR."""
 
     cfl: float = 0.5
     bc: str = "transmissive"
-    dt_min_factor: float = 1e-12   # collapse threshold = factor * dx
     strict_dissipation: bool = False
     strict_subchar: bool = False
     max_dt: float | None = None    # cap used to land exactly on output times
@@ -201,8 +205,6 @@ class StepControl:
             raise ValueError(f"cfl must lie in (0, 1/2], got {self.cfl}")
         if self.bc not in BOUNDARY_KINDS:
             raise ValueError(f"bc must be one of {BOUNDARY_KINDS}, got {self.bc!r}")
-        if not 0.0 <= self.dt_min_factor < np.inf:
-            raise ValueError(f"dt_min_factor must be finite and >= 0, got {self.dt_min_factor}")
         if self.max_dt is not None and not 0.0 < self.max_dt < np.inf:
             raise ValueError(f"max_dt must be unset or finite and > 0, got {self.max_dt}")
 
@@ -233,18 +235,18 @@ def apply_boundary(q: np.ndarray, bc: str) -> np.ndarray:
     return np.concatenate([left, q, right], axis=1)
 
 
-def cfl_dt(grid: Grid, fan, cfl: float, dt_min_factor: float = 1e-12) -> float:
+def cfl_dt(grid: Grid, fan, cfl: float) -> float:
     """Half-cell-crossing time step from the extreme fan speeds.
 
     dt = cfl * dx / S_max with S_max the largest |outer wave speed| over all
-    interfaces.  Raises TimeStepCollapse below dt_min_factor * dx.
+    interfaces.  Raises TimeStepCollapse below DT_MIN_FACTOR * dx.
     """
     s_max = float(np.abs(fan.s[::2]).max())
     dx = grid.dx
     dt = cfl * dx / s_max if s_max > 0 else np.inf
-    if dt < dt_min_factor * dx:
+    if dt < DT_MIN_FACTOR * dx:
         raise TimeStepCollapse(
-            f"dt={dt!r} under collapse threshold {dt_min_factor * dx!r} (S_max={s_max!r})"
+            f"dt={dt!r} under collapse threshold {DT_MIN_FACTOR * dx!r} (S_max={s_max!r})"
         )
     return dt
 
@@ -320,7 +322,7 @@ def _fluxes(q: np.ndarray, x, grid: Grid, params: PhysParams, control: StepContr
     cells = _cell_state(padded, primitive(padded), params)
     del padded   # the padded cells are not read again
     fan, ratio = _fan(interface_sides(cells), x, params, control.strict_subchar)
-    dt = cfl_dt(grid, fan, control.cfl, control.dt_min_factor)
+    dt = cfl_dt(grid, fan, control.cfl)
     if control.max_dt is not None:
         if dt >= control.max_dt:
             dt = control.max_dt

@@ -26,6 +26,7 @@ from fenepsv.model import (
     total_pressure,
 )
 from fenepsv.riemann import StarStateError, _w_bounds
+from fenepsv import timeloop
 from fenepsv.timeloop import SubcharacteristicViolation, TimeStepCollapse, apply_boundary
 
 # Relative floor keeping the relaxation speeds away from zero in degenerate data.
@@ -436,9 +437,9 @@ def reference_fluxes(q: np.ndarray, grid, params: PhysParams, control):
     s_max = float(np.maximum(np.abs(fan.s1), np.abs(fan.s3)).max())
     dx = grid.dx
     dt = control.cfl * dx / s_max if s_max > 0 else np.inf
-    if dt < control.dt_min_factor * dx:
+    if dt < timeloop.DT_MIN_FACTOR * dx:
         raise TimeStepCollapse(
-            f"dt={dt!r} under collapse threshold {control.dt_min_factor * dx!r} (S_max={s_max!r})"
+            f"dt={dt!r} under collapse threshold {timeloop.DT_MIN_FACTOR * dx!r} (S_max={s_max!r})"
         )
     if not np.isfinite(dt):
         raise TimeStepCollapse("CFL produced a non-finite dt and no cap was given")

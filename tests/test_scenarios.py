@@ -143,7 +143,6 @@ class TestConfig:
         ("cfl", "0.5", "a real number"),
         ("x_min", False, "a real number"),
         ("x_max", "1", "a real number"),
-        ("dt_min_factor", "0", "a real number"),
         ("jump_x", None, "a real number"),
         ("params", None, "a PhysParams"),
         ("outdir", 5, "unset, a str or a path"),
@@ -209,9 +208,9 @@ class TestConfig:
         assert cfg.t_end == 0.0
 
     def test_step_settings_checked_when_built(self):
-        # dt_min_factor is checked by the StepControl that the config builds
-        with pytest.raises(ConfigError, match="^dt_min_factor must be finite and >= 0, got nan$"):
-            dataclasses.replace(preset_dam_break(10.0), dt_min_factor=np.nan)
+        # cfl is checked by the StepControl that the config builds
+        with pytest.raises(ConfigError, match=r"^cfl must lie in \(0, 1/2\], got 0.6$"):
+            dataclasses.replace(preset_dam_break(10.0), cfl=0.6)
 
 
 class TestInitialCondition:
@@ -913,6 +912,7 @@ NON_FINITE_CONFIG = [
     ("g", "inf"), ("G", "inf"), ("lambda", "inf"), ("ell", "inf"), ("g", "nan"),
     ("x_min", "-inf"), ("x_max", "inf"), ("t_end", "inf"), ("t_end", "nan"), ("jump_x", "nan"),
     ("left_h", "inf"), ("left_u", "nan"), ("right_u", "-inf"), ("right_szz", "nan"),
+    # a setting no more: a file that sets it is refused as an unknown key
     ("dt_min_factor", "inf"), ("dt_min_factor", "nan"), ("dt_min_factor", "-1e-12"),
 ]
 
@@ -950,9 +950,6 @@ class TestNonFiniteConfig:
         assert message in err
         assert not (tmp_path / "out").exists()
 
-    def test_zero_dt_min_factor_accepted(self):
-        assert dataclasses.replace(preset_dam_break(10.0), dt_min_factor=0.0)
-
 
 class TestCli:
     def test_solve_end_to_end(self, tmp_path, capsys):
@@ -963,16 +960,29 @@ class TestCli:
         assert (out / "run.json").exists()
         assert "completed" in capsys.readouterr().out
 
-    def test_solve_flag_overrides(self, tmp_path):
-        p = write_cfg(tmp_path / "c.cfg", "cells = 24\nt_end = 0.01\nell = 10\n")
-        out = tmp_path / "o2"
-        code = main(
-            ["solve", "--config", p, "--ell", "100", "--cells", "16", "--out", str(out)]
-        )
-        assert code == 0
-        payload = json.loads((out / "run.json").read_text())
-        assert payload["config"]["params"]["ell"] == 100.0
-        assert payload["config"]["cells"] == 16
+    def test_solve_flag_overrides(self, tmp_path, monkeypatch):
+        # Each of solve's flags overrides its key alone; an unset flag keeps the file's value.
+        import fenepsv.cli as cli_mod
+
+        p = write_cfg(tmp_path / "c.cfg", (
+            "scenario = uniform\nell = 20\ncells = 12\nt_end = 0.002\ncfl = 0.4\nbc = reflective\n"
+            f"outdir = {tmp_path / 'file_out'}\nstrict_dissipation = false\n"))
+        base = build_config(parse_config_file(p), {})
+        solved = []
+        monkeypatch.setattr(cli_mod, "run", lambda cfg: solved.append(cfg) or run(cfg))
+        for flags, changed in [
+            ([], {}),
+            (["--scenario", "smooth-wave"], {"scenario": "smooth-wave"}),
+            (["--ell", "100"], {"params": dataclasses.replace(base.params, ell=100.0)}),
+            (["--cells", "16"], {"cells": 16}),
+            (["--t-end", "0.001"], {"t_end": 0.001}),
+            (["--cfl", "0.25"], {"cfl": 0.25}),
+            (["--bc", "periodic"], {"bc": "periodic"}),
+            (["--out", str(tmp_path / "flag_out")], {"outdir": str(tmp_path / "flag_out")}),
+            (["--strict-dissipation"], {"strict_dissipation": True}),
+        ]:
+            assert main(["solve", "--config", p, *flags]) == 0
+            assert solved.pop() == dataclasses.replace(base, **changed)
 
     def test_solve_without_outdir_writes_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -999,9 +1009,12 @@ class TestCli:
             run(build_config(parse_config_file(p), {}))
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        p = write_cfg(tmp_path / "c.cfg", "frobnicate = 1\n")
-        assert main(["solve", "--config", p]) == 2
-        assert "config error" in capsys.readouterr().err
+        # dt_min_factor is a key no more: the collapse threshold is timeloop.DT_MIN_FACTOR
+        for key in ("frobnicate", "dt_min_factor"):
+            p = write_cfg(tmp_path / "c.cfg", f"{key} = 1\n")
+            assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"config error: {p}:1: unknown key {key!r}\n"
+            assert not (tmp_path / "out").exists()
 
     def test_bad_ell_exits_2(self, tmp_path):
         p = write_cfg(tmp_path / "c.cfg", "ell = 1.0\n")
@@ -1019,6 +1032,27 @@ class TestCli:
         assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 2
         assert "the grid cannot be allocated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["initial_condition", "full_step", "write_snapshot_csv",
+                                       "write_svg_summary"])
+    def test_run_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys, stage):
+        # A MemoryError anywhere in the run is a ConfigError naming cells, with no error run.json.
+        import fenepsv.scenarios as scenarios_mod
+
+        def refused(*args):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(scenarios_mod, stage, refused)
+        p = write_cfg(tmp_path / "c.cfg", "cells = 16\nt_end = 0.001\n")
+        assert main(["solve", "--config", p, "--out", str(tmp_path / "out")]) == 2
+        message = "cells=16: the run does not fit in memory (Unable to allocate)"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out" / "run.json").exists()
+        # what the run wrote before stays: its directory is made after the initial condition
+        assert (tmp_path / "out" / "diagnostics.csv").exists() is (stage != "initial_condition")
+        with pytest.raises(ConfigError) as err:
+            run(preset_dam_break(10.0, cells=16, t_end=0.001, outdir=str(tmp_path / "lib")))
+        assert str(err.value) == message and type(err.value.__cause__) is MemoryError
 
     def test_solver_failure_exits_3_and_records(self, tmp_path, monkeypatch):
         from fenepsv.timeloop import TimeStepCollapse
@@ -1338,8 +1372,8 @@ class TestFailureRecord:
             assert failure["index"] == [32] and failure["cells"]["first"] == 31
             assert len(failure["cells"]["h"]) == 3
             q = np.load(out / "failure_q.npy")
-            control = StepControl(cfl=cfg.cfl, bc=cfg.bc, dt_min_factor=cfg.dt_min_factor,
-                                  strict_subchar=True, max_dt=failure["max_dt"])
+            control = StepControl(cfl=cfg.cfl, bc=cfg.bc, strict_subchar=True,
+                                  max_dt=failure["max_dt"])
             for replay_on in (True, False):
                 with pytest.MonkeyPatch.context() as mp:
                     force_runs(mp, replay_on)
@@ -1362,13 +1396,14 @@ class TestFailureRecord:
             "first", "h", "u", "sigma_xx", "sigma_zz"}
         assert np.load(out / "failure_q.npy").shape == (4, 64)
 
-    def test_library_run_writes_the_error_run_json(self, tmp_path):
-        # the collapse case of scripts/check_exit_codes.sh, through run() and through solve
+    def test_library_run_writes_the_error_run_json(self, tmp_path, monkeypatch):
+        # a collapsed step, through run() and through solve
+        monkeypatch.setattr(timeloop_mod, "DT_MIN_FACTOR", 1.0)
         lib, cli = tmp_path / "lib", tmp_path / "cli"
         with pytest.raises(fenepsv.TimeStepCollapse):
-            run(preset_dam_break(10.0, cells=16, t_end=0.01, dt_min_factor=1.0, outdir=str(lib)))
+            run(preset_dam_break(10.0, cells=16, t_end=0.01, outdir=str(lib)))
         assert {p.name for p in lib.iterdir()} >= {"failure_q.npy", "diagnostics.csv", "run.json"}
-        p = write_cfg(tmp_path / "collapse.cfg", "cells = 16\nt_end = 0.01\ndt_min_factor = 1.0\n")
+        p = write_cfg(tmp_path / "collapse.cfg", "cells = 16\nt_end = 0.01\n")
         assert main(["solve", "--config", p, "--out", str(cli)]) == 3
         record = (lib / "run.json").read_text()
         assert json.loads(record)["status"] == "error"

@@ -114,6 +114,15 @@ class TestGrid:
             with pytest.raises(ValueError, match=match):
                 Grid.uniform(x_min, x_max, n)
 
+    def test_centers_near_the_float_limit(self):
+        # Each centre is 0.5 a + 0.5 b of its edges: finite and increasing where
+        # 0.5 (a + b) overflows, and its bits wherever that does not overflow.
+        g = Grid.uniform(1e300, 1.7e308, 16)
+        assert np.all(np.isfinite(g.centers)) and np.all(np.diff(g.centers) > 0)
+        for n in [*range(1, 65), 255, 256, 1000, 1023, 1024, 4095, 4096, 10000, 16383, 16384]:
+            g = Grid.uniform(0.0, 1.0, n)
+            assert np.array_equal(g.centers, 0.5 * (g.edges[:-1] + g.edges[1:]))
+
     def test_rejects_too_few_edges(self):
         with pytest.raises(ValueError, match=r"^grid of 0 cells on \[0\.0, 1\.0\]: cell width nan"):
             Grid.uniform(0.0, 1.0, 0)
@@ -160,11 +169,13 @@ class TestCfl:
         _, diag = full_step(state, grid, params, StepControl(cfl=0.5))
         assert diag.dt == 0.5 * (1.0 / n) / np.sqrt(10.0 * 2.0)
 
-    def test_collapse_raises(self):
+    def test_collapse_raises(self, monkeypatch):
+        # a threshold of one cell width per unit of time: dt = cfl dx / S_max is below it
+        monkeypatch.setattr(timeloop_mod, "DT_MIN_FACTOR", 1.0)
         grid = Grid.uniform(0.0, 1.0, 16)
         state = dam_break_state(16)
-        with pytest.raises(TimeStepCollapse):
-            full_step(state, grid, P10, StepControl(dt_min_factor=1.0))
+        with pytest.raises(TimeStepCollapse, match=r"^dt=\S+ under collapse threshold 0\.0625 \(S_max="):
+            full_step(state, grid, P10, StepControl())
 
     def test_max_dt_landing_rules(self):
         grid = Grid.uniform(0.0, 1.0, 32)
@@ -190,7 +201,6 @@ class TestCfl:
             StepControl(bc="open")
 
     @pytest.mark.parametrize("field, value", [
-        ("dt_min_factor", np.nan), ("dt_min_factor", -1.0), ("dt_min_factor", np.inf),
         ("max_dt", 0.0), ("max_dt", -1e-6), ("max_dt", np.nan), ("max_dt", np.inf),
     ])
     def test_control_rejects_out_of_range(self, field, value):
